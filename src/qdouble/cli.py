@@ -6,14 +6,15 @@ verify    run the named check battery and exit 0 iff every check passes
 spectrum  lowest k Hamiltonian eigenvalues as CSV/JSON (index, eigenvalue, residual)
 sectors   (charge, flux) sector dimensions of the charged-boundary kernel,
           plus ground-state sector weights
-braid     exact crossing-phase exponent tables, entries rendered as "p/q"
+braid     exact crossing-phase exponents read off two crossing strips in the
+          region, entries rendered as "p/q"
 excite    diagnostics for one single-excitation state
 
 Common flags: --group, --region, --boundary, --seed, --out, --json,
 --config (JSON file mirroring the flags; explicit flags win), --unsafe-cap.
 
 Exit codes: 0 success, 1 failing check, 2 configuration error,
-3 dimension cap exceeded.
+3 a size-policy limit exceeded (DimensionCapError).
 
 Every command is deterministic given (config, seed): JSON output is
 byte-identical across reruns and CSV floats carry 17 significant digits.
@@ -29,9 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group, GroupError, parse_group_spec
-from .lattice import Region, RibbonError, parse_region_spec, ribbon_between
-from .operators import DEFAULT_DIM_CAP, DimensionCapError, QuantumDouble
-from .spectral import sector_dimensions, spectrum_lowest
+from .lattice import Region, RibbonError, crossing_pair, parse_region_spec, ribbon_between
+from .operators import (
+    DEFAULT_DIM_CAP,
+    UNSAFE_DIM_CAP,
+    DimensionCapError,
+    QuantumDouble,
+    refuse_above,
+)
+from .spectral import boundary_kernel, sector_dimensions, spectrum_lowest
 from .states import frustration_free_state, sector_weights, single_excitation_state
 from .verify import CheckError, run_suite
 
@@ -41,9 +48,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
-
-UNSAFE_CAP = 1 << 60
-SECTOR_DENSE_LIMIT = 1 << 12
 
 TASKS = ("verify", "spectrum", "sectors", "braid", "excite")
 
@@ -72,7 +76,7 @@ class RunConfig:
 
     @property
     def cap(self) -> int:
-        return UNSAFE_CAP if self.unsafe_cap else DEFAULT_DIM_CAP
+        return UNSAFE_DIM_CAP if self.unsafe_cap else DEFAULT_DIM_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +162,9 @@ def _parse_specs(cfg: RunConfig) -> tuple[Group, Region]:
         region = parse_region_spec(cfg.region)
     except (GroupError, RibbonError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    dim = group.size ** len(region.edges())
-    if dim > cfg.cap:
-        raise DimensionCapError(
-            f"dimension |G|^E = {group.size}^{len(region.edges())} exceeds the cap "
-            f"{cfg.cap}; pass --unsafe-cap to override"
-        )
+    n_edges = len(region.edges())
+    refuse_above(group.size**n_edges, cfg.cap,
+                 f"dimension |G|^E = {group.size}^{n_edges} (--unsafe-cap lifts the cap)")
     return group, region
 
 
@@ -243,23 +244,11 @@ def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
     return EXIT_OK
 
 
-def _boundary_kernel_basis(model: QuantumDouble) -> np.ndarray:
-    dim = model.space.dim
-    if dim > SECTOR_DENSE_LIMIT:
-        raise DimensionCapError(
-            f"sector analysis diagonalizes densely and is capped at "
-            f"{SECTOR_DENSE_LIMIT}, got dimension {dim}"
-        )
-    h = model.hamiltonian(boundary="eps_mu").to_dense(SECTOR_DENSE_LIMIT)
-    vals, vecs = np.linalg.eigh(h)
-    return vecs[:, vals < 1e-10]
-
-
 def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
     if region.is_torus:
         raise ConfigError("sectors needs a free region (tori have no boundary)")
     model = QuantumDouble(group, region, cap=cfg.cap)
-    kernel = _boundary_kernel_basis(model)
+    _, kernel = boundary_kernel(model)
     dims = sector_dimensions(model, kernel, validate=True)
     weights = sector_weights(frustration_free_state(model)).as_dict()
     rows = []
@@ -288,15 +277,20 @@ def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
 
 
 def cmd_braid(cfg: RunConfig, group: Group, region: Region) -> int:
+    try:
+        rho, sigma = crossing_pair(region)
+    except RibbonError as err:
+        raise ConfigError(f"braid needs a region with an interior vertex: {err}") from err
+    model = QuantumDouble(group, region, cap=cfg.cap)
     q = group.size
     chars = [group.character_from_index(i) for i in range(q)]
     els = [group.element_from_index(i) for i in range(q)]
-    # single transversal crossing of strips labeled (chi, c) and (xi, d)
-    # picks up the exact scalar chi(d) xi(c)
     char_table = [[chars[i](els[j]).exponent_str() for j in range(q)] for i in range(q)]
     labels = [(chi, c) for chi in range(q) for c in range(q)]
+    # the exact scalar of F^a_rho F^b_sigma = s F^b_sigma F^a_rho, read off
+    # the two strips of one transversal crossing
     table = [
-        [(chars[a_chi](els[b_c]) * chars[b_chi](els[a_c])).exponent_str()
+        [model.crossing_phase(rho, a_chi, a_c, sigma, b_chi, b_c).exponent_str()
          for (b_chi, b_c) in labels]
         for (a_chi, a_c) in labels
     ]

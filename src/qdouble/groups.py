@@ -69,6 +69,10 @@ class Phase:
         return self.exponent == 0
 
     def to_complex(self) -> complex:
+        """The complex value; exact at quarter turns (1, i, -1, -i)."""
+        quarters = 4 * self.exponent
+        if quarters.denominator == 1:
+            return (1 + 0j, 1j, -1 + 0j, 0 - 1j)[quarters.numerator]
         q = float(self.exponent)
         return complex(np.cos(2 * np.pi * q), np.sin(2 * np.pi * q))
 
@@ -84,8 +88,9 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a finite abelian group, stored as one digit per factor."""
+class _Digits:
+    """One digit per cyclic factor: elements and characters multiply,
+    invert and pack into an index the same way."""
 
     group: "Group"
     digits: tuple[int, ...]
@@ -96,18 +101,14 @@ class GroupElement:
         if any(not (0 <= d < n) for d, n in zip(self.digits, self.group.orders)):
             raise GroupError(f"digits {self.digits} out of range for {self.group}")
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
+    def __mul__(self, other):
         self.group.require_same(other.group)
         dig = tuple((a + b) % n for a, b, n in zip(self.digits, other.digits, self.group.orders))
-        return GroupElement(self.group, dig)
+        return type(self)(self.group, dig)
 
-    def inverse(self) -> "GroupElement":
+    def inverse(self):
         dig = tuple((-a) % n for a, n in zip(self.digits, self.group.orders))
-        return GroupElement(self.group, dig)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return type(self)(self.group, dig)
 
     @property
     def index(self) -> int:
@@ -118,26 +119,24 @@ class GroupElement:
             weight *= n
         return idx
 
+
+class GroupElement(_Digits):
+    """An element of a finite abelian group, stored as one digit per factor."""
+
+    @property
+    def is_identity(self) -> bool:
+        return all(d == 0 for d in self.digits)
+
     def __repr__(self) -> str:
         return f"g{self.digits}"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Digits):
     """A character of a finite abelian group, stored as one digit per factor.
 
     Evaluation on an element g gives the exact phase
     exp(2*pi*i * sum_j k_j * g_j / n_j).
     """
-
-    group: "Group"
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.digits) != len(self.group.orders):
-            raise GroupError("digit vector length does not match group rank")
-        if any(not (0 <= d < n) for d, n in zip(self.digits, self.group.orders)):
-            raise GroupError(f"digits {self.digits} out of range for {self.group}")
 
     def __call__(self, g: GroupElement) -> Phase:
         self.group.require_same(g.group)
@@ -146,29 +145,12 @@ class Character:
             q += Fraction(k * d, n)
         return Phase(q)
 
-    def __mul__(self, other: "Character") -> "Character":
-        self.group.require_same(other.group)
-        dig = tuple((a + b) % n for a, b, n in zip(self.digits, other.digits, self.group.orders))
-        return Character(self.group, dig)
-
-    def inverse(self) -> "Character":
-        dig = tuple((-a) % n for a, n in zip(self.digits, self.group.orders))
-        return Character(self.group, dig)
-
     def conjugate(self) -> "Character":
         return self.inverse()
 
     @property
     def is_trivial(self) -> bool:
         return all(d == 0 for d in self.digits)
-
-    @property
-    def index(self) -> int:
-        idx, weight = 0, 1
-        for d, n in zip(self.digits, self.group.orders):
-            idx += d * weight
-            weight *= n
-        return idx
 
     def __repr__(self) -> str:
         return f"chi{self.digits}"
@@ -216,23 +198,20 @@ class Group:
     def character(self, digits) -> Character:
         return Character(self, tuple(int(d) for d in digits))
 
-    def element_from_index(self, idx: int) -> GroupElement:
+    def _unpack(self, idx: int, what: str) -> tuple[int, ...]:
         if not 0 <= idx < self.size:
-            raise GroupError(f"element index {idx} out of range")
+            raise GroupError(f"{what} index {idx} out of range")
         dig = []
         for n in self.orders:
             dig.append(idx % n)
             idx //= n
-        return GroupElement(self, tuple(dig))
+        return tuple(dig)
+
+    def element_from_index(self, idx: int) -> GroupElement:
+        return GroupElement(self, self._unpack(idx, "element"))
 
     def character_from_index(self, idx: int) -> Character:
-        if not 0 <= idx < self.size:
-            raise GroupError(f"character index {idx} out of range")
-        dig = []
-        for n in self.orders:
-            dig.append(idx % n)
-            idx //= n
-        return Character(self, tuple(dig))
+        return Character(self, self._unpack(idx, "character"))
 
     def elements(self) -> list[GroupElement]:
         """All elements, in packed-index order (first factor fastest)."""
@@ -265,10 +244,6 @@ class Group:
     def char_values(self, chi: Character) -> np.ndarray:
         """Complex character values on all packed element indices."""
         return _char_values(self.orders, chi.digits)
-
-    def char_phase(self, chi_index: int, g_index: int) -> Phase:
-        chi = self.character_from_index(chi_index)
-        return chi(self.element_from_index(g_index))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.orders)

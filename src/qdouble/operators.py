@@ -39,11 +39,32 @@ __all__ = [
     "QuantumDouble",
 ]
 
-DEFAULT_DIM_CAP = 1 << 26
+# ---------------------------------------------------------------------------
+# size policy: every limit on what a computation may allocate or enumerate.
+# Each refusal raises DimensionCapError before the allocation it prevents.
+
+DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
+UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
+DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and sector kernels
+DENSE_EIG_LIMIT = 8192  # dense diagonalization for spectra and ground spaces
+PROBE_BATCH_LIMIT = 1 << 22  # above this dimension a probe batch is one column
+EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
+MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the uniform ground mixture
+DENSE_CHUNK_ELEMENTS = 1 << 22  # elements per column chunk of to_dense
+PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
+FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
+COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
+PROJECTOR_BASIS_BYTES = 4_000_000_000  # seed block of the projector ground basis
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a dense computation would exceed the dimension cap."""
+    """Raised when a computation would exceed a limit of the size policy."""
+
+
+def refuse_above(size: int, limit: int, what: str) -> None:
+    """Raise DimensionCapError when the `size` of `what` exceeds `limit`."""
+    if size > limit:
+        raise DimensionCapError(f"{what}: {size} exceeds the limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +203,9 @@ class HilbertSpace:
         self._form_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._perm_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._perm_bytes = 0
-        self._perm_budget = 1_500_000_000
 
     def require_dense(self, what: str = "dense computation"):
-        if self.dim > self.cap:
-            raise DimensionCapError(
-                f"{what} needs dimension {self.dim} > cap {self.cap}; "
-                "raise the cap only if you accept the memory cost"
-            )
+        refuse_above(self.dim, self.cap, f"{what} dimension")
 
     # ---- configuration indexing ----
 
@@ -231,7 +247,7 @@ class HilbertSpace:
                 d = pow_lut[d]
             acc = mul[acc, d]
         self._form_cache[form] = acc
-        while len(self._form_cache) > 24:
+        while len(self._form_cache) > FORM_CACHE_ENTRIES:
             self._form_cache.popitem(last=False)
         return acc
 
@@ -252,7 +268,7 @@ class HilbertSpace:
             perm += (nd.astype(np.intp) - d) * (self.q ** edge)
         self._perm_cache[shift] = perm
         self._perm_bytes += perm.nbytes
-        while self._perm_bytes > self._perm_budget and len(self._perm_cache) > 1:
+        while self._perm_bytes > PERM_CACHE_BYTES and len(self._perm_cache) > 1:
             _, old = self._perm_cache.popitem(last=False)
             self._perm_bytes -= old.nbytes
         return perm
@@ -341,7 +357,7 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if isinstance(self, TermOp) and isinstance(other, TermOp):
-            if len(self.terms) * len(other.terms) <= 4096:
+            if len(self.terms) * len(other.terms) <= COMPOSE_TERM_LIMIT:
                 return self.compose(other)
         return ProductOp(self.space, [self, other])
 
@@ -359,12 +375,11 @@ class Operator:
     def scaled(self, scalar: complex) -> "Operator":
         return ScaledOp(self.space, scalar, self)
 
-    def to_dense(self, max_dim: int = 4096) -> np.ndarray:
+    def to_dense(self, max_dim: int = DENSE_MATRIX_LIMIT) -> np.ndarray:
         dim = self.space.dim
-        if dim > max_dim:
-            raise DimensionCapError(f"dense matrix of dimension {dim} > {max_dim}")
+        refuse_above(dim, max_dim, "dense matrix dimension")
         out = np.zeros((dim, dim), dtype=np.complex128)
-        chunk = max(1, min(dim, (1 << 22) // dim))
+        chunk = max(1, min(dim, DENSE_CHUNK_ELEMENTS // dim))
         for start in range(0, dim, chunk):
             stop = min(dim, start + chunk)
             eye = np.zeros((dim, stop - start), dtype=np.complex128)
@@ -404,10 +419,8 @@ class TermOp(Operator):
 
     def simplify(self) -> "TermOp":
         acc: dict[tuple, complex] = {}
-        proto: dict[tuple, Term] = {}
         for t in self.terms:
             acc[t.key] = acc.get(t.key, 0) + t.coeff
-            proto[t.key] = t
         kept = [
             Term(c, *key)
             for key, c in acc.items()

@@ -20,10 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Operator, QuantumDouble, TermOp
+from .operators import (
+    DENSE_EIG_LIMIT,
+    DENSE_MATRIX_LIMIT,
+    PROJECTOR_BASIS_BYTES,
+    Operator,
+    QuantumDouble,
+    TermOp,
+    refuse_above,
+)
+from .states import _flat_orbit_representatives
 
 __all__ = [
     "EigenBasis",
+    "boundary_kernel",
     "ground_dimension_count",
     "ground_space",
     "spectrum_lowest",
@@ -33,7 +43,6 @@ __all__ = [
 ]
 
 KERNEL_TOL = 1e-8
-DENSE_EIG_LIMIT = 8192
 
 
 @dataclass
@@ -75,27 +84,12 @@ def rayleigh(op: Operator, psi: np.ndarray) -> tuple[float, float]:
     return float(val.real), float(res)
 
 
-def _dense_eigh(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    dim = op.space.dim
-    if dim > DENSE_EIG_LIMIT:
-        raise ValueError(f"dense diagonalization capped at {DENSE_EIG_LIMIT}, got {dim}")
-    mat = op.to_dense(max_dim=DENSE_EIG_LIMIT)
-    return np.linalg.eigh(mat)
-
-
-def _winding_seed_configs(model: QuantumDouble):
-    """One flat configuration per flux sector of a torus."""
-    region, group = model.region, model.group
-    seeds = []
-    for a in range(group.size):
-        for b in range(group.size):
-            digits = [0] * region.num_edges
-            for j in range(region.n):
-                digits[region.edge_id(("h", 0, j))] = a
-            for i in range(region.m):
-                digits[region.edge_id(("v", i, 0))] = b
-            seeds.append(digits)
-    return seeds
+def boundary_kernel(model: QuantumDouble) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of H^{eps,mu} and an orthonormal basis of its kernel
+    (eigenvalues below 1e-10), from one dense diagonalization."""
+    h = model.hamiltonian(boundary="eps_mu").to_dense(DENSE_MATRIX_LIMIT)
+    vals, vecs = np.linalg.eigh(h)
+    return vals, vecs[:, vals < 1e-10]
 
 
 def _projector_ground_basis(
@@ -104,15 +98,13 @@ def _projector_ground_basis(
     space = model.space
     expected = ground_dimension_count(model.group, model.region)
     n_seeds = expected + max(4, expected // 8)
-    budget = space.dim * n_seeds * 16
-    if budget > 4_000_000_000:
-        raise MemoryError(
-            f"projector ground basis would need about {budget / 1e9:.1f} GB"
-        )
+    refuse_above(space.dim * n_seeds * 16, PROJECTOR_BASIS_BYTES,
+                 "projector ground basis bytes")
     cols = [space.random_vectors(rng, n_seeds)]
     if model.region.is_torus:
+        # one flat winding configuration per flux sector
         winding = np.zeros((space.dim, model.group.size ** 2), dtype=complex)
-        for k, digs in enumerate(_winding_seed_configs(model)):
+        for k, digs in enumerate(_flat_orbit_representatives(model)):
             winding[space.basis_index(digs), k] = 1.0
         cols.append(winding)
     y = np.concatenate(cols, axis=1)
@@ -144,7 +136,7 @@ def ground_space(
     if method == "auto":
         method = "dense" if model.space.dim <= DENSE_EIG_LIMIT else "projector"
     if method == "dense":
-        vals, vecs = _dense_eigh(model.hamiltonian())
+        vals, vecs = np.linalg.eigh(model.hamiltonian().to_dense(DENSE_EIG_LIMIT))
         keep = vals < tol
         basis = vecs[:, keep]
         return EigenBasis(
@@ -234,7 +226,7 @@ def spectrum_lowest(
     rng = rng if rng is not None else np.random.default_rng(7)
     h = model.hamiltonian(boundary=boundary)
     if model.space.dim <= DENSE_EIG_LIMIT:
-        vals, vecs = _dense_eigh(h)
+        vals, vecs = np.linalg.eigh(h.to_dense(DENSE_EIG_LIMIT))
         k = min(k, len(vals))
         basis = vecs[:, :k]
         hv = h.apply(basis)

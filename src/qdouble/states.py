@@ -25,7 +25,7 @@ from .lattice import (
     face_direct_loop,
     ribbon_to_boundary,
 )
-from .operators import Operator, QuantumDouble, Term, TermOp
+from .operators import MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble, Term, TermOp, refuse_above
 from .sparse import SparseState, sparse_apply
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-10
-MIX_SUPPORT_CAP = 1 << 22
 
 
 @dataclass
@@ -165,13 +164,13 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
         return StateFunctional.pure(model, _seed_vector(model), {"kind": "vector-seed"})
     if choice != "uniform-mixture":
         raise ValueError(f"unknown ground state choice {choice!r}")
+    # one representative per winding pair on a torus, per potential on the
+    # vertices other than the interior ones and the anchor on a free patch
+    region, q = model.region, model.group.size
+    n_interior = len(region.interior_vertices())
+    n_reps = q**2 if region.is_torus else q ** (len(region.vertices()) - n_interior - 1)
+    refuse_above(n_reps * q**n_interior, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
     reps = _flat_orbit_representatives(model)
-    orbit = model.group.size ** len(model.region.interior_vertices())
-    if len(reps) * orbit > MIX_SUPPORT_CAP:
-        raise MemoryError(
-            f"uniform mixture needs {len(reps)} x {orbit} configurations; "
-            "use the vector seed on regions this large"
-        )
     factors = model.ground_projector_factors()
     parts = []
     for digits in reps:
@@ -442,8 +441,6 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
     coset, and the character ribbons on one out-edge per interior vertex
     separate the configurations inside each orbit.
     """
-    from .lattice import direct_ribbon, dual_ribbon
-
     region, group = model.region, model.group
     if region.is_torus:
         raise ValueError("the spanning family is built for free regions")

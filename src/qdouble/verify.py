@@ -14,7 +14,7 @@ import itertools
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,19 @@ from .lattice import (
     ribbon_to_boundary,
     vertex_dual_loop,
 )
-from .operators import DEFAULT_DIM_CAP, Operator, QuantumDouble, TermOp
-from .spectral import sector_dimensions
+from .operators import (
+    DEFAULT_DIM_CAP,
+    DENSE_MATRIX_LIMIT,
+    EIGSH_LIMIT,
+    PROBE_BATCH_LIMIT,
+    Operator,
+    QuantumDouble,
+    TermOp,
+)
+from .spectral import boundary_kernel, sector_dimensions
 from .sparse import SparseState
 from .states import (
+    StateFunctional,
     frustration_free_state,
     detector_energy_residual,
     mix,
@@ -61,7 +70,6 @@ __all__ = [
 TOL_ALGEBRAIC = 1e-12
 TOL_KERNEL = 1e-10
 TOL_EIG = 1e-8
-DENSE_CHECK_LIMIT = 1 << 12  # largest dimension for eigh/SVD based checks
 
 
 class CheckError(RuntimeError):
@@ -170,7 +178,8 @@ class _Ctx:
         self.seed = seed
         self.q = model.group.size
         self._omega = None
-        self._kernel = None
+        self._mixture = None
+        self._boundary = None
         self.rng = None  # reseeded per check
         self._psi = None  # the check's random probe batch
 
@@ -189,7 +198,7 @@ class _Ctx:
         with a fresh draw; at 2^24 dimensions the draw costs more than the
         comparison itself.
         """
-        if self.model.space.dim > (1 << 22):
+        if self.model.space.dim > PROBE_BATCH_LIMIT:
             k = 1  # memory guard: one 2^24-dim probe is already 268 MB
         if self._psi is None or self._psi.shape[1] < k:
             self._psi = self.model.space.random_vectors(self.rng, k)
@@ -208,14 +217,20 @@ class _Ctx:
             self._omega = frustration_free_state(self.model).vector
         return self._omega
 
-    def boundary_kernel(self) -> np.ndarray:
-        """Dense orthonormal basis of ker H^{eps,mu} (cached)."""
+    @property
+    def mixture(self) -> StateFunctional:
+        """The uniform ground mixture (cached)."""
+        if self._mixture is None:
+            self._mixture = frustration_free_state(self.model, "uniform-mixture")
+        return self._mixture
+
+    def boundary_kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of H^{eps,mu} and a dense orthonormal basis of its
+        kernel (cached)."""
         self.need_dense("the boundary kernel basis")
-        if self._kernel is None:
-            h = self.model.hamiltonian(boundary="eps_mu").to_dense(DENSE_CHECK_LIMIT)
-            vals, vecs = np.linalg.eigh(h)
-            self._kernel = vecs[:, vals < TOL_KERNEL]
-        return self._kernel
+        if self._boundary is None:
+            self._boundary = boundary_kernel(self.model)
+        return self._boundary
 
     # ---- gates ----
 
@@ -233,8 +248,8 @@ class _Ctx:
             raise _Skip("no vertex carries a full star in this region")
 
     def need_dense(self, what: str):
-        if self.model.space.dim > DENSE_CHECK_LIMIT:
-            raise _Skip(f"{what} needs dimension <= {DENSE_CHECK_LIMIT}, have {self.model.space.dim}")
+        if self.model.space.dim > DENSE_MATRIX_LIMIT:
+            raise _Skip(f"{what} needs dimension <= {DENSE_MATRIX_LIMIT}, have {self.model.space.dim}")
 
     # ---- shared geometry ----
 
@@ -852,14 +867,14 @@ def _boundary_equality_mu(ctx: _Ctx) -> float:
 )
 def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    h = ctx.model.hamiltonian(boundary="eps_mu")
     dim = ctx.model.space.dim
-    if dim <= DENSE_CHECK_LIMIT:
-        vals = np.linalg.eigvalsh(h.to_dense(DENSE_CHECK_LIMIT))
+    if dim <= DENSE_MATRIX_LIMIT:
+        vals, _ = ctx.boundary_kernel()
         bottom = float(vals[0])
-    elif dim <= (1 << 20):
+    elif dim <= EIGSH_LIMIT:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
+        h = ctx.model.hamiltonian(boundary="eps_mu")
         lin = LinearOperator(
             (dim, dim),
             matvec=lambda x: h.apply(np.asarray(x, dtype=np.complex128)),
@@ -869,7 +884,7 @@ def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
         vals = eigsh(lin, k=1, which="SA", tol=1e-9, v0=v0, return_eigenvectors=False)
         bottom = float(vals[0])
     else:
-        raise _Skip(f"bottom-of-spectrum solve too large (dim {dim} > {1 << 20})")
+        raise _Skip(f"bottom-of-spectrum solve too large (dim {dim} > {EIGSH_LIMIT})")
     return max(0.0, -bottom)
 
 
@@ -882,8 +897,7 @@ def _boundary_hamiltonian_ground_zero(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     h = ctx.model.hamiltonian(boundary="eps_mu")
     worst = ctx.omega.apply(h).norm()
-    mixture = frustration_free_state(ctx.model, "uniform-mixture")
-    parts = list(mixture.parts)
+    parts = list(ctx.mixture.parts)
     picks = ctx.rng.choice(len(parts), size=min(8, len(parts)), replace=False)
     for i in picks:
         worst = max(worst, parts[i][1].apply(h).norm())
@@ -908,7 +922,7 @@ def _quasiparticle_ops(ctx: _Ctx) -> tuple[list, list, list]:
         for s in sites
         for c in range(1, ctx.q)
     ]
-    parts = [p for _, p in frustration_free_state(model, "uniform-mixture").parts]
+    parts = [p for _, p in ctx.mixture.parts]
     return parts, charge_ops, flux_ops
 
 
@@ -934,13 +948,13 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
     h = ctx.model.hamiltonian(boundary="eps_mu")
     parts, charge_ops, flux_ops = _quasiparticle_ops(ctx)
     shape = (len(parts), len(charge_ops), len(flux_ops))
-    if ctx.model.space.dim <= DENSE_CHECK_LIMIT:
+    if ctx.model.space.dim <= DENSE_MATRIX_LIMIT:
         family = [
             _family_vector(parts, charge_ops, flux_ops, idx)
             for idx in itertools.product(*map(range, shape))
         ]
         worst = max(s.apply(h).norm() for s in family)
-        kernel = ctx.boundary_kernel()
+        _, kernel = ctx.boundary_kernel()
         cols = np.column_stack([s.to_dense(ctx.model.space) for s in family])
         svals = np.linalg.svd(cols, compute_uv=False)
         rank = int(np.sum(svals > TOL_KERNEL * svals[0]))
@@ -961,7 +975,7 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
 )
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    kernel = ctx.boundary_kernel()
+    _, kernel = ctx.boundary_kernel()
     dims = sector_dimensions(ctx.model, kernel, validate=True)
     return float(abs(sum(dims.values()) - kernel.shape[1]))
 

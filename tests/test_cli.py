@@ -7,6 +7,8 @@ import pytest
 
 import qdouble.verify as verify_mod
 from qdouble.cli import EXIT_CAP, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_OK, main
+from qdouble.groups import Phase
+from qdouble.operators import QuantumDouble
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,19 @@ def test_braid_z3_rational_exponents(capsys):
     assert blob["character_exponents"][1][1] == "1/3"
     assert blob["character_exponents"][2][1] == "2/3"
     assert len(blob["crossing_exponents"]) == 9
+
+
+def test_braid_reads_the_crossing_strips(capsys, monkeypatch):
+    monkeypatch.setattr(QuantumDouble, "crossing_phase", lambda self, *labels: Phase.one())
+    code, out, _ = run_cli(capsys, "braid", "--group", "Z2", "--json")
+    assert code == EXIT_OK
+    assert {x for row in json.loads(out)["crossing_exponents"] for x in row} == {"0"}
+
+
+def test_braid_needs_an_interior_vertex(capsys):
+    code, _, err = run_cli(capsys, "braid", "--group", "Z2", "--region", "free:2x2")
+    assert code == EXIT_CONFIG
+    assert "interior vertex" in err
 
 
 def test_braid_csv_row_count(capsys):

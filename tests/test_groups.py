@@ -3,7 +3,6 @@ import pytest
 from fractions import Fraction
 
 from qdouble.groups import (
-    Character,
     Group,
     GroupError,
     Phase,
@@ -150,6 +149,15 @@ def test_char_values_table():
         vals = g.char_values(chi)
         direct = np.array([chi(a).to_complex() for a in g.elements()])
         np.testing.assert_allclose(vals, direct, atol=1e-15)
+
+
+def test_quarter_turn_character_values_exact():
+    # no float dust on 1, i, -1, -i
+    assert Phase.of(1, 2).to_complex() == -1
+    for orders in ([2], [4], [2, 4]):
+        g = make_group(orders)
+        for chi in g.characters():
+            assert set(g.char_values(chi).tolist()) <= {1, 1j, -1, -1j}, (orders, chi)
 
 
 def test_parse_group_spec():

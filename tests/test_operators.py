@@ -14,6 +14,8 @@ from qdouble.lattice import (
     vertex_dual_loop,
 )
 from qdouble.operators import DimensionCapError, QuantumDouble, TermOp
+from qdouble.spectral import ground_space
+import qdouble.states as states_mod
 
 import reference as ref
 
@@ -364,6 +366,21 @@ def test_dimension_cap():
     assert model.space.dim == 4 ** 24
     with pytest.raises(DimensionCapError):
         model.space.random_vectors(np.random.default_rng(0), 1)
+
+
+def test_size_policy_refuses_before_allocating(monkeypatch):
+    z2 = make_group([2])
+
+    def enumerate_orbits(model):
+        raise AssertionError("the uniform mixture enumerated before refusing")
+
+    monkeypatch.setattr(states_mod, "_flat_orbit_representatives", enumerate_orbits)
+    with pytest.raises(DimensionCapError):
+        states_mod.frustration_free_state(QuantumDouble(z2, Region.free(5, 5)), "uniform-mixture")
+    with pytest.raises(DimensionCapError):
+        ground_space(QuantumDouble(z2, Region.torus(5, 5)), method="projector")
+    with pytest.raises(DimensionCapError):
+        ground_space(QuantumDouble(z2, Region.free(3, 4)), method="dense")
 
 
 def test_basis_indexing_roundtrip():

@@ -12,7 +12,6 @@ from qdouble.lattice import (
 from qdouble.operators import QuantumDouble
 from qdouble.spectral import ground_space
 from qdouble.states import (
-    StateFunctional,
     charge_transport,
     conditional_sector_state,
     eventual_constancy_check,

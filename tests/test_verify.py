@@ -2,19 +2,19 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from qdouble.groups import make_group
 from qdouble.lattice import Region
+from qdouble.operators import Operator, QuantumDouble
 from qdouble.verify import (
     TOL_ALGEBRAIC,
     CheckError,
-    CheckResult,
     check_ids,
     run_check,
     run_suite,
 )
+import qdouble.states as states_mod
 import qdouble.verify as verify_mod
 
 Z2 = make_group([2])
@@ -221,3 +221,35 @@ def test_suite_small_free_region_all_green():
     passed, failed, skipped = rep.counts
     assert failed == 0
     assert passed >= 9  # algebraic checks that need no interior still run
+
+
+# ---------------------------------------------------------------------------
+# shared per-run artifacts
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_suite_builds_uniform_mixture_once(monkeypatch):
+    builds = _count_calls(monkeypatch, states_mod, "_flat_orbit_representatives")
+    ctx = verify_mod._Ctx(QuantumDouble(Z3, Region.free(3, 3)), seed=7)
+    for cid in ("boundary-hamiltonian.ground-zero", "boundary-hamiltonian.kernel-span"):
+        assert verify_mod._run_one(cid, ctx, None).passed is True
+    assert len(builds) == 1
+
+
+def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
+    densified = _count_calls(monkeypatch, Operator, "to_dense")
+    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
+    for cid in ("boundary-hamiltonian.positive", "sectors.direct-sum"):
+        assert verify_mod._run_one(cid, ctx, None).passed is True
+    assert len(densified) == 1
