@@ -37,6 +37,9 @@ __all__ = [
     "ProductOp",
     "ScaledOp",
     "QuantumDouble",
+    "support",
+    "restrict",
+    "sparse_matrix",
 ]
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
 DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and sector kernels
 DENSE_EIG_LIMIT = 8192  # dense diagonalization for spectra and ground spaces
-PROBE_BATCH_LIMIT = 1 << 22  # above this dimension a probe batch is one column
+PROBE_BATCH_LIMIT = 1 << 22  # above this restricted dimension a probe batch is one column
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the uniform ground mixture
 DENSE_CHUNK_ELEMENTS = 1 << 22  # elements per column chunk of to_dense
@@ -191,14 +194,27 @@ def _adjoint_term(group: Group, t: Term) -> Term:
 
 
 class HilbertSpace:
-    """Group-valued edge configurations of a region, with dense-apply caches."""
+    """Group-valued edge configurations, with dense-apply caches.
 
-    def __init__(self, group: Group, region: Region, cap: int = DEFAULT_DIM_CAP):
+    Nothing here reads the region beyond its edge count, so a space can also
+    be built over `num_edges` bare edges (as `restrict` does); its `region`
+    is then None.
+    """
+
+    def __init__(
+        self,
+        group: Group,
+        region: Region | None = None,
+        cap: int = DEFAULT_DIM_CAP,
+        num_edges: int | None = None,
+    ):
+        if (region is None) == (num_edges is None):
+            raise ValueError("give exactly one of region and num_edges")
         self.group = group
         self.region = region
         self.cap = cap
         self.q = group.size
-        self.num_edges = region.num_edges
+        self.num_edges = region.num_edges if region is not None else num_edges
         self.dim = self.q ** self.num_edges
         self._form_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._perm_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -475,6 +491,114 @@ class ScaledOp(Operator):
 
     def adjoint(self):
         return ScaledOp(self.space, np.conj(self.scalar), self.op.adjoint())
+
+
+# ---------------------------------------------------------------------------
+# locality: every operator acts as A_S (x) I, with S its support
+
+
+def support(op: Operator) -> set[int]:
+    """The edge ids an operator shifts or reads through a holonomy form.
+
+    The operator acts as the identity on every other edge, so two operators
+    are equal exactly when they agree on the configurations of their joint
+    support.
+    """
+    if isinstance(op, TermOp):
+        edges: set[int] = set()
+        for t in op.terms:
+            edges.update(e for e, _ in t.shift)
+            for form, _ in t.phases + t.indicators:
+                edges.update(e for e, _ in form)
+        return edges
+    if isinstance(op, SumOp):
+        return set().union(*(support(p) for p in op.parts))
+    if isinstance(op, ProductOp):
+        return set().union(*(support(f) for f in op.factors))
+    if isinstance(op, ScaledOp):
+        return support(op.op)
+    raise TypeError(f"no support for {type(op).__name__}")
+
+
+def _relabel_term(t: Term, index: dict[int, int]) -> Term:
+    def form(f):
+        return tuple((index[e], c) for e, c in f)
+
+    return Term(
+        t.coeff,
+        tuple((index[e], g) for e, g in t.shift),
+        tuple((form(f), chi) for f, chi in t.phases),
+        tuple((form(f), u) for f, u in t.indicators),
+    )
+
+
+def restrict(op: Operator, edges, space: HilbertSpace | None = None) -> Operator:
+    """The same operator on a space over just `edges`, which must contain its
+    support; edge `edges[i]` (in sorted order) becomes edge i.
+
+    The small space is built from the group and the edge count unless
+    `space`, over exactly that many edges, is given (so that several
+    operators can share one space and its caches).
+    """
+    edges = sorted(edges)
+    missing = support(op) - set(edges)
+    if missing:
+        raise ValueError(f"edges {sorted(missing)} of the support are not kept")
+    if space is None:
+        space = HilbertSpace(op.space.group, cap=op.space.cap, num_edges=len(edges))
+    elif space.num_edges != len(edges):
+        raise ValueError(f"space has {space.num_edges} edges, not {len(edges)}")
+    index = {e: i for i, e in enumerate(edges)}
+
+    def on_space(o: Operator) -> Operator:
+        if isinstance(o, TermOp):
+            return TermOp(space, [_relabel_term(t, index) for t in o.terms])
+        if isinstance(o, SumOp):
+            return SumOp(space, [on_space(p) for p in o.parts])
+        if isinstance(o, ProductOp):
+            return ProductOp(space, [on_space(f) for f in o.factors])
+        if isinstance(o, ScaledOp):
+            return ScaledOp(space, o.scalar, on_space(o.op))
+        raise TypeError(f"cannot restrict {type(o).__name__}")
+
+    return on_space(op)
+
+
+def sparse_matrix(op: Operator):
+    """The exact matrix of an operator as a scipy CSC matrix.
+
+    A term sends basis column j to row shift_perm(shift)[j] with value
+    coeff * term_diag[j], so a TermOp costs O(terms x dim) and no dense
+    (dim, dim) product; sums add and products multiply these matrices.
+    Refused above DENSE_MATRIX_LIMIT, like `to_dense`.
+    """
+    from scipy.sparse import coo_matrix
+
+    space = op.space
+    dim = space.dim
+    refuse_above(dim, DENSE_MATRIX_LIMIT, "sparse matrix dimension")
+    if isinstance(op, TermOp):
+        rows, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
+        for t in op.terms:
+            if t.coeff == 0:
+                continue
+            diag = space.term_diag(t)
+            vals.append(t.coeff * (np.ones(dim) if diag is None else diag))
+            rows.append(space.shift_perm(t.shift))
+        cols = np.tile(np.arange(dim), len(rows) - 1)
+        entries = (np.concatenate(vals), (np.concatenate(rows), cols))
+        # the conversion sums duplicate (row, column) entries
+        return coo_matrix(entries, shape=(dim, dim)).tocsc()
+    if isinstance(op, SumOp):
+        return sum((sparse_matrix(p) for p in op.parts[1:]), sparse_matrix(op.parts[0]))
+    if isinstance(op, ProductOp):
+        out = sparse_matrix(op.factors[0])
+        for f in op.factors[1:]:
+            out = out @ sparse_matrix(f)
+        return out
+    if isinstance(op, ScaledOp):
+        return op.scalar * sparse_matrix(op.op)
+    raise TypeError(f"no sparse matrix for {type(op).__name__}")
 
 
 # ---------------------------------------------------------------------------

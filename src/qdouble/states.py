@@ -25,7 +25,15 @@ from .lattice import (
     face_direct_loop,
     ribbon_to_boundary,
 )
-from .operators import MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble, Term, TermOp, refuse_above
+from .operators import (
+    DENSE_MATRIX_LIMIT,
+    MIXTURE_SUPPORT_LIMIT,
+    Operator,
+    QuantumDouble,
+    Term,
+    TermOp,
+    refuse_above,
+)
 from .sparse import SparseState, sparse_apply
 
 __all__ = [
@@ -445,6 +453,7 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
     if region.is_torus:
         raise ValueError("the spanning family is built for free regions")
     model.space.require_dense("spanning matrix")
+    refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
     q = group.size
     interior = region.interior_vertices()
     gauge_edges = [region.edge_id(("h", v[0], v[1])) for v in interior]

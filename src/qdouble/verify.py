@@ -6,6 +6,12 @@ executes the whole battery on one (group, region) instance; `run_check`
 runs a single id.  Checks that need a boundary skip themselves on tori
 with an explicit reason, and checks that need a dense spectral solve skip
 above the dense cutoff instead of guessing.
+
+Operator identities are compared on the joint support of the two sides:
+every operator acts as A_S (x) I, so A = B exactly when the two agree on
+the |G|^|S| configurations of S.  Up to DENSE_MATRIX_LIMIT configurations
+the comparison is exact, column by column of the restricted matrices;
+above it, seeded random probes are drawn on the restricted space.
 """
 
 from __future__ import annotations
@@ -39,9 +45,13 @@ from .operators import (
     DENSE_MATRIX_LIMIT,
     EIGSH_LIMIT,
     PROBE_BATCH_LIMIT,
+    HilbertSpace,
     Operator,
     QuantumDouble,
     TermOp,
+    restrict,
+    sparse_matrix,
+    support,
 )
 from .spectral import boundary_kernel, sector_dimensions
 from .sparse import SparseState
@@ -168,6 +178,11 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.array([np.vdot(col, col).real for col in np.asarray(x).T]))
 
 
+def _sparse_column_norms(m) -> np.ndarray:
+    """2-norms of the columns of a scipy sparse matrix."""
+    return np.sqrt(np.asarray(abs(m).power(2).sum(axis=0)).ravel())
+
+
 class _Ctx:
     """Shared per-run state: the model, a per-check RNG, cached bases."""
 
@@ -181,29 +196,39 @@ class _Ctx:
         self._mixture = None
         self._boundary = None
         self.rng = None  # reseeded per check
-        self._psi = None  # the check's random probe batch
 
     def reseed(self, check_id: str):
         self.rng = np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
-        self._psi = None
 
     # ---- probes ----
 
     def probe(self, op_a: Operator, op_b: Operator, k: int = 3) -> float:
-        """Max relative residual of (A - B) on random dense vectors.
+        """Max relative residual of A - B, compared on their joint support.
 
-        The probes of one check share a single random batch, drawn on first
-        use (and redrawn only when a probe asks for more columns).  No
-        operator depends on the batch, so each comparison is as strong as
-        with a fresh draw; at 2^24 dimensions the draw costs more than the
-        comparison itself.
+        Both sides are restricted to the edges either one shifts or reads.
+        Up to DENSE_MATRIX_LIMIT configurations there the comparison is
+        exact and independent of the seed: the residual is
+        max_j |(A - B) e_j| / max(|A e_j|, |B e_j|, 1) over every basis
+        column, read from the exact sparse matrices, and `k` is unused.
+        Above it, the residual is taken over `k` seeded random columns of
+        the restricted space (one when it is larger than PROBE_BATCH_LIMIT).
         """
-        if self.model.space.dim > PROBE_BATCH_LIMIT:
+        edges = sorted(support(op_a) | support(op_b))
+        full = self.model.space
+        # global support: reuse the model's space, whose caches a second
+        # full-size space would duplicate
+        space = full if len(edges) == full.num_edges else HilbertSpace(
+            self.group, cap=full.cap, num_edges=len(edges))
+        a, b = restrict(op_a, edges, space), restrict(op_b, edges, space)
+        if space.dim <= DENSE_MATRIX_LIMIT:
+            ma, mb = sparse_matrix(a), sparse_matrix(b)
+            num = _sparse_column_norms(ma - mb)
+            den = np.maximum(np.maximum(_sparse_column_norms(ma), _sparse_column_norms(mb)), 1.0)
+            return float(np.max(num / den))
+        if space.dim > PROBE_BATCH_LIMIT:
             k = 1  # memory guard: one 2^24-dim probe is already 268 MB
-        if self._psi is None or self._psi.shape[1] < k:
-            self._psi = self.model.space.random_vectors(self.rng, k)
-        psi = self._psi[:, :k]
-        a, b = op_a.apply(psi), op_b.apply(psi)
+        psi = space.random_vectors(self.rng, k)
+        a, b = a.apply(psi), b.apply(psi)
         num = _column_norms(a - b)
         den = np.maximum(np.maximum(_column_norms(a), _column_norms(b)), 1.0)
         return float(np.max(num / den))
@@ -646,24 +671,19 @@ def _ribbon_crossing(ctx: _Ctx) -> float:
     ctx.need_interior_vertex()
     model = ctx.model
     rho, sigma = crossing_pair(ctx.region)
-    # exact scalar table
-    for chi in ctx.group.characters():
-        for xi in ctx.group.characters():
-            for c in ctx.group.elements():
-                for d in ctx.group.elements():
-                    scalar = model.crossing_phase(rho, chi, c, sigma, xi, d)
-                    if scalar.exponent != (chi(d) * xi(c)).exponent:
-                        return 1.0
-    # operator-level spot check
-    chi, xi = 1 % ctx.q, ctx.q - 1
-    c, d = ctx.q - 1, 1 % ctx.q
-    f1 = model.ribbon_char(rho, chi, c)
-    f2 = model.ribbon_char(sigma, xi, d)
-    s = model.crossing_phase(
-        rho, ctx.group.character_from_index(chi), ctx.group.element_from_index(c),
-        sigma, ctx.group.character_from_index(xi), ctx.group.element_from_index(d),
-    ).to_complex()
-    return ctx.probe(f1.compose(f2), f2.compose(f1).scaled(s), k=2)
+    worst = 0.0
+    for chi, xi in itertools.product(ctx.group.characters(), repeat=2):
+        for c, d in itertools.product(ctx.group.elements(), repeat=2):
+            # exact scalar table
+            scalar = model.crossing_phase(rho, chi, c, sigma, xi, d)
+            if scalar.exponent != (chi(d) * xi(c)).exponent:
+                return 1.0
+            # and by composition, on every label pair
+            f1 = model.ribbon_char(rho, chi, c)
+            f2 = model.ribbon_char(sigma, xi, d)
+            lhs, rhs = f1.compose(f2), f2.compose(f1).scaled(scalar.to_complex())
+            worst = max(worst, ctx.probe(lhs, rhs, k=2))
+    return worst
 
 
 @_check(
@@ -956,8 +976,8 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
         worst = max(s.apply(h).norm() for s in family)
         _, kernel = ctx.boundary_kernel()
         cols = np.column_stack([s.to_dense(ctx.model.space) for s in family])
-        svals = np.linalg.svd(cols, compute_uv=False)
-        rank = int(np.sum(svals > TOL_KERNEL * svals[0]))
+        svals = _blockwise_singular_values(cols)  # unsorted
+        rank = int(np.sum(svals > TOL_KERNEL * svals.max())) if svals.size else 0
         return max(worst, float(abs(kernel.shape[1] - rank)))
     # above the dense cutoff: verify kernel membership on a deterministic sample
     worst = 0.0

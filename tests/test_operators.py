@@ -13,7 +13,17 @@ from qdouble.lattice import (
     ribbon_to_boundary,
     vertex_dual_loop,
 )
-from qdouble.operators import DimensionCapError, QuantumDouble, TermOp
+from qdouble.operators import (
+    DimensionCapError,
+    ProductOp,
+    QuantumDouble,
+    ScaledOp,
+    SumOp,
+    TermOp,
+    restrict,
+    sparse_matrix,
+    support,
+)
 from qdouble.spectral import ground_space
 import qdouble.states as states_mod
 
@@ -389,3 +399,95 @@ def test_basis_indexing_roundtrip():
     space = model.space
     for idx in [0, 1, space.dim - 1, 17, 100 % space.dim]:
         assert space.basis_index(space.config_of(idx)) == idx
+
+
+# ---------------------------------------------------------------------------
+# support restriction
+
+
+def embedded_columns(op, cols):
+    """Columns `cols` of the full-space matrix of `op`, rebuilt from the exact
+    matrix of its restriction to its support: A = A_S (x) I."""
+    space = op.space
+    edges = sorted(support(op))
+    small = restrict(op, edges)
+    mat = sparse_matrix(small)
+    cols = np.asarray(cols)
+    digits = np.array([space.config_of(int(z)) for z in cols]).reshape(len(cols), -1)
+    full_weights = space.q ** np.array(edges, dtype=np.int64)
+    on_support = digits[:, edges]
+    sub = on_support @ (space.q ** np.arange(len(edges), dtype=np.int64))
+    rest = cols - on_support @ full_weights
+    # the full-space offset of every configuration of the small space
+    small_offsets = np.array(
+        [np.dot(small.space.config_of(i), full_weights) for i in range(small.space.dim)],
+        dtype=np.int64,
+    ).reshape(-1)
+    picked = mat[:, sub].tocoo()
+    out = np.zeros((space.dim, len(cols)), dtype=np.complex128)
+    np.add.at(out, (rest[picked.col] + small_offsets[picked.row], picked.col), picked.data)
+    return out
+
+
+def restriction_cases(model):
+    region = model.region
+    v = region.interior_vertices()[0]
+    f = region.faces()[0]
+    star, plaq = model.star_shift(v, 1), model.plaquette_indicator(f, 1)
+    # the ribbon starts at v, so it does not commute with the star there
+    ribbon = model.ribbon_char(ribbon_to_boundary(region, region.site(v, v)), 1, 1)
+    commutator = ribbon.compose(star) - star.compose(ribbon)
+    assert commutator.terms
+    return {
+        "star": star,
+        "plaquette indicator": plaq,
+        "open ribbon": ribbon,
+        "boundary loop": model.boundary_charge_eps(),
+        "composed commutator": commutator,
+        "product": ProductOp(model.space, [ribbon, ScaledOp(model.space, 0.5j, star)]),
+        "sum": SumOp(model.space, [star, plaq]),
+        "empty-support identity": model.identity(),
+    }
+
+
+def test_support_unions_shift_and_form_edges():
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    region = model.region
+    v, f = region.interior_vertices()[0], region.faces()[0]
+    star_edges = {e for e, _ in region.star_edges(v)}
+    face_edges = {e for e, _ in region.face_boundary_ids(f)}
+    assert support(model.star_shift(v, 1)) == star_edges
+    assert support(model.plaquette(f)) == face_edges
+    assert support(model.identity()) == set()
+    both = ProductOp(model.space, [model.star(v), ScaledOp(model.space, 2.0, model.plaquette(f))])
+    assert support(both) == star_edges | face_edges
+    assert support(SumOp(model.space, [model.star(v), model.plaquette(f)])) == star_edges | face_edges
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,)])
+def test_restriction_embeds_back_to_the_full_operator(orders):
+    model = QuantumDouble(make_group(orders), Region.free(3, 3))
+    dim = model.space.dim
+    if dim <= 4096:
+        cols = np.arange(dim)
+    else:
+        cols = np.random.default_rng(7).choice(dim, size=16, replace=False)
+    eye = np.zeros((dim, len(cols)), dtype=np.complex128)
+    eye[cols, np.arange(len(cols))] = 1.0
+    for name, op in restriction_cases(model).items():
+        want = op.to_dense() if dim <= 4096 else op.apply(eye)
+        got = embedded_columns(op, cols)
+        assert np.max(np.abs(got - want)) < 1e-13, name
+
+
+def test_restrict_rejects_edges_missing_from_the_support():
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    v = model.region.interior_vertices()[0]
+    with pytest.raises(ValueError, match="support"):
+        restrict(model.star(v), [0])
+
+
+def test_sparse_matrix_refuses_above_the_dense_limit():
+    model = QuantumDouble(make_group([2]), Region.free(3, 4))
+    with pytest.raises(DimensionCapError):
+        sparse_matrix(model.identity())

@@ -9,7 +9,7 @@ from qdouble.lattice import (
     ribbon_between,
     ribbon_to_boundary,
 )
-from qdouble.operators import QuantumDouble
+from qdouble.operators import DimensionCapError, QuantumDouble
 from qdouble.spectral import ground_space
 from qdouble.states import (
     charge_transport,
@@ -306,4 +306,16 @@ def test_spanning_matrix_no_interior():
 def test_spanning_matrix_torus_rejected():
     model = QuantumDouble(Z2, Region.torus(2, 2))
     with pytest.raises(ValueError):
+        spanning_matrix(model)
+
+
+def test_spanning_matrix_refuses_before_allocating(monkeypatch):
+    # Z2 free:2x5 has 13 edges: an 8192 x 8192 complex matrix is 1 GB
+    model = QuantumDouble(Z2, Region.free(2, 5))
+
+    def zeros(*args, **kwargs):
+        raise AssertionError("spanning_matrix allocated before refusing")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(DimensionCapError):
         spanning_matrix(model)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qdouble.groups import make_group
-from qdouble.lattice import Region
+from qdouble.lattice import Region, ribbon_to_boundary
 from qdouble.operators import Operator, QuantumDouble
 from qdouble.verify import (
     TOL_ALGEBRAIC,
@@ -19,6 +19,22 @@ import qdouble.verify as verify_mod
 
 Z2 = make_group([2])
 Z3 = make_group([3])
+Z4 = make_group([4])
+
+# the local operator identities of acceptance criterion 01 that compare
+# operators through _Ctx.probe
+LOCAL_PROBE_CHECKS = (
+    "star.compose",
+    "star.adjoint",
+    "plaquette.orthogonal",
+    "plaquette.adjoint",
+    "star-plaquette.exchange",
+    "terms.projectors-commute",
+    "ribbon.fuse-same-path",
+    "ribbon.endpoint-exchange",
+    "ribbon.concatenate",
+    "ribbon.crossing-phase",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +269,54 @@ def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
     for cid in ("boundary-hamiltonian.positive", "sectors.direct-sum"):
         assert verify_mod._run_one(cid, ctx, None).passed is True
     assert len(densified) == 1
+
+
+# ---------------------------------------------------------------------------
+# comparison on the joint support
+
+
+def test_probe_separates_unequal_operators():
+    for group, region in ((Z3, Region.free(3, 3)), (Z4, Region.free(3, 3))):
+        model = QuantumDouble(group, region)
+        ctx = verify_mod._Ctx(model, seed=7)
+        ctx.reseed("probe-test")
+        v = region.interior_vertices()[0]
+        f = region.faces()[0]
+        rib = ribbon_to_boundary(region, region.site(v, v))
+        far = region.faces()[-1]
+        pairs = {
+            "star shifts by 1 and 2": (model.star_shift(v, 1), model.star_shift(v, 2)),
+            "plaquette and identity": (model.plaquette(f), model.identity()),
+            "ribbon with the wrong phase": (
+                model.ribbon_char(rib, 1, 1), model.ribbon_char(rib, 1, 1).scaled(-1.0)),
+            "ribbon without its phase": (model.ribbon_char(rib, 1, 1), model.ribbon_char(rib, 0, 1)),
+            # 8 edges: above the exact limit on Z4, so random probes decide
+            "star times far plaquette": (
+                model.star_shift(v, 1).compose(model.plaquette(far)),
+                model.star_shift(v, 2).compose(model.plaquette(far)),
+            ),
+        }
+        for name, (a, b) in pairs.items():
+            assert ctx.probe(a, b) >= 0.5, (group.spec, name)
+            assert ctx.probe(a, a) < TOL_ALGEBRAIC, (group.spec, name)
+
+
+def test_local_checks_stay_off_the_full_space(monkeypatch):
+    ctx = verify_mod._Ctx(QuantumDouble(Z4, Region.free(3, 3)), seed=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a local check touched the 4^12-dim space")
+
+    for name in ("random_vectors", "shift_perm", "form_values", "apply_terms"):
+        monkeypatch.setattr(ctx.model.space, name, refuse)
+    for cid in LOCAL_PROBE_CHECKS:
+        assert verify_mod._run_one(cid, ctx, None).passed is True, cid
+
+
+def test_local_check_residuals_do_not_depend_on_the_seed():
+    region = Region.free(3, 3)
+    for cid in LOCAL_PROBE_CHECKS:
+        a = run_check(cid, Z4, region, seed=7)
+        b = run_check(cid, Z4, region, seed=11)
+        assert a.passed is True and b.passed is True, cid
+        assert a.residual == b.residual, cid
