@@ -53,7 +53,6 @@ DENSE_EIG_LIMIT = 8192  # dense diagonalization for spectra and ground spaces
 PROBE_BATCH_LIMIT = 1 << 22  # above this restricted dimension a probe batch is one column
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the uniform ground mixture
-DENSE_CHUNK_ELEMENTS = 1 << 22  # elements per column chunk of to_dense
 PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
 FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
@@ -194,27 +193,13 @@ def _adjoint_term(group: Group, t: Term) -> Term:
 
 
 class HilbertSpace:
-    """Group-valued edge configurations, with dense-apply caches.
+    """Group-valued configurations of `num_edges` edges, with dense-apply caches."""
 
-    Nothing here reads the region beyond its edge count, so a space can also
-    be built over `num_edges` bare edges (as `restrict` does); its `region`
-    is then None.
-    """
-
-    def __init__(
-        self,
-        group: Group,
-        region: Region | None = None,
-        cap: int = DEFAULT_DIM_CAP,
-        num_edges: int | None = None,
-    ):
-        if (region is None) == (num_edges is None):
-            raise ValueError("give exactly one of region and num_edges")
+    def __init__(self, group: Group, num_edges: int, cap: int = DEFAULT_DIM_CAP):
         self.group = group
-        self.region = region
         self.cap = cap
         self.q = group.size
-        self.num_edges = region.num_edges if region is not None else num_edges
+        self.num_edges = num_edges
         self.dim = self.q ** self.num_edges
         self._form_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._perm_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -392,16 +377,7 @@ class Operator:
         return ScaledOp(self.space, scalar, self)
 
     def to_dense(self, max_dim: int = DENSE_MATRIX_LIMIT) -> np.ndarray:
-        dim = self.space.dim
-        refuse_above(dim, max_dim, "dense matrix dimension")
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        chunk = max(1, min(dim, DENSE_CHUNK_ELEMENTS // dim))
-        for start in range(0, dim, chunk):
-            stop = min(dim, start + chunk)
-            eye = np.zeros((dim, stop - start), dtype=np.complex128)
-            eye[np.arange(start, stop), np.arange(stop - start)] = 1.0
-            out[:, start:stop] = self.apply(eye)
-        return out
+        return sparse_matrix(self, max_dim).toarray()
 
 
 class TermOp(Operator):
@@ -532,22 +508,19 @@ def _relabel_term(t: Term, index: dict[int, int]) -> Term:
     )
 
 
-def restrict(op: Operator, edges, space: HilbertSpace | None = None) -> Operator:
-    """The same operator on a space over just `edges`, which must contain its
-    support; edge `edges[i]` (in sorted order) becomes edge i.
+def restrict(ops, edges) -> list[Operator]:
+    """The operators `ops` on one space over just `edges`, which must contain
+    their supports; edge `edges[i]` (in sorted order) becomes edge i.
 
-    The small space is built from the group and the edge count unless
-    `space`, over exactly that many edges, is given (so that several
-    operators can share one space and its caches).
+    The operators share the small space, so its holonomy tables and shift
+    permutations are built once for all of them.
     """
     edges = sorted(edges)
-    missing = support(op) - set(edges)
+    missing = set().union(*(support(op) for op in ops)) - set(edges)
     if missing:
         raise ValueError(f"edges {sorted(missing)} of the support are not kept")
-    if space is None:
-        space = HilbertSpace(op.space.group, cap=op.space.cap, num_edges=len(edges))
-    elif space.num_edges != len(edges):
-        raise ValueError(f"space has {space.num_edges} edges, not {len(edges)}")
+    full = ops[0].space
+    space = HilbertSpace(full.group, len(edges), cap=full.cap)
     index = {e: i for i, e in enumerate(edges)}
 
     def on_space(o: Operator) -> Operator:
@@ -561,22 +534,22 @@ def restrict(op: Operator, edges, space: HilbertSpace | None = None) -> Operator
             return ScaledOp(space, o.scalar, on_space(o.op))
         raise TypeError(f"cannot restrict {type(o).__name__}")
 
-    return on_space(op)
+    return [on_space(op) for op in ops]
 
 
-def sparse_matrix(op: Operator):
+def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     """The exact matrix of an operator as a scipy CSC matrix.
 
     A term sends basis column j to row shift_perm(shift)[j] with value
     coeff * term_diag[j], so a TermOp costs O(terms x dim) and no dense
     (dim, dim) product; sums add and products multiply these matrices.
-    Refused above DENSE_MATRIX_LIMIT, like `to_dense`.
+    Refused above `max_dim`.
     """
     from scipy.sparse import coo_matrix
 
     space = op.space
     dim = space.dim
-    refuse_above(dim, DENSE_MATRIX_LIMIT, "sparse matrix dimension")
+    refuse_above(dim, max_dim, "matrix dimension")
     if isinstance(op, TermOp):
         rows, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
         for t in op.terms:
@@ -590,14 +563,17 @@ def sparse_matrix(op: Operator):
         # the conversion sums duplicate (row, column) entries
         return coo_matrix(entries, shape=(dim, dim)).tocsc()
     if isinstance(op, SumOp):
-        return sum((sparse_matrix(p) for p in op.parts[1:]), sparse_matrix(op.parts[0]))
+        out = sparse_matrix(op.parts[0], max_dim)
+        for p in op.parts[1:]:
+            out = out + sparse_matrix(p, max_dim)
+        return out
     if isinstance(op, ProductOp):
-        out = sparse_matrix(op.factors[0])
+        out = sparse_matrix(op.factors[0], max_dim)
         for f in op.factors[1:]:
-            out = out @ sparse_matrix(f)
+            out = out @ sparse_matrix(f, max_dim)
         return out
     if isinstance(op, ScaledOp):
-        return op.scalar * sparse_matrix(op.op)
+        return op.scalar * sparse_matrix(op.op, max_dim)
     raise TypeError(f"no sparse matrix for {type(op).__name__}")
 
 
@@ -611,7 +587,7 @@ class QuantumDouble:
     def __init__(self, group: Group, region: Region, cap: int = DEFAULT_DIM_CAP):
         self.group = group
         self.region = region
-        self.space = HilbertSpace(group, region, cap=cap)
+        self.space = HilbertSpace(group, region.num_edges, cap=cap)
 
     # ---- little helpers ----
 

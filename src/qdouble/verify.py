@@ -45,7 +45,6 @@ from .operators import (
     DENSE_MATRIX_LIMIT,
     EIGSH_LIMIT,
     PROBE_BATCH_LIMIT,
-    HilbertSpace,
     Operator,
     QuantumDouble,
     TermOp,
@@ -179,8 +178,10 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _sparse_column_norms(m) -> np.ndarray:
-    """2-norms of the columns of a scipy sparse matrix."""
-    return np.sqrt(np.asarray(abs(m).power(2).sum(axis=0)).ravel())
+    """2-norms of the columns of a scipy CSC matrix without duplicate entries."""
+    n = m.shape[1]
+    cols = np.repeat(np.arange(n), np.diff(m.indptr))
+    return np.sqrt(np.bincount(cols, weights=np.abs(m.data) ** 2, minlength=n))
 
 
 class _Ctx:
@@ -205,21 +206,21 @@ class _Ctx:
     def probe(self, op_a: Operator, op_b: Operator, k: int = 3) -> float:
         """Max relative residual of A - B, compared on their joint support.
 
-        Both sides are restricted to the edges either one shifts or reads.
-        Up to DENSE_MATRIX_LIMIT configurations there the comparison is
-        exact and independent of the seed: the residual is
+        Both sides are restricted to the edges either one shifts or reads,
+        unless those are already every edge of their space.  Up to
+        DENSE_MATRIX_LIMIT configurations there the comparison is exact and
+        independent of the seed: the residual is
         max_j |(A - B) e_j| / max(|A e_j|, |B e_j|, 1) over every basis
         column, read from the exact sparse matrices, and `k` is unused.
         Above it, the residual is taken over `k` seeded random columns of
         the restricted space (one when it is larger than PROBE_BATCH_LIMIT).
         """
         edges = sorted(support(op_a) | support(op_b))
-        full = self.model.space
-        # global support: reuse the model's space, whose caches a second
-        # full-size space would duplicate
-        space = full if len(edges) == full.num_edges else HilbertSpace(
-            self.group, cap=full.cap, num_edges=len(edges))
-        a, b = restrict(op_a, edges, space), restrict(op_b, edges, space)
+        if len(edges) == op_a.space.num_edges:
+            a, b = op_a, op_b  # global support: nothing to restrict
+        else:
+            a, b = restrict([op_a, op_b], edges)
+        space = a.space
         if space.dim <= DENSE_MATRIX_LIMIT:
             ma, mb = sparse_matrix(a), sparse_matrix(b)
             num = _sparse_column_norms(ma - mb)
@@ -671,16 +672,22 @@ def _ribbon_crossing(ctx: _Ctx) -> float:
     ctx.need_interior_vertex()
     model = ctx.model
     rho, sigma = crossing_pair(ctx.region)
+    labels = list(itertools.product(ctx.group.characters(), ctx.group.elements()))
+    f1s = [model.ribbon_char(rho, chi, c) for chi, c in labels]
+    f2s = [model.ribbon_char(sigma, xi, d) for xi, d in labels]
+    # every strip on one space over the pair's joint support, so that its
+    # tables are built once for all q^4 label pairs
+    edges = set().union(*(support(f) for f in f1s + f2s))
+    strips = restrict(f1s + f2s, edges)
+    f1s, f2s = strips[: len(labels)], strips[len(labels):]
     worst = 0.0
-    for chi, xi in itertools.product(ctx.group.characters(), repeat=2):
-        for c, d in itertools.product(ctx.group.elements(), repeat=2):
+    for (chi, c), f1 in zip(labels, f1s):
+        for (xi, d), f2 in zip(labels, f2s):
             # exact scalar table
             scalar = model.crossing_phase(rho, chi, c, sigma, xi, d)
             if scalar.exponent != (chi(d) * xi(c)).exponent:
                 return 1.0
             # and by composition, on every label pair
-            f1 = model.ribbon_char(rho, chi, c)
-            f2 = model.ribbon_char(sigma, xi, d)
             lhs, rhs = f1.compose(f2), f2.compose(f1).scaled(scalar.to_complex())
             worst = max(worst, ctx.probe(lhs, rhs, k=2))
     return worst

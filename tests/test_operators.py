@@ -410,7 +410,7 @@ def embedded_columns(op, cols):
     matrix of its restriction to its support: A = A_S (x) I."""
     space = op.space
     edges = sorted(support(op))
-    small = restrict(op, edges)
+    (small,) = restrict([op], edges)
     mat = sparse_matrix(small)
     cols = np.asarray(cols)
     digits = np.array([space.config_of(int(z)) for z in cols]).reshape(len(cols), -1)
@@ -480,11 +480,35 @@ def test_restriction_embeds_back_to_the_full_operator(orders):
         assert np.max(np.abs(got - want)) < 1e-13, name
 
 
+def test_to_dense_matches_apply_on_basis_columns():
+    # to_dense reads the exact sparse matrix; apply is the independent route
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    dim = model.space.dim
+    for name, op in restriction_cases(model).items():
+        dense = op.to_dense()
+        for start in range(0, dim, 512):
+            eye = np.zeros((dim, 512), dtype=np.complex128)
+            eye[np.arange(start, start + 512), np.arange(512)] = 1.0
+            assert np.max(np.abs(dense[:, start:start + 512] - op.apply(eye))) < 1e-13, name
+
+
+def test_restrict_puts_every_operator_on_one_space():
+    model = QuantumDouble(make_group([3]), Region.free(3, 3))
+    region = model.region
+    v, f = region.interior_vertices()[0], region.faces()[0]
+    star, plaq = model.star(v), model.plaquette(f)
+    edges = support(star) | support(plaq)
+    small_star, small_plaq = restrict([star, plaq], edges)
+    assert small_star.space is small_plaq.space
+    assert small_star.space.num_edges == len(edges)
+    assert support(small_star) | support(small_plaq) == set(range(len(edges)))
+
+
 def test_restrict_rejects_edges_missing_from_the_support():
     model = QuantumDouble(make_group([2]), Region.free(3, 3))
     v = model.region.interior_vertices()[0]
     with pytest.raises(ValueError, match="support"):
-        restrict(model.star(v), [0])
+        restrict([model.star(v)], [0])
 
 
 def test_sparse_matrix_refuses_above_the_dense_limit():

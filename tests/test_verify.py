@@ -320,3 +320,21 @@ def test_local_check_residuals_do_not_depend_on_the_seed():
         b = run_check(cid, Z4, region, seed=11)
         assert a.passed is True and b.passed is True, cid
         assert a.residual == b.residual, cid
+
+
+def test_crossing_check_shares_one_space_across_label_pairs(monkeypatch):
+    # one space per probe would be q^4 = 256 spaces on Z4; only pairs whose
+    # joint support is smaller than the strips' get a space of their own
+    import qdouble.operators as operators_mod
+
+    built = []
+    original = operators_mod.HilbertSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators_mod.HilbertSpace, "__init__", counting_init)
+    result = run_check("ribbon.crossing-phase", Z4, Region.free(3, 3), seed=7)
+    assert result.passed is True
+    assert len(built) < Z4.size ** 4 // 2
