@@ -2,8 +2,9 @@
 
 Subtracting the boundary charge projectors from H leaves a positive
 semidefinite operator whose kernel holds one bulk excitation paired with a
-boundary partner; the kernel splits into (charge, flux) sectors and on every
-kernel state the plain energy equals the boundary charge expectations.
+boundary partner; the kernel splits into (charge, flux) sectors, whose
+dimensions the charge and flux labels count without diagonalizing, and on
+every kernel state the plain energy equals the boundary charge expectations.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from qdouble import (
     detector_energy_residual,
     parse_group_spec,
     parse_region_spec,
+    sector_counts,
     sector_dimensions,
     single_excitation_state,
 )
@@ -31,10 +33,11 @@ kernel = vecs[:, vals < 1e-8]
 print(f"  min eigenvalue {vals[0]:.2e} (PSD)")
 print(f"  kernel dimension {kernel.shape[1]} of {model.space.dim}")
 
-print("\nsector decomposition of the kernel:")
+print("\nsector decomposition of the kernel (dense trace, counted labels):")
 dims = sector_dimensions(model, kernel, validate=True)
+counts = sector_counts(group, region, "eps_mu")
 for (chi, c), d in sorted(dims.items()):
-    print(f"  sector (chi={chi}, c={c}): dimension {d}")
+    print(f"  sector (chi={chi}, c={c}): dimension {d} dense, {counts.get((0, chi, c), 0)} counted")
 print(f"  total {sum(dims.values())} == kernel {kernel.shape[1]}")
 
 print("\n<H> = <D^eps> + <D^mu> on kernel states:")

@@ -25,7 +25,9 @@ from .spectral import (
     EigenBasis,
     ground_dimension_count,
     ground_space,
+    sector_counts,
     sector_dimensions,
+    spectrum_counts,
     spectrum_lowest,
 )
 from .states import (
@@ -64,7 +66,9 @@ __all__ = [
     "EigenBasis",
     "ground_dimension_count",
     "ground_space",
+    "sector_counts",
     "sector_dimensions",
+    "spectrum_counts",
     "spectrum_lowest",
     "SectorWeights",
     "StateFunctional",

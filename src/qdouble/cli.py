@@ -3,9 +3,10 @@
 Tasks
 -----
 verify    run the named check battery and exit 0 iff every check passes
-spectrum  lowest k Hamiltonian eigenvalues as CSV/JSON (index, eigenvalue, residual)
+spectrum  lowest k Hamiltonian eigenvalues as CSV/JSON (index, eigenvalue, residual);
+          JSON adds the exact counted levels (energy, multiplicity)
 sectors   (charge, flux) sector dimensions of the charged-boundary kernel,
-          plus ground-state sector weights
+          counted from charge and flux labels, plus ground-state sector weights
 braid     exact crossing-phase exponents read off two crossing strips in the
           region, entries rendered as "p/q"
 excite    diagnostics for one single-excitation state
@@ -38,7 +39,7 @@ from .operators import (
     QuantumDouble,
     refuse_above,
 )
-from .spectral import boundary_kernel, sector_dimensions, spectrum_lowest
+from .spectral import sector_counts, spectrum_counts, spectrum_lowest
 from .states import frustration_free_state, sector_weights, single_excitation_state
 from .verify import CheckError, run_suite
 
@@ -230,10 +231,12 @@ def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
         for i in range(len(basis.values))
     ]
     if cfg.fmt == "json":
+        levels = [{"energy": e, "multiplicity": n}
+                  for e, n in spectrum_counts(model, cfg.boundary).items()]
         payload = {
             "task": "spectrum", "group": cfg.group, "region": cfg.region,
             "boundary": cfg.boundary, "seed": cfg.seed, "method": basis.method,
-            "rows": rows,
+            "rows": rows, "levels": levels,
         }
         _emit(_json_payload(payload), cfg)
     else:
@@ -247,9 +250,11 @@ def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
 def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
     if region.is_torus:
         raise ConfigError("sectors needs a free region (tori have no boundary)")
+    try:
+        counts = sector_counts(group, region, "eps_mu")
+    except RibbonError as err:
+        raise ConfigError(f"sectors needs the boundary loops: {err}") from err
     model = QuantumDouble(group, region, cap=cfg.cap)
-    _, kernel = boundary_kernel(model)
-    dims = sector_dimensions(model, kernel, validate=True)
     weights = sector_weights(frustration_free_state(model)).as_dict()
     rows = []
     for chi in range(group.size):
@@ -257,13 +262,15 @@ def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
             rows.append({
                 "chi_digits": _digits_str(group.character_from_index(chi).digits),
                 "c_digits": _digits_str(group.element_from_index(c).digits),
-                "dim": dims[(chi, c)],
+                # the kernel of H^{eps,mu} is its energy-0 class
+                "dim": counts.get((0, chi, c), 0),
                 "weight": float(weights[(chi, c)]),
             })
     if cfg.fmt == "json":
         payload = {
             "task": "sectors", "group": cfg.group, "region": cfg.region,
-            "seed": cfg.seed, "kernel_dim": int(kernel.shape[1]), "rows": rows,
+            "seed": cfg.seed, "method": "counting",
+            "kernel_dim": sum(r["dim"] for r in rows), "rows": rows,
         }
         _emit(_json_payload(payload), cfg)
     else:

@@ -40,6 +40,7 @@ __all__ = [
     "support",
     "restrict",
     "sparse_matrix",
+    "is_real",
 ]
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,9 @@ class Operator:
         return ScaledOp(self.space, scalar, self)
 
     def to_dense(self, max_dim: int = DENSE_MATRIX_LIMIT) -> np.ndarray:
-        return sparse_matrix(self, max_dim).toarray()
+        """The dense matrix: float64 when `is_real(self)`, else complex."""
+        m = sparse_matrix(self, max_dim)
+        return (m.real if is_real(self) else m).toarray()
 
 
 class TermOp(Operator):
@@ -575,6 +578,38 @@ def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     if isinstance(op, ScaledOp):
         return op.scalar * sparse_matrix(op.op, max_dim)
     raise TypeError(f"no sparse matrix for {type(op).__name__}")
+
+
+def _conjugate_key(group: Group, key: tuple) -> tuple:
+    """Key of the term whose matrix is the entrywise conjugate of the keyed one's."""
+    shift, phases, indicators = key
+    conj = sorted((f, group.character_from_index(chi).inverse().index) for f, chi in phases)
+    return (shift, tuple(conj), indicators)
+
+
+def is_real(op: Operator) -> bool:
+    """Whether the operator's matrix is real, decided in the term algebra.
+
+    Conjugating a term conjugates its coefficient and inverts its characters
+    (conj chi = chi^-1) and keeps its shift and indicators, so a TermOp is
+    real when its simplified terms are closed under that map.  Coefficients
+    are compared exactly: an operator whose conjugate pairs differ by
+    rounding counts as complex, which is never wrong.
+    """
+    if isinstance(op, TermOp):
+        group = op.space.group
+        coeffs = {t.key: t.coeff for t in op.simplify().terms}
+        return all(
+            coeffs.get(_conjugate_key(group, key)) == np.conj(c)
+            for key, c in coeffs.items()
+        )
+    if isinstance(op, SumOp):
+        return all(is_real(p) for p in op.parts)
+    if isinstance(op, ProductOp):
+        return all(is_real(f) for f in op.factors)
+    if isinstance(op, ScaledOp):
+        return complex(op.scalar).imag == 0 and is_real(op.op)
+    raise TypeError(f"no realness test for {type(op).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -155,15 +155,19 @@ class SparseState:
     def to_dense(self, space) -> np.ndarray:
         space.require_dense("sparse state densification")
         v = np.zeros(space.dim, dtype=np.complex128)
-        for row, a in zip(self.digits, self.amps):
-            v[space.basis_index(row)] += a
+        np.add.at(v, self.digits.astype(np.int64) @ _radix_weights(space), self.amps)
         return v
 
     @classmethod
     def from_dense(cls, space, psi: np.ndarray, tol: float = 1e-14) -> "SparseState":
         idx = np.nonzero(np.abs(psi) > tol)[0]
-        digits = np.array([space.config_of(int(i)) for i in idx], dtype=np.uint8)
-        return cls(space.group, space.num_edges, digits.reshape(-1, space.num_edges), psi[idx])
+        digits = (idx[:, None] // _radix_weights(space)) % space.q
+        return cls(space.group, space.num_edges, digits, psi[idx])
+
+
+def _radix_weights(space) -> np.ndarray:
+    """q**e for every edge e: the dense index is the digits dotted with these."""
+    return space.q ** np.arange(space.num_edges, dtype=np.int64)
 
 
 def sparse_apply(op: Operator, state: SparseState) -> SparseState:

@@ -1,25 +1,28 @@
 """Ground spaces, low-lying spectra, and charge-sector decompositions.
 
-Three independent routes to the ground space are provided and cross-checked
-by the test battery:
+The spectrum is counted exactly: every term of H and of H^{eps,mu} is a
+commuting projector, so each joint eigenspace is labeled by a charge on every
+full-star vertex and a flux on every face, and its energy and dimension follow
+from those labels (`sector_counts`, `spectrum_counts`).
+
+Vectors come from three independent routes to the ground space, which the
+test battery cross-checks against the counts:
 
 * dense diagonalization of the full Hamiltonian (small spaces);
 * the image of the commuting-projector product applied to seed vectors,
   with toroidal winding representatives to reach every flux sector;
-* a counting argument: the trace of the ground projector counts flat
-  configurations weighted by the gauge average, giving |G|^2 on a torus
-  and |G|^(mn - 1 - #interior) on a free m x n patch.
-
-Mid-size spectra come from block subspace iteration on sigma*I - H with
-Rayleigh-Ritz extraction; the routine refuses to return unconverged data.
+* block subspace iteration on sigma*I - H with Rayleigh-Ritz extraction,
+  which refuses to return unconverged data (mid-size spectra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
+from .lattice import boundary_ribbon
 from .operators import (
     DENSE_EIG_LIMIT,
     DENSE_MATRIX_LIMIT,
@@ -36,6 +39,8 @@ __all__ = [
     "boundary_kernel",
     "ground_dimension_count",
     "ground_space",
+    "sector_counts",
+    "spectrum_counts",
     "spectrum_lowest",
     "subspace_iteration",
     "sector_dimensions",
@@ -60,20 +65,75 @@ class EigenBasis:
         return self.vectors.shape[1]
 
 
-def ground_dimension_count(group, region) -> int:
-    """Ground-space dimension from the trace of the ground projector.
+def _label_patterns(q: int, n: int, k: int, trivial_total: bool) -> int:
+    """Patterns of labels on n sites, in an abelian group of order q, with
+    exactly k nontrivial labels and a trivial (or one given nontrivial) total.
 
-    tr prod_v A_v prod_f B_f picks out the gauge patterns with no net edge
-    shift (only the identity on a free patch, the |G| constants on a torus)
-    against the count of flat configurations (q^(V-1) free, q^(V+1) torus,
-    by the potential parametrization and, on the torus, two winding degrees
-    of freedom)."""
+    The k nontrivial labels can sit in C(n, k) ways; the number of k-tuples
+    of nontrivial elements with a given product depends only on whether the
+    product is trivial, and solves f_k = (q-1)^(k-1) - f_(k-1) from f_0.
+    """
+    sign = (-1) ** k
+    tuples = (q - 1) ** k + (q - 1) * sign if trivial_total else (q - 1) ** k - sign
+    return comb(n, k) * (tuples // q)
+
+
+def sector_counts(group, region, boundary: str = "none") -> dict[tuple[int, int, int], int]:
+    """Exact multiplicity of every (energy, total charge, total flux) class.
+
+    The joint eigenspaces of the stars and plaquettes are labeled by a charge
+    on each of the I full-star vertices and a flux on each of the F faces.
+    Energy is the number of nontrivial labels, less [total charge != 1] for
+    'eps' and [total flux != e] for 'mu' (the boundary loops measure the
+    product of the interior charges and of the face fluxes).  On a free patch
+    every pattern occurs, each q^(E - F - I) times; on a torus only patterns
+    with trivial totals occur, each q^2 times.  Keys are (energy, character
+    index, element index); values are Python integers at any size, and
+    nothing of dimension |G|^E is allocated.
+    """
+    if boundary not in ("none", "eps", "mu", "eps_mu"):
+        raise ValueError(f"unknown boundary flavor {boundary!r}")
+    if boundary != "none":
+        boundary_ribbon(region)  # raises where the boundary loops do not exist
     q = group.size
-    nv = region.m * region.n
+    n_v, n_f = len(region.interior_vertices()), len(region.faces())
     if region.is_torus:
-        return q * q ** (nv + 1) // q**nv
-    n_interior = len(region.interior_vertices())
-    return q ** (nv - 1) // q**n_interior
+        per_pattern, totals = q**2, (True,)
+    else:
+        per_pattern, totals = q ** (region.num_edges - n_f - n_v), (True, False)
+    eps, mu = boundary in ("eps", "eps_mu"), boundary in ("mu", "eps_mu")
+    # every nontrivial total has the same count, so classes are summed by
+    # (energy, charge total trivial, flux total trivial) and expanded once
+    charges = {(k, t): _label_patterns(q, n_v, k, t) for k in range(n_v + 1) for t in totals}
+    fluxes = {(k, t): _label_patterns(q, n_f, k, t) for k in range(n_f + 1) for t in totals}
+    classes: dict[tuple[int, bool, bool], int] = {}
+    for (kv, charge_trivial), nv in charges.items():
+        for (kf, flux_trivial), nf in fluxes.items():
+            n = nv * nf
+            if n:
+                energy = kv + kf - (eps and not charge_trivial) - (mu and not flux_trivial)
+                key = (energy, charge_trivial, flux_trivial)
+                classes[key] = classes.get(key, 0) + n
+    return {
+        (energy, chi, c): n * per_pattern
+        for (energy, charge_trivial, flux_trivial), n in classes.items()
+        for chi in ((0,) if charge_trivial else range(1, q))
+        for c in ((0,) if flux_trivial else range(1, q))
+    }
+
+
+def spectrum_counts(model: QuantumDouble, boundary: str = "none") -> dict[int, int]:
+    """Exact {energy: multiplicity} of H (or H^{boundary}), from `sector_counts`."""
+    levels: dict[int, int] = {}
+    for (energy, _, _), n in sector_counts(model.group, model.region, boundary).items():
+        levels[energy] = levels.get(energy, 0) + n
+    return dict(sorted(levels.items()))
+
+
+def ground_dimension_count(group, region) -> int:
+    """Ground-space dimension of H: the energy-0 multiplicity of `sector_counts`
+    (q^(V - 1 - I) on a free patch, q^2 on a torus)."""
+    return sum(n for (energy, _, _), n in sector_counts(group, region).items() if energy == 0)
 
 
 def rayleigh(op: Operator, psi: np.ndarray) -> tuple[float, float]:

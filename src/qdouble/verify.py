@@ -52,7 +52,7 @@ from .operators import (
     sparse_matrix,
     support,
 )
-from .spectral import boundary_kernel, sector_dimensions
+from .spectral import boundary_kernel, sector_counts, sector_dimensions
 from .sparse import SparseState
 from .states import (
     StateFunctional,
@@ -997,14 +997,16 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
 @_check(
     "sectors.direct-sum",
     "The boundary kernel splits into (charge, flux) sectors with integral "
-    "dimensions that add up to the whole kernel.",
+    "dimensions that add up to the whole kernel and equal the counted ones.",
     TOL_KERNEL,
 )
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     _, kernel = ctx.boundary_kernel()
     dims = sector_dimensions(ctx.model, kernel, validate=True)
-    return float(abs(sum(dims.values()) - kernel.shape[1]))
+    counts = sector_counts(ctx.group, ctx.region, "eps_mu")
+    miscount = max(abs(d - counts.get((0, chi, c), 0)) for (chi, c), d in dims.items())
+    return float(max(abs(sum(dims.values()) - kernel.shape[1]), miscount))
 
 
 # ---- excitation energies -------------------------------------------------

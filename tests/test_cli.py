@@ -7,8 +7,9 @@ import pytest
 
 import qdouble.verify as verify_mod
 from qdouble.cli import EXIT_CAP, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_OK, main
-from qdouble.groups import Phase
-from qdouble.operators import QuantumDouble
+from qdouble.groups import Phase, parse_group_spec
+from qdouble.lattice import parse_region_spec
+from qdouble.operators import Operator, QuantumDouble
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,22 @@ def test_spectrum_json_fields(capsys):
     assert abs(blob["rows"][0]["eigenvalue"]) < 1e-8
 
 
+@pytest.mark.parametrize("group, region, boundary", [
+    ("Z2", "free:2x3", "none"), ("Z3", "free:2x2", "none"), ("Z2", "torus:2x2", "none"),
+])
+def test_spectrum_levels_add_up_to_the_dimension(capsys, group, region, boundary):
+    code, out, _ = run_cli(capsys, "spectrum", "--group", group, "--region", region,
+                           "--boundary", boundary, "-k", "2", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    model = QuantumDouble(parse_group_spec(group), parse_region_spec(region))
+    levels = blob["levels"]
+    assert [lv["energy"] for lv in levels] == sorted(lv["energy"] for lv in levels)
+    assert sum(lv["multiplicity"] for lv in levels) == model.space.dim
+    # the solver's lowest eigenvalue is the lowest counted level
+    assert blob["rows"][0]["eigenvalue"] == pytest.approx(levels[0]["energy"], abs=1e-8)
+
+
 def test_spectrum_17_digit_csv(capsys):
     _, out, _ = run_cli(capsys, "spectrum", "--group", "Z2",
                         "--region", "torus:2x2", "-k", "5")
@@ -131,6 +148,47 @@ def test_sectors_json_z2_3x3(capsys):
     weights = {(r["chi_digits"], r["c_digits"]): r["weight"] for r in blob["rows"]}
     assert weights[("0", "0")] == pytest.approx(1.0, abs=1e-10)
     assert weights[("1", "1")] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_sectors_counts_without_diagonalizing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("qdouble sectors diagonalized or densified")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(Operator, "to_dense", refuse)
+    code, out, _ = run_cli(capsys, "sectors", "--group", "Z2",
+                           "--region", "free:3x3", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert blob["method"] == "counting"
+    # the rows and kernel dimension the dense eigh route printed
+    assert blob["kernel_dim"] == 1280
+    rows = [(r["chi_digits"], r["c_digits"], r["dim"]) for r in blob["rows"]]
+    assert rows == [("0", "0", 128), ("0", "1", 512), ("1", "0", 128), ("1", "1", 512)]
+    weights = [r["weight"] for r in blob["rows"]]
+    assert weights == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+
+def test_sectors_past_the_dense_limit_z3_4x4(capsys):
+    code, out, _ = run_cli(capsys, "sectors", "--group", "Z3", "--region", "free:4x4",
+                           "--unsafe-cap", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    # E = 24 edges, F = 9 faces, I = 4 full stars: at most one nontrivial
+    # charge and one nontrivial flux survive in the kernel of H^{eps,mu}
+    base = 3 ** (24 - 9 - 4)
+    dims = {(r["chi_digits"], r["c_digits"]): r["dim"] for r in blob["rows"]}
+    want = {(str(chi), str(c)): base * (4 if chi else 1) * (9 if c else 1)
+            for chi in range(3) for c in range(3)}
+    assert dims == want
+    assert blob["kernel_dim"] == sum(want.values())
+
+
+def test_sectors_needs_the_boundary_loops(capsys):
+    code, _, err = run_cli(capsys, "sectors", "--group", "Z2", "--region", "free:2x3")
+    assert code == EXIT_CONFIG
+    assert "3x3" in err
 
 
 def test_sectors_rejects_torus(capsys):

@@ -20,6 +20,7 @@ from qdouble.operators import (
     ScaledOp,
     SumOp,
     TermOp,
+    is_real,
     restrict,
     sparse_matrix,
     support,
@@ -515,3 +516,33 @@ def test_sparse_matrix_refuses_above_the_dense_limit():
     model = QuantumDouble(make_group([2]), Region.free(3, 4))
     with pytest.raises(DimensionCapError):
         sparse_matrix(model.identity())
+
+
+def test_to_dense_is_real_exactly_when_the_terms_are():
+    z2 = QuantumDouble(make_group([2]), Region.free(3, 3))
+    for op in (z2.hamiltonian(), z2.hamiltonian(boundary="eps_mu")):
+        assert is_real(op)
+        dense = op.to_dense()
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, sparse_matrix(op).toarray())
+    z3 = QuantumDouble(make_group([3]), Region.free(2, 3))
+    rib = ribbon_between(z3.region, z3.region.site((0, 0), (0, 0)), z3.region.site((1, 1), (1, 1)))
+    for chi in (1, 2):
+        op = z3.ribbon_char(rib, chi, 1)
+        assert not is_real(op)
+        dense = op.to_dense()
+        assert dense.dtype == np.complex128
+        assert np.array_equal(dense, sparse_matrix(op).toarray())
+        # the strip plus its entrywise conjugate (inverse charge, same shift)
+        # is real; i times it is not
+        pair = op + z3.ribbon_char(rib, 3 - chi, 1)
+        assert is_real(pair) and not is_real(1j * pair)
+        # the complex route leaves rounding dust on the imaginary part
+        full = sparse_matrix(pair).toarray()
+        assert np.array_equal(pair.to_dense(), full.real)
+        assert np.max(np.abs(full.imag)) < 1e-15
+        assert is_real(ProductOp(z3.space, [pair, z3.hamiltonian()]))
+        assert not is_real(SumOp(z3.space, [pair, op]))
+    # Z3 vertex charge projectors are Hermitian but complex
+    assert not is_real(z3.total_charge_projector(1))
+    assert is_real(z3.hamiltonian())

@@ -119,3 +119,21 @@ def test_indicator_terms_filter_rows():
     out = sparse_apply(op, one)
     assert out.n_configs == 1
     assert out.amps[0] == pytest.approx(1.0)
+
+
+def test_dense_conversions_match_the_digit_loop(rng):
+    # the mixed-radix index of a row is sum_e digit_e q^e, as basis_index reads it
+    group = make_group([3])
+    space = QuantumDouble(group, Region.free(2, 3)).space
+    for k in (1, 7, 40):
+        s = random_sparse(space, rng, k=k)
+        want = np.zeros(space.dim, dtype=complex)
+        for row, a in zip(s.digits, s.amps):
+            want[space.basis_index(row)] += a
+        dense = s.to_dense(space)
+        assert np.array_equal(dense, want)
+        back = SparseState.from_dense(space, dense)
+        loop = np.array([space.config_of(int(i)) for i in np.nonzero(dense)[0]], dtype=np.uint8)
+        assert np.array_equal(np.sort(back.digits, axis=0), np.sort(loop, axis=0))
+        assert np.array_equal(back.to_dense(space), dense)
+    assert SparseState.from_dense(space, np.zeros(space.dim)).n_configs == 0

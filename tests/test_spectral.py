@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from qdouble.groups import make_group
-from qdouble.lattice import Region, ribbon_to_boundary
+from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import QuantumDouble
 from qdouble.spectral import (
     ground_dimension_count,
     ground_space,
     rayleigh,
+    sector_counts,
     sector_dimensions,
+    spectrum_counts,
     spectrum_lowest,
     subspace_iteration,
 )
+from qdouble.states import frustration_free_state
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +155,94 @@ def test_sector_dimensions_ground_and_excited(rng):
     assert np.linalg.norm(gram - np.eye(4)) < 1e-10
     dims = sector_dimensions(model, basis)
     assert dims == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# exact spectra by counting charge and flux labels
+
+
+def _dense_levels(model, boundary):
+    vals = np.linalg.eigvalsh(model.hamiltonian(boundary=boundary).to_dense(8192))
+    levels = np.round(vals).astype(int)
+    assert np.max(np.abs(vals - levels)) < 1e-9
+    energies, mult = np.unique(levels, return_counts=True)
+    return {int(e): int(n) for e, n in zip(energies, mult)}
+
+
+@pytest.mark.parametrize(
+    "orders, spec, boundary",
+    [
+        ((2,), "free:3x3", "none"),
+        ((2,), "free:3x3", "eps"),
+        ((2,), "free:3x3", "eps_mu"),
+        ((3,), "free:2x3", "none"),
+        ((3,), "free:2x2", "none"),
+        ((4,), "free:2x2", "none"),
+        ((2,), "torus:2x2", "none"),
+        ((2,), "torus:2x3", "none"),
+    ],
+)
+def test_spectrum_counts_equal_dense_multiplicities(orders, spec, boundary):
+    model = QuantumDouble(make_group(orders), parse_region_spec(spec))
+    assert spectrum_counts(model, boundary) == _dense_levels(model, boundary)
+
+
+def test_sector_counts_resolve_the_dense_spectrum_by_sector():
+    # H^{eps,mu} commutes with every sector projector P: the spectrum of
+    # H + 5 (I - P) below 5 is the spectrum of H inside the sector
+    group = make_group([2])
+    model = QuantumDouble(group, Region.free(3, 3))
+    h = model.hamiltonian(boundary="eps_mu").to_dense()
+    counts = sector_counts(group, model.region, "eps_mu")
+    for chi in range(2):
+        for c in range(2):
+            p = model.sector_projector(chi, c).to_dense()
+            vals = np.linalg.eigvalsh(h + 5.0 * (np.eye(len(h)) - p))
+            inside = np.round(vals[vals < 4.5]).astype(int)
+            got = {(int(e), chi, c): int(n) for e, n in zip(*np.unique(inside, return_counts=True))}
+            want = {key: n for key, n in counts.items() if key[1:] == (chi, c)}
+            assert got == want
+
+
+def test_counts_add_up_to_the_dimension_at_any_size():
+    for orders, spec in [((4,), "lambda:3"), ((2, 2), "torus:5x5"), ((3,), "free:4x7")]:
+        group, region = make_group(orders), parse_region_spec(spec)
+        model = QuantumDouble(group, region)
+        for boundary in ("none",) if region.is_torus else ("none", "eps", "mu", "eps_mu"):
+            levels = spectrum_counts(model, boundary)
+            assert sum(levels.values()) == group.size**region.num_edges
+            assert min(levels) == 0
+
+
+def test_ground_dimension_count_is_the_counted_energy_zero_level():
+    for orders, spec in [((2,), "free:3x3"), ((3,), "torus:2x2"), ((2, 3), "free:4x5")]:
+        group, region = make_group(orders), parse_region_spec(spec)
+        q, n_v, n_i = group.size, region.m * region.n, len(region.interior_vertices())
+        closed = q**2 if region.is_torus else q ** (n_v - 1 - n_i)
+        assert ground_dimension_count(group, region) == closed
+        assert spectrum_counts(QuantumDouble(group, region))[0] == closed
+
+
+def test_two_charges_on_z3_free_4x4_see_the_product_of_the_charges():
+    # two strips from interior sites to the boundary put a charge on each
+    # site; the eps loop measures their product, so equal charges (product
+    # nontrivial on Z3) cost 2 - 1 and opposite charges (product trivial) 2
+    group = make_group([3])
+    region = Region.free(4, 4)
+    model = QuantumDouble(group, region)
+    h = model.hamiltonian(boundary="eps")
+    counts = sector_counts(group, region, "eps")
+    omega = frustration_free_state(model).vector
+    rib_a = ribbon_to_boundary(region, region.site((1, 1), (0, 0)))
+    rib_b = ribbon_to_boundary(region, region.site((2, 2), (2, 2)))
+    for chi_b, want in ((1, 1), (2, 2)):
+        psi = omega.apply(model.ribbon_char(rib_a, 1, 0)).apply(model.ribbon_char(rib_b, chi_b, 0))
+        psi = psi.normalized()
+        energy = psi.expect(h).real
+        assert energy == pytest.approx(want, abs=1e-12)
+        assert psi.apply(h).add(psi.scaled(-want)).norm() < 1e-12
+        weights = [psi.expect(model.total_charge_projector(chi)).real for chi in range(3)]
+        total = int(np.argmax(weights))
+        assert weights[total] == pytest.approx(1.0, abs=1e-12)
+        assert (total != 0) == (want == 1)
+        assert counts[(want, total, 0)] > 0
