@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group, GroupError, parse_group_spec
-from .lattice import Region, RibbonError, crossing_pair, parse_region_spec, ribbon_between
+from .lattice import (Region, RibbonError, boundary_ribbon, crossing_pair, parse_region_spec,
+                      ribbon_between)
 from .operators import (
     DEFAULT_DIM_CAP,
     UNSAFE_DIM_CAP,
@@ -219,6 +220,11 @@ def cmd_verify(cfg: RunConfig, group: Group, region: Region) -> int:
 def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
+    if cfg.boundary != "none":
+        try:
+            boundary_ribbon(region)
+        except RibbonError as err:
+            raise ConfigError(f"--boundary {cfg.boundary} needs the boundary loops: {err}") from err
     model = QuantumDouble(group, region, cap=cfg.cap)
     k = cfg.k
     if k > model.space.dim:

@@ -53,7 +53,7 @@ DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and sector kernel
 DENSE_EIG_LIMIT = 8192  # dense diagonalization for spectra and ground spaces
 PROBE_BATCH_LIMIT = 1 << 22  # above this restricted dimension a probe batch is one column
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
-MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the uniform ground mixture
+MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the ground seed or uniform mixture
 PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
 FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly

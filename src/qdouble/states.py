@@ -2,11 +2,11 @@
 
 States are convex mixtures of normalized sparse vectors, so every
 expectation value is evaluated exactly on the configurations that
-actually carry amplitude.  The frustration-free vector is the commuting
-projector product applied to the identity configuration; the uniform
-ground mixture enumerates one representative per gauge orbit of flat
-configurations through the potential parametrization.  Excited states
-attach a ribbon operator routed to the boundary.
+actually carry amplitude.  Ground states are gauge orbits, uniform
+superpositions over the gauge transformations of one flat configuration:
+the frustration-free vector is the orbit of the identity configuration, and
+the uniform ground mixture averages the orbits of one representative per
+flat sector.  Excited states attach a ribbon operator routed to the boundary.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .operators import (
     QuantumDouble,
     Term,
     TermOp,
+    is_real,
     refuse_above,
 )
 from .sparse import SparseState, sparse_apply
@@ -112,61 +113,75 @@ def mix(functionals_and_weights) -> StateFunctional:
 # ground states
 
 
-def _seed_vector(model: QuantumDouble) -> SparseState:
-    state = SparseState.basis_state(model.group, model.region.num_edges)
-    for p in model.ground_projector_factors():
-        state = sparse_apply(p, state)
-    assert state.norm() > 0, "projector product annihilated the identity configuration"
-    return state.normalized()
+def _gauge_vertices(region: Region) -> list:
+    """Vertices whose potentials generate the gauge group: the interior ones
+    on a free patch, all but (0, 0) on a torus (constants act trivially)."""
+    return region.vertices()[1:] if region.is_torus else region.interior_vertices()
 
 
-def _gradient_config(region: Region, group, potential: dict) -> np.ndarray:
-    """Edge digits of the discrete gradient of a vertex potential."""
+def _gradients(model: QuantumDouble, vertices) -> np.ndarray:
+    """Edge digits of the gradient h(head) h(tail)^-1 of every potential h on
+    `vertices` (identity elsewhere), one row each in itertools.product order:
+    each vertex's star-shift rows folded through the product table."""
+    group, region = model.group, model.region
     mul, inv = group.mul_table(), group.inv_table()
-    digits = np.zeros(region.num_edges, dtype=np.uint8)
-    for e in region.edges():
-        tail, head = region.edge_endpoints(e)
-        digits[region.edge_id(e)] = mul[potential[head], inv[potential[tail]]]
-    return digits
+    q, n_edges = group.size, region.num_edges
+    rows = np.zeros((1, n_edges), dtype=np.uint8)
+    for v in vertices:
+        step = np.zeros((q, n_edges), dtype=np.uint8)
+        for eid, sign in region.star_edges(v):
+            step[:, eid] = mul[step[:, eid], np.arange(q) if sign < 0 else inv]
+        rows = mul[rows[:, None, :], step[None, :, :]].reshape(-1, n_edges)
+    return rows
 
 
-def _flat_orbit_representatives(model: QuantumDouble) -> list[np.ndarray]:
-    """One flat configuration per gauge orbit.
+def _orbit_states(model: QuantumDouble, reps: np.ndarray) -> list[SparseState]:
+    """The normalized uniform superposition over the gauge orbit of each row
+    of `reps`: what the ground projector product makes of a flat
+    configuration.  The gauge group acts freely, so every orbit has one row
+    per potential on the gauge vertices, sorted as a merge sorts them."""
+    offsets = _gradients(model, _gauge_vertices(model.region))
+    n, n_edges = offsets.shape
+    rows = model.group.mul_table()[reps[:, None, :], offsets[None]].reshape(-1, n_edges)
+    # lexsort's last key is primary: the part, then the digits from edge 0 on
+    order = np.lexsort((*rows.T[::-1], np.repeat(np.arange(len(reps)), n)))
+    rows = rows[order].reshape(len(reps), n, n_edges)
+    amps = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
+    amps.flags.writeable = False  # shared by every part
+    return [SparseState(model.group, n_edges, r, amps, merged=True) for r in rows]
 
-    Free patch: gradients of potentials that vanish on the interior
-    vertices and at the anchor (0,0).  Torus: one winding pair per flux
-    sector, the potential gauge-fixed away entirely.
+
+def _seed_vector(model: QuantumDouble) -> SparseState:
+    """The gauge orbit of the identity configuration."""
+    n_orbit = model.group.size ** len(_gauge_vertices(model.region))
+    refuse_above(n_orbit, MIXTURE_SUPPORT_LIMIT, "ground seed configurations")
+    return _orbit_states(model, np.zeros((1, model.region.num_edges), dtype=np.uint8))[0]
+
+
+def _flat_orbit_representatives(model: QuantumDouble) -> np.ndarray:
+    """One flat configuration per gauge orbit, one row each.
+
+    Free patch: gradients of potentials that vanish on the interior vertices
+    and at the anchor (0,0).  Torus: one winding pair per flux sector, the
+    potential gauge-fixed away entirely.
     """
-    region, group = model.region, model.group
-    q = group.size
+    region, q = model.region, model.group.size
     if region.is_torus:
-        reps = []
-        for a in range(q):
-            for b in range(q):
-                digits = np.zeros(region.num_edges, dtype=np.uint8)
-                for j in range(region.n):
-                    digits[region.edge_id(("h", 0, j))] = a
-                for i in range(region.m):
-                    digits[region.edge_id(("v", i, 0))] = b
-                reps.append(digits)
+        windings = np.indices((q, q), dtype=np.uint8).reshape(2, -1).T
+        reps = np.zeros((q * q, region.num_edges), dtype=np.uint8)
+        reps[:, [region.edge_id(("h", 0, j)) for j in range(region.n)]] = windings[:, :1]
+        reps[:, [region.edge_id(("v", i, 0)) for i in range(region.m)]] = windings[:, 1:]
         return reps
     interior = set(region.interior_vertices())
-    anchor = (0, 0)
-    free_verts = [v for v in region.vertices() if v not in interior and v != anchor]
-    reps = []
-    for assignment in itertools.product(range(q), repeat=len(free_verts)):
-        potential = {v: 0 for v in region.vertices()}
-        potential.update(zip(free_verts, assignment))
-        reps.append(_gradient_config(region, group, potential))
-    return reps
+    return _gradients(model, [v for v in region.vertices() if v not in interior and v != (0, 0)])
 
 
 def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") -> StateFunctional:
     """Zero-energy state of the plain Hamiltonian.
 
-    'vector-seed' is the projector product applied to the identity
-    configuration; 'uniform-mixture' averages one normalized vector per
-    gauge orbit of flat configurations (the fully mixed ground functional).
+    'vector-seed' is the gauge orbit of the identity configuration;
+    'uniform-mixture' averages the orbit state of every gauge orbit of flat
+    configurations (the fully mixed ground functional).
     """
     if choice == "vector-seed":
         return StateFunctional.pure(model, _seed_vector(model), {"kind": "vector-seed"})
@@ -177,16 +192,12 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
     region, q = model.region, model.group.size
     n_interior = len(region.interior_vertices())
     n_reps = q**2 if region.is_torus else q ** (len(region.vertices()) - n_interior - 1)
-    refuse_above(n_reps * q**n_interior, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
-    reps = _flat_orbit_representatives(model)
-    factors = model.ground_projector_factors()
-    parts = []
-    for digits in reps:
-        s = SparseState.basis_state(model.group, model.region.num_edges, digits)
-        for p in factors:
-            s = sparse_apply(p, s)
-        parts.append((1.0 / len(reps), s.normalized()))
-    return StateFunctional.mixture(model, parts, {"kind": "uniform-mixture"})
+    n_orbit = q ** len(_gauge_vertices(region))
+    refuse_above(n_reps * n_orbit, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
+    parts = _orbit_states(model, _flat_orbit_representatives(model))
+    return StateFunctional.mixture(
+        model, [(1.0 / len(parts), s) for s in parts], {"kind": "uniform-mixture"}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +246,17 @@ class SectorWeights:
     entries: tuple  # ((chi_index, c_index, value), ...) in packed order
 
     def __getitem__(self, key) -> float:
-        chi, c = key
-        for ci, gi, v in self.entries:
-            if (ci, gi) == (chi, c):
-                return v
-        raise KeyError(key)
+        return self.as_dict()[tuple(key)]
 
     def as_dict(self) -> dict:
         return {(ci, gi): v for ci, gi, v in self.entries}
 
     def to_json_dict(self, group) -> dict:
-        weights = []
-        for ci, gi, v in self.entries:
-            weights.append(
-                {
-                    "chi": list(group.character_from_index(ci).digits),
-                    "c": list(group.element_from_index(gi).digits),
-                    "lambda": v,
-                }
-            )
+        weights = [
+            {"chi": list(group.character_from_index(ci).digits),
+             "c": list(group.element_from_index(gi).digits), "lambda": v}
+            for ci, gi, v in self.entries
+        ]
         return {"group": self.group_spec, "region": self.region_spec, "weights": weights}
 
     def to_json(self, group) -> str:
@@ -447,7 +450,8 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
 
     Shifting along a transversal of the gauge orbits reaches every orbit
     coset, and the character ribbons on one out-edge per interior vertex
-    separate the configurations inside each orbit.
+    separate the configurations inside each orbit.  The matrix is float64
+    when every strip it applies is real.
     """
     region, group = model.region, model.group
     if region.is_torus:
@@ -471,7 +475,8 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
         for s in range(1, q):
             char_ops[(k, s)] = model.ribbon_char(direct_ribbon(region, e), s, 0)
 
-    cols = np.zeros((model.space.dim, model.space.dim), dtype=np.complex128)
+    real = all(is_real(op) for op in (*shift_ops.values(), *char_ops.values()))
+    cols = np.zeros((model.space.dim, model.space.dim), dtype=float if real else complex)
     j = 0
     for zs in itertools.product(range(q), repeat=len(other_edges)):
         base = omega
@@ -483,6 +488,7 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
             for k, s in enumerate(sigmas):
                 if s:
                     vec = sparse_apply(char_ops[(k, s)], vec)
-            cols[:, j] = vec.to_dense(model.space)
+            col = vec.to_dense(model.space)
+            cols[:, j] = col.real if real else col
             j += 1
     return cols

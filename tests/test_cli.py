@@ -191,6 +191,19 @@ def test_sectors_needs_the_boundary_loops(capsys):
     assert "3x3" in err
 
 
+@pytest.mark.parametrize("region, boundary, reason", [
+    ("torus:2x2", "eps", "a torus has no boundary"),
+    ("free:2x3", "mu", "3x3"),
+])
+def test_spectrum_boundary_needs_the_boundary_loops(capsys, region, boundary, reason):
+    code, out, err = run_cli(capsys, "spectrum", "--group", "Z2", "--region", region,
+                             "--boundary", boundary, "-k", "2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err
+
+
 def test_sectors_rejects_torus(capsys):
     code, _, err = run_cli(capsys, "sectors", "--group", "Z2", "--region", "torus:2x2")
     assert code == EXIT_CONFIG

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import qdouble.sparse as sparse_mod
+import qdouble.states as states_mod
 from qdouble.groups import make_group
 from qdouble.lattice import (
     Region,
@@ -10,6 +14,7 @@ from qdouble.lattice import (
     ribbon_to_boundary,
 )
 from qdouble.operators import DimensionCapError, QuantumDouble
+from qdouble.sparse import SparseState, sparse_apply
 from qdouble.spectral import ground_space
 from qdouble.states import (
     charge_transport,
@@ -28,6 +33,8 @@ from qdouble.states import (
 
 Z2 = make_group([2])
 Z3 = make_group([3])
+Z4 = make_group([4])
+Z2xZ2 = make_group([2, 2])
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +89,121 @@ def test_uniform_mixture_against_dense_trace():
         for op in probes:
             dense_val = np.trace(basis.conj().T @ op.apply(basis)) / basis.shape[1]
             assert mixture.expect(op) == pytest.approx(dense_val, abs=1e-10)
+
+
+def _projector_product(model, digits):
+    """The oracle: every star average and plaquette projector applied in turn."""
+    state = SparseState.basis_state(model.group, model.region.num_edges, digits)
+    for p in model.ground_projector_factors():
+        state = sparse_apply(p, state)
+    return state.normalized()
+
+
+def _assert_same_state(built, oracle):
+    assert np.array_equal(built.digits, oracle.digits)
+    assert np.max(np.abs(built.amps - oracle.amps)) <= 1e-15
+
+
+@pytest.mark.parametrize("group, region, sample", [
+    (Z2, Region.free(3, 3), None),
+    (Z2, Region.free(3, 4), None),
+    (Z3, Region.free(2, 3), None),
+    (Z3, Region.free(3, 3), 64),
+    (Z4, Region.free(2, 3), None),
+    (Z4, Region.free(3, 3), 64),
+    (Z2xZ2, Region.free(2, 3), None),
+    (Z2xZ2, Region.free(3, 3), 64),
+    (Z2, Region.torus(2, 2), None),
+    (Z2, Region.torus(2, 3), None),
+    (Z3, Region.torus(2, 2), None),
+    (Z4, Region.torus(2, 2), None),
+    (Z2xZ2, Region.torus(2, 2), None),
+], ids=lambda x: getattr(x, "spec", None) or str(x))
+def test_orbit_states_equal_the_projector_product(group, region, sample):
+    model = QuantumDouble(group, region)
+    seed = frustration_free_state(model).vector
+    _assert_same_state(seed, _projector_product(model, np.zeros(region.num_edges, np.uint8)))
+    reps = states_mod._flat_orbit_representatives(model)
+    parts = frustration_free_state(model, "uniform-mixture").parts
+    assert len(parts) == len(reps)
+    picks = range(len(reps))
+    if sample is not None:
+        picks = np.random.default_rng(7).choice(len(reps), sample, replace=False)
+    for k in picks:
+        assert parts[k][0] == 1.0 / len(reps)
+        _assert_same_state(parts[k][1], _projector_product(model, reps[k]))
+
+
+def _representatives_by_loop(model):
+    """The reference: one gradient (free) or winding pair (torus) at a time."""
+    region, group = model.region, model.group
+    mul, inv, q = group.mul_table(), group.inv_table(), group.size
+    if region.is_torus:
+        reps = np.zeros((q * q, region.num_edges), dtype=np.uint8)
+        for k, (a, b) in enumerate(itertools.product(range(q), repeat=2)):
+            reps[k, [region.edge_id(("h", 0, j)) for j in range(region.n)]] = a
+            reps[k, [region.edge_id(("v", i, 0)) for i in range(region.m)]] = b
+        return reps
+    interior = set(region.interior_vertices())
+    free = [v for v in region.vertices() if v not in interior and v != (0, 0)]
+    reps = []
+    for assignment in itertools.product(range(q), repeat=len(free)):
+        potential = dict.fromkeys(region.vertices(), 0) | dict(zip(free, assignment))
+        digits = np.zeros(region.num_edges, dtype=np.uint8)
+        for e in region.edges():
+            tail, head = region.edge_endpoints(e)
+            digits[region.edge_id(e)] = mul[potential[head], inv[potential[tail]]]
+        reps.append(digits)
+    return np.array(reps)
+
+
+@pytest.mark.parametrize("group, region", [
+    (Z3, Region.free(3, 3)), (Z2xZ2, Region.free(2, 3)), (Z4, Region.torus(2, 3)),
+], ids=lambda x: getattr(x, "spec", None) or str(x))
+def test_flat_orbit_representatives_match_the_loop(group, region):
+    model = QuantumDouble(group, region)
+    reps = states_mod._flat_orbit_representatives(model)
+    assert reps.dtype == np.uint8
+    assert np.array_equal(reps, _representatives_by_loop(model))
+
+
+def test_orbit_seed_equals_the_projector_product_z3_5x5():
+    model = QuantumDouble(Z3, Region.free(5, 5))
+    oracle = _projector_product(model, np.zeros(model.region.num_edges, np.uint8))
+    seed = frustration_free_state(model).vector
+    assert seed.n_configs == 3**9
+    _assert_same_state(seed, oracle)
+
+
+def test_uniform_mixture_builds_without_projectors_or_merges(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the orbit construction applied an operator or merged")
+
+    monkeypatch.setattr(states_mod, "sparse_apply", forbidden)
+    monkeypatch.setattr(sparse_mod, "sparse_apply", forbidden)
+    monkeypatch.setattr(SparseState, "_merge", forbidden)
+    parts = frustration_free_state(QuantumDouble(Z4, Region.free(3, 3)), "uniform-mixture").parts
+    assert len(parts) == 4**7
+    assert all(s.n_configs == 4 for _, s in parts)
+
+
+@pytest.mark.parametrize("group, region", [
+    (Z2, Region.torus(2, 2)), (Z3, Region.torus(2, 3)), (Z3, Region.free(3, 4)),
+], ids=lambda x: getattr(x, "spec", None) or str(x))
+def test_refusal_counts_the_built_support(monkeypatch, group, region):
+    refused = {}
+
+    def recorded(size, limit, what):
+        refused[what] = size
+        refuse_above(size, limit, what)
+
+    refuse_above = states_mod.refuse_above
+    monkeypatch.setattr(states_mod, "refuse_above", recorded)
+    model = QuantumDouble(group, region)
+    seed = frustration_free_state(model).vector
+    mixture = frustration_free_state(model, "uniform-mixture")
+    assert refused["ground seed configurations"] == seed.n_configs
+    assert refused["uniform mixture configurations"] == sum(s.n_configs for _, s in mixture.parts)
 
 
 def test_uniform_mixture_is_frustration_free(model33):
@@ -301,6 +423,18 @@ def test_spanning_matrix_no_interior():
     assert cols.shape == (128, 128)
     s = np.linalg.svd(cols, compute_uv=False)
     assert int(np.sum(s > 1e-8 * s[0])) == 128
+
+
+@pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 3)), (Z3, Region.free(2, 3))],
+                         ids=["Z2-free:3x3", "Z3-free:2x3"])
+def test_spanning_matrix_stays_real(monkeypatch, group, region):
+    model = QuantumDouble(group, region)
+    cols = spanning_matrix(model)
+    assert cols.dtype == np.float64
+    monkeypatch.setattr(states_mod, "is_real", lambda op: False)
+    complex_cols = spanning_matrix(model)
+    assert complex_cols.dtype == np.complex128
+    assert np.array_equal(cols, complex_cols)
 
 
 def test_spanning_matrix_torus_rejected():
