@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group, GroupError, parse_group_spec
-from .lattice import (Region, RibbonError, boundary_ribbon, crossing_pair, parse_region_spec,
-                      ribbon_between)
+from .lattice import Region, RibbonError, crossing_pair, parse_region_spec, ribbon_between
 from .operators import (
     DEFAULT_DIM_CAP,
     UNSAFE_DIM_CAP,
@@ -220,18 +219,16 @@ def cmd_verify(cfg: RunConfig, group: Group, region: Region) -> int:
 def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
-    if cfg.boundary != "none":
-        try:
-            boundary_ribbon(region)
-        except RibbonError as err:
-            raise ConfigError(f"--boundary {cfg.boundary} needs the boundary loops: {err}") from err
     model = QuantumDouble(group, region, cap=cfg.cap)
     k = cfg.k
     if k > model.space.dim:
         print(f"warning: k={k} clipped to dimension {model.space.dim}", file=sys.stderr)
         k = model.space.dim
-    basis = spectrum_lowest(model, k, boundary=cfg.boundary,
-                            rng=np.random.default_rng(cfg.seed))
+    try:
+        basis = spectrum_lowest(model, k, boundary=cfg.boundary,
+                                rng=np.random.default_rng(cfg.seed))
+    except RibbonError as err:
+        raise ConfigError(f"--boundary {cfg.boundary} needs the boundary loops: {err}") from err
     rows = [
         {"index": i, "eigenvalue": float(basis.values[i]), "residual": float(basis.residuals[i])}
         for i in range(len(basis.values))

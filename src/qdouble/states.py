@@ -187,13 +187,11 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
         return StateFunctional.pure(model, _seed_vector(model), {"kind": "vector-seed"})
     if choice != "uniform-mixture":
         raise ValueError(f"unknown ground state choice {choice!r}")
-    # one representative per winding pair on a torus, per potential on the
-    # vertices other than the interior ones and the anchor on a free patch
+    # the support is every flat configuration: the gradients of potentials up
+    # to a constant, times the q^2 winding pairs on a torus
     region, q = model.region, model.group.size
-    n_interior = len(region.interior_vertices())
-    n_reps = q**2 if region.is_torus else q ** (len(region.vertices()) - n_interior - 1)
-    n_orbit = q ** len(_gauge_vertices(region))
-    refuse_above(n_reps * n_orbit, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
+    n_flat = q ** (len(region.vertices()) - 1 + 2 * region.is_torus)
+    refuse_above(n_flat, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
     parts = _orbit_states(model, _flat_orbit_representatives(model))
     return StateFunctional.mixture(
         model, [(1.0 / len(parts), s) for s in parts], {"kind": "uniform-mixture"}
@@ -246,17 +244,25 @@ class SectorWeights:
     entries: tuple  # ((chi_index, c_index, value), ...) in packed order
 
     def __getitem__(self, key) -> float:
-        return self.as_dict()[tuple(key)]
+        chi, c = key
+        for ci, gi, v in self.entries:
+            if (ci, gi) == (chi, c):
+                return v
+        raise KeyError(key)
 
     def as_dict(self) -> dict:
         return {(ci, gi): v for ci, gi, v in self.entries}
 
     def to_json_dict(self, group) -> dict:
-        weights = [
-            {"chi": list(group.character_from_index(ci).digits),
-             "c": list(group.element_from_index(gi).digits), "lambda": v}
-            for ci, gi, v in self.entries
-        ]
+        weights = []
+        for ci, gi, v in self.entries:
+            weights.append(
+                {
+                    "chi": list(group.character_from_index(ci).digits),
+                    "c": list(group.element_from_index(gi).digits),
+                    "lambda": v,
+                }
+            )
         return {"group": self.group_spec, "region": self.region_spec, "weights": weights}
 
     def to_json(self, group) -> str:
@@ -450,8 +456,8 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
 
     Shifting along a transversal of the gauge orbits reaches every orbit
     coset, and the character ribbons on one out-edge per interior vertex
-    separate the configurations inside each orbit.  The matrix is float64
-    when every strip it applies is real.
+    separate the configurations inside each orbit.  Every strip it applies
+    is real, so the matrix is float64.
     """
     region, group = model.region, model.group
     if region.is_torus:
@@ -475,8 +481,9 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
         for s in range(1, q):
             char_ops[(k, s)] = model.ribbon_char(direct_ribbon(region, e), s, 0)
 
-    real = all(is_real(op) for op in (*shift_ops.values(), *char_ops.values()))
-    cols = np.zeros((model.space.dim, model.space.dim), dtype=float if real else complex)
+    if not all(is_real(op) for op in (*shift_ops.values(), *char_ops.values())):
+        raise ValueError("the spanning family needs real strips")
+    cols = np.zeros((model.space.dim, model.space.dim))
     j = 0
     for zs in itertools.product(range(q), repeat=len(other_edges)):
         base = omega
@@ -488,7 +495,6 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
             for k, s in enumerate(sigmas):
                 if s:
                     vec = sparse_apply(char_ops[(k, s)], vec)
-            col = vec.to_dense(model.space)
-            cols[:, j] = col.real if real else col
+            cols[:, j] = vec.to_dense(model.space).real
             j += 1
     return cols

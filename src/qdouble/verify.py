@@ -20,7 +20,7 @@ import itertools
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,18 @@ class CheckResult:
     wall_time: float = 0.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "check_id": self.check_id,
+            "statement": self.statement,
+            "group": self.group,
+            "region": self.region,
+            "residual": self.residual,
+            "threshold": self.threshold,
+            "passed": self.passed,
+            "skipped": self.skipped,
+            "reason": self.reason,
+            "wall_time": self.wall_time,
+        }
 
 
 @dataclass(frozen=True)
@@ -589,10 +600,11 @@ def _ribbon_closed_trivial(ctx: _Ctx) -> float:
 )
 def _ribbon_concatenate(ctx: _Ctx) -> float:
     region = ctx.region
-    mid = region.site((1, 1), (1, 1))
     if region.is_torus:
+        mid = region.site((1, 1), (1, 1))
         ends = region.site((0, 0), (0, 0)), region.site((2, 2), (2, 2))
     else:
+        mid = region.site((1, 1), (1, 1))
         ends = region.site((0, 0), (0, 0)), region.site((region.m - 1, region.n - 1), (region.m - 2, region.n - 2))
     try:
         r1 = ribbon_between(region, ends[0], mid)

@@ -428,13 +428,19 @@ def test_spanning_matrix_no_interior():
 @pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 3)), (Z3, Region.free(2, 3))],
                          ids=["Z2-free:3x3", "Z3-free:2x3"])
 def test_spanning_matrix_stays_real(monkeypatch, group, region):
+    # each float64 column equals, imaginary part included, the complex
+    # vector the strips produce
     model = QuantumDouble(group, region)
+    dense, to_dense = [], SparseState.to_dense
+    monkeypatch.setattr(SparseState, "to_dense",
+                        lambda self, space: dense.append(to_dense(self, space)) or dense[-1])
     cols = spanning_matrix(model)
     assert cols.dtype == np.float64
+    assert len(dense) == cols.shape[1]
+    assert np.array_equal(cols, np.stack(dense, axis=1))
     monkeypatch.setattr(states_mod, "is_real", lambda op: False)
-    complex_cols = spanning_matrix(model)
-    assert complex_cols.dtype == np.complex128
-    assert np.array_equal(cols, complex_cols)
+    with pytest.raises(ValueError, match="real strips"):
+        spanning_matrix(model)
 
 
 def test_spanning_matrix_torus_rejected():
