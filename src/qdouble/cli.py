@@ -33,6 +33,7 @@ import numpy as np
 from .groups import Group, GroupError, parse_group_spec
 from .lattice import Region, RibbonError, crossing_pair, parse_region_spec, ribbon_between
 from .operators import (
+    BOUNDARY_FLAVORS,
     DEFAULT_DIM_CAP,
     UNSAFE_DIM_CAP,
     DimensionCapError,
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task)
         p.add_argument("--group", help="group spec, e.g. Z2 or Z2xZ4")
         p.add_argument("--region", help="region spec: free:MxN, torus:MxN, lambda:L")
-        p.add_argument("--boundary", choices=["none", "eps", "mu", "eps_mu"])
+        p.add_argument("--boundary", choices=BOUNDARY_FLAVORS)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the emission to this path")
         p.add_argument("--json", dest="json_fmt", action="store_const", const=True,
@@ -152,7 +153,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         c=int(pick("c", "c", 1)),
         unsafe_cap=bool(pick("unsafe_cap", "unsafe_cap", False)),
     )
-    if cfg.boundary not in ("none", "eps", "mu", "eps_mu"):
+    if cfg.boundary not in BOUNDARY_FLAVORS:
         raise ConfigError(f"unknown boundary kind {cfg.boundary!r}")
     return cfg
 

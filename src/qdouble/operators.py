@@ -43,6 +43,8 @@ __all__ = [
     "is_real",
 ]
 
+BOUNDARY_FLAVORS = ("none", "eps", "mu", "eps_mu")  # boundary charges H may subtract
+
 # ---------------------------------------------------------------------------
 # size policy: every limit on what a computation may allocate or enumerate.
 # Each refusal raises DimensionCapError before the allocation it prevents.
@@ -96,6 +98,22 @@ def _elem_pow(group: Group, g_idx: int, k: int) -> int:
     el = group.element_from_index(g_idx)
     dig = tuple((d * k) % n for d, n in zip(el.digits, group.orders))
     return group.element(dig).index
+
+
+def holonomy_values(group: Group, column, n: int, form: tuple) -> np.ndarray:
+    """Packed group value of a holonomy form on n configurations, where
+    `column(edge)` gives the (n,) uint8 digits of one edge."""
+    mul = group.mul_table()
+    acc = np.zeros(n, dtype=np.uint8)
+    for edge, c in form:
+        d = column(edge)
+        if c != 1:
+            pow_lut = np.array(
+                [_elem_pow(group, g, c) for g in range(group.size)], dtype=np.uint8
+            )
+            d = pow_lut[d]
+        acc = mul[acc, d]
+    return acc
 
 
 def _form_on_shift(group: Group, form: tuple, shift: tuple) -> int:
@@ -238,16 +256,7 @@ class HilbertSpace:
             self._form_cache.move_to_end(form)
             return cached
         self.require_dense("holonomy table")
-        mul = self.group.mul_table()
-        acc = np.zeros(self.dim, dtype=np.uint8)
-        for edge, c in form:
-            d = self.digit_array(edge)
-            if c != 1:
-                pow_lut = np.array(
-                    [_elem_pow(self.group, g, c) for g in range(self.q)], dtype=np.uint8
-                )
-                d = pow_lut[d]
-            acc = mul[acc, d]
+        acc = holonomy_values(self.group, self.digit_array, self.dim, form)
         self._form_cache[form] = acc
         while len(self._form_cache) > FORM_CACHE_ENTRIES:
             self._form_cache.popitem(last=False)
@@ -816,7 +825,7 @@ class QuantumDouble:
         that globally charged states rejoin the kernel and only genuinely
         local excitations cost energy.
         """
-        if boundary not in ("none", "eps", "mu", "eps_mu"):
+        if boundary not in BOUNDARY_FLAVORS:
             raise ValueError(f"unknown boundary flavor {boundary!r}")
         terms = []
         for v in self.region.interior_vertices():

@@ -22,27 +22,12 @@ from .operators import (
     SumOp,
     Term,
     TermOp,
-    _elem_pow,
+    holonomy_values,
 )
 
 __all__ = ["SparseState", "sparse_apply"]
 
 PRUNE_TOL = 1e-14
-
-
-def _eval_form(group: Group, digits: np.ndarray, form: tuple) -> np.ndarray:
-    """Packed group value of a holonomy form on each row."""
-    mul = group.mul_table()
-    acc = np.zeros(digits.shape[0], dtype=np.uint8)
-    for edge, c in form:
-        d = digits[:, edge]
-        if c != 1:
-            lut = np.array(
-                [_elem_pow(group, g, c) for g in range(group.size)], dtype=np.uint8
-            )
-            d = lut[d]
-        acc = mul[acc, d]
-    return acc
 
 
 class SparseState:
@@ -119,11 +104,15 @@ class SparseState:
         amps = np.full(self.n_configs, term.coeff, dtype=np.complex128)
         amps *= self.amps
         keep = np.ones(self.n_configs, dtype=bool)
+
+        def column(edge):
+            return self.digits[:, edge]
+
         for form, chi_idx in term.phases:
             vals = group.char_values(group.character_from_index(chi_idx))
-            amps = amps * vals[_eval_form(group, self.digits, form)]
+            amps = amps * vals[holonomy_values(group, column, self.n_configs, form)]
         for form, target in term.indicators:
-            keep &= _eval_form(group, self.digits, form) == target
+            keep &= holonomy_values(group, column, self.n_configs, form) == target
         digits = self.digits[keep].copy()
         amps = amps[keep]
         mul = group.mul_table()

@@ -11,12 +11,14 @@ test battery cross-checks against the counts:
 * dense diagonalization of the full Hamiltonian (small spaces);
 * the image of the commuting-projector product applied to seed vectors,
   with toroidal winding representatives to reach every flux sector;
-* block subspace iteration on sigma*I - H with Rayleigh-Ritz extraction,
-  which refuses to return unconverged data (mid-size spectra).
+* scipy's LOBPCG for the lowest k eigenpairs of mid-size spectra; the
+  residuals ||H v - lambda v|| are recomputed and checked against
+  tol * sigma, so unconverged data is never returned.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from math import comb
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .lattice import boundary_ribbon
 from .operators import (
+    BOUNDARY_FLAVORS,
     DENSE_EIG_LIMIT,
     DENSE_MATRIX_LIMIT,
     PROJECTOR_BASIS_BYTES,
@@ -91,7 +94,7 @@ def sector_counts(group, region, boundary: str = "none") -> dict[tuple[int, int,
     index, element index); values are Python integers at any size, and
     nothing of dimension |G|^E is allocated.
     """
-    if boundary not in ("none", "eps", "mu", "eps_mu"):
+    if boundary not in BOUNDARY_FLAVORS:
         raise ValueError(f"unknown boundary flavor {boundary!r}")
     if boundary != "none":
         boundary_ribbon(region)  # raises where the boundary loops do not exist
@@ -208,23 +211,7 @@ def ground_space(
         )
     if method == "projector":
         return _projector_ground_basis(model, rng, tol)
-    if method == "iterative":
-        expected = ground_dimension_count(model.group, model.region)
-        basis = subspace_iteration(model.hamiltonian(), expected + 2, rng, tol=tol)
-        keep = basis.values < tol
-        return EigenBasis(
-            basis.vectors[:, keep],
-            basis.values[keep],
-            basis.residuals[keep],
-            "iterative",
-            meta=basis.meta,
-        )
     raise ValueError(f"unknown ground space method {method!r}")
-
-
-def _operator_norm_bound(op: TermOp) -> float:
-    # every term factors as scalar x unit-modulus diagonals x permutation
-    return float(sum(abs(t.coeff) for t in op.terms))
 
 
 def subspace_iteration(
@@ -233,46 +220,36 @@ def subspace_iteration(
     rng: np.random.Generator,
     tol: float = 1e-9,
     max_iter: int = 2000,
-    sigma: float | None = None,
 ) -> EigenBasis:
-    """Lowest k eigenpairs of a nonnegative operator by block iteration.
+    """Lowest k eigenpairs of a nonnegative operator by scipy's LOBPCG.
 
-    Iterates the block through sigma*I - H (sigma an upper spectral bound),
-    orthonormalizes, and extracts Ritz pairs until the eigen-residuals of
-    the k wanted pairs drop below tol * sigma.  Raises if that never
-    happens; unconverged output is never returned.
+    The block starts from k seeded random columns.  The residuals
+    ||H v - lambda v|| are recomputed with `op.apply` and must all be below
+    tol * sigma, sigma = 1 + sum |coeff| bounding the spectrum (every term is
+    scalar x unit-modulus diagonals x permutation).  Raises otherwise;
+    unconverged output is never returned.
     """
+    # imported here: it adds about 10 MB of RSS to every other route
+    from scipy.sparse.linalg import LinearOperator, lobpcg
+
     space = op.space
-    if sigma is None:
-        sigma = _operator_norm_bound(op) + 1.0
-    block = min(k + 4, space.dim)
-    q, _ = np.linalg.qr(space.random_vectors(rng, block))
-    last = None
-    for it in range(max_iter):
-        hq = op.apply(q)
-        y = sigma * q - hq
-        q, _ = np.linalg.qr(y)
-        if it % 5 == 4 or it == max_iter - 1:
-            hq = op.apply(q)
-            t = q.conj().T @ hq
-            t = 0.5 * (t + t.conj().T)
-            vals, rots = np.linalg.eigh(t)
-            q = q @ rots
-            hq = hq @ rots
-            resid = np.linalg.norm(hq - q * vals[None, :], axis=0)
-            if np.all(resid[:k] < tol * sigma):
-                return EigenBasis(
-                    vectors=q[:, :k],
-                    values=vals[:k],
-                    residuals=resid[:k],
-                    method="iterative",
-                    meta={"iterations": it + 1, "sigma": sigma},
-                )
-            last = (vals[:k], resid[:k])
-    raise RuntimeError(
-        f"subspace iteration did not converge in {max_iter} iterations; "
-        f"last values {last[0] if last else None}, residuals {last[1] if last else None}"
-    )
+    # below 5k rows LOBPCG densifies the operator as A(eye(dim)), dim x dim
+    refuse_above(5 * k, space.dim, "LOBPCG rows needed (5 per eigenpair)")
+    sigma = 1.0 + float(sum(abs(t.coeff) for t in op.terms))
+    a = LinearOperator((space.dim, space.dim), matvec=op.apply, matmat=op.apply,
+                       dtype=np.complex128)
+    with warnings.catch_warnings():
+        # LOBPCG warns when it stops short; the residual check below decides
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs, history = lobpcg(a, space.random_vectors(rng, k), tol=tol * sigma,
+                                     largest=False, maxiter=max_iter,
+                                     retResidualNormsHistory=True)
+    resid = np.linalg.norm(op.apply(vecs) - vecs * vals[None, :], axis=0)
+    if not np.all(resid < tol * sigma):
+        raise RuntimeError(f"LOBPCG did not converge in {max_iter} iterations; "
+                           f"last values {vals}, residuals {resid}")
+    return EigenBasis(vecs, vals, resid, "iterative",
+                       meta={"iterations": len(history), "sigma": sigma})
 
 
 def spectrum_lowest(

@@ -31,6 +31,7 @@ from .lattice import (
     RibbonError,
     Site,
     Triangle,
+    boundary_ribbon,
     concat_ribbons,
     crossing_pair,
     direct_ribbon,
@@ -265,9 +266,10 @@ class _Ctx:
             raise _Skip("no boundary on a torus")
 
     def need_boundary_ribbon(self):
-        self.need_boundary()
-        if min(self.region.m, self.region.n) < 3:
-            raise _Skip("the boundary loop needs at least a 3x3 region")
+        try:
+            boundary_ribbon(self.region)
+        except RibbonError as err:
+            raise _Skip(str(err))
 
     def need_interior_vertex(self):
         if not self.region.interior_vertices():

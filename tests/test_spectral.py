@@ -3,7 +3,7 @@ import pytest
 
 from qdouble.groups import make_group
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
-from qdouble.operators import QuantumDouble
+from qdouble.operators import DENSE_EIG_LIMIT, DimensionCapError, QuantumDouble
 from qdouble.spectral import (
     ground_dimension_count,
     ground_space,
@@ -113,12 +113,27 @@ def test_subspace_iteration_refuses_unconverged(rng):
         subspace_iteration(model.hamiltonian(), 6, rng, tol=1e-12, max_iter=3)
 
 
-def test_iterative_ground_space(rng):
-    group = make_group([2])
-    model = QuantumDouble(group, Region.torus(2, 2))
-    basis = ground_space(model, method="iterative", rng=rng)
-    assert basis.dim == 4
-    assert np.all(basis.values < 1e-9)
+def test_subspace_iteration_refuses_a_block_too_large_for_lobpcg(monkeypatch):
+    # with 5k > dim LOBPCG would densify the operator through np.eye(dim)
+    model = QuantumDouble(make_group([2]), Region.torus(2, 2))
+
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye called")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    with pytest.raises(DimensionCapError):
+        subspace_iteration(model.hamiltonian(), 60, np.random.default_rng(7))
+
+
+def test_spectrum_lowest_iterative_agrees_with_the_counts():
+    # 2^17 dimensions, above DENSE_EIG_LIMIT: the LOBPCG branch
+    model = QuantumDouble(make_group([2]), Region.free(3, 4))
+    assert model.space.dim > DENSE_EIG_LIMIT
+    spec = spectrum_lowest(model, 4, boundary="eps_mu")
+    assert spec.method == "iterative"
+    assert np.all(np.abs(spec.values) < 1e-8)
+    assert np.all(spec.residuals < 1e-9 * spec.meta["sigma"])
+    assert spectrum_counts(model, "eps_mu")[0] >= 4
 
 
 def test_rayleigh_quotient(rng):
