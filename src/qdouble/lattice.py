@@ -704,17 +704,17 @@ def boundary_ribbon(region: Region) -> Ribbon:
     return rib
 
 
-def crossing_pair(region: Region, center=None) -> tuple[Ribbon, Ribbon]:
-    """Two transversally crossing ribbons around an interior vertex.
+def crossing_pair(region: Region) -> tuple[Ribbon, Ribbon]:
+    """Two transversally crossing ribbons around the central vertex
+    ((m - 1) // 2, (n - 1) // 2), moved to 1 on either axis where that is 0.
 
-    The first runs downward through `center` carrying its face on the west
-    side; the second runs rightward just below `center` carrying its face
+    The first runs downward through the center carrying its face on the west
+    side; the second runs rightward just below the center carrying its face
     on the south side.  Each one's dual triangle crosses an edge on the
     other's direct path, which is what produces the commutation phase.
     """
     m, n = region.m, region.n
-    if center is None:
-        center = (max(1, (m - 1) // 2), max(1, (n - 1) // 2))
+    center = (max(1, (m - 1) // 2), max(1, (n - 1) // 2))
     cx, cy = center
     if not region.is_torus and not (1 <= cx <= m - 2 and 1 <= cy <= n - 2):
         raise RibbonError(f"crossing pair needs an interior center, got {center}")
@@ -732,20 +732,15 @@ def crossing_pair(region: Region, center=None) -> tuple[Ribbon, Ribbon]:
     return rho.finish(), sigma.finish()
 
 
-def direct_ribbon(region: Region, edge, prefer_face=None) -> Ribbon:
+def direct_ribbon(region: Region, edge) -> Ribbon:
     """The single direct triangle traversing `edge` along its orientation.
 
-    The carried face defaults to the adjacent face lying in the region
-    (the CCW +1 face when both qualify).
+    It carries the adjacent face lying in the region (the CCW +1 face when
+    both qualify).
     """
     edge = region.wrap_edge(edge)
     plus, minus = region.faces_of_edge(edge)
-    if prefer_face is not None:
-        face = region.wrap_face(prefer_face)
-        if face not in (plus, minus):
-            raise RibbonError(f"face {face} is not adjacent to edge {edge}")
-    else:
-        face = plus if region.face_in_region(plus) else minus
+    face = plus if region.face_in_region(plus) else minus
     tail, head = region.edge_endpoints(edge)
     eid = region.edge_id(edge)
     return Ribbon(
@@ -754,19 +749,16 @@ def direct_ribbon(region: Region, edge, prefer_face=None) -> Ribbon:
     )
 
 
-def dual_ribbon(region: Region, edge, prefer_vertex=None) -> Ribbon:
+def dual_ribbon(region: Region, edge) -> Ribbon:
     """The single dual triangle crossing `edge` out of its CCW +1 face,
-    pivoting around the edge's tail vertex unless told otherwise."""
+    pivoting around the edge's tail vertex."""
     edge = region.wrap_edge(edge)
     plus, minus = region.faces_of_edge(edge)
-    tail, head = region.edge_endpoints(edge)
-    v = tail if prefer_vertex is None else region.wrap_vertex(tuple(prefer_vertex))
-    if v not in (tail, head):
-        raise RibbonError(f"vertex {v} is not an endpoint of edge {edge}")
+    tail, _ = region.edge_endpoints(edge)
     eid = region.edge_id(edge)
     return Ribbon(
         region,
-        (Triangle("dual", eid, +1, Site(v, plus), Site(v, minus)),),
+        (Triangle("dual", eid, +1, Site(tail, plus), Site(tail, minus)),),
     )
 
 

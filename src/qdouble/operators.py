@@ -18,6 +18,7 @@ dimension |G|^edges is capped (override deliberately for big instances).
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import lcm
@@ -60,6 +61,8 @@ PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
 FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
 PROJECTOR_BASIS_BYTES = 4_000_000_000  # seed block of the projector ground basis
+# measured, not set: no dense vector may outgrow the machine's physical memory
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class DimensionCapError(RuntimeError):
@@ -226,21 +229,22 @@ class HilbertSpace:
 
     def require_dense(self, what: str = "dense computation"):
         refuse_above(self.dim, self.cap, f"{what} dimension")
+        refuse_above(16 * self.dim, PHYSICAL_MEMORY_BYTES, f"{what} bytes per complex vector")
 
     # ---- configuration indexing ----
 
+    @property
+    def radix(self) -> np.ndarray:
+        """q**e for every edge e: a configuration's dense index is its digits
+        dotted with these."""
+        self.require_dense("configuration index")
+        return self.q ** np.arange(self.num_edges, dtype=np.int64)
+
     def basis_index(self, digits) -> int:
-        idx = 0
-        for e in range(self.num_edges - 1, -1, -1):
-            idx = idx * self.q + int(digits[e])
-        return idx
+        return int(np.asarray(digits, dtype=np.int64) @ self.radix)
 
     def config_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.num_edges):
-            out.append(index % self.q)
-            index //= self.q
-        return tuple(out)
+        return tuple(((index // self.radix) % self.q).tolist())
 
     def digit_array(self, edge: int) -> np.ndarray:
         """Digit of every basis index at one edge (uint8, built on demand)."""

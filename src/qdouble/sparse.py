@@ -52,11 +52,11 @@ class SparseState:
     def _merge(self):
         if self.digits.shape[0] == 0:
             return
-        rows, inverse = np.unique(self.digits, axis=0, return_inverse=True)
-        amps = np.zeros(rows.shape[0], dtype=np.complex128)
-        np.add.at(amps, inverse.ravel(), self.amps)
+        _, first, inverse = np.unique(row_keys(self.digits), return_index=True, return_inverse=True)
+        amps = np.zeros(first.shape[0], dtype=np.complex128)
+        np.add.at(amps, inverse, self.amps)
         keep = np.abs(amps) > PRUNE_TOL * max(1.0, np.abs(amps).max(initial=0.0))
-        self.digits = rows[keep]
+        self.digits = self.digits[first[keep]]
         self.amps = amps[keep]
 
     # ---- linear structure ----
@@ -89,13 +89,10 @@ class SparseState:
 
     def dot(self, other: "SparseState") -> complex:
         """<self|other> by matching configurations."""
-        lookup = {row.tobytes(): i for i, row in enumerate(self.digits)}
-        acc = 0.0 + 0.0j
-        for j, row in enumerate(other.digits):
-            i = lookup.get(row.tobytes())
-            if i is not None:
-                acc += np.conj(self.amps[i]) * other.amps[j]
-        return complex(acc)
+        _, i, j = np.intersect1d(
+            row_keys(self.digits), row_keys(other.digits), assume_unique=True, return_indices=True
+        )
+        return complex(np.vdot(self.amps[i], other.amps[j]))
 
     # ---- operator application ----
 
@@ -144,19 +141,22 @@ class SparseState:
     def to_dense(self, space) -> np.ndarray:
         space.require_dense("sparse state densification")
         v = np.zeros(space.dim, dtype=np.complex128)
-        np.add.at(v, self.digits.astype(np.int64) @ _radix_weights(space), self.amps)
+        v[self.digits @ space.radix] = self.amps  # rows are distinct
         return v
 
     @classmethod
-    def from_dense(cls, space, psi: np.ndarray, tol: float = 1e-14) -> "SparseState":
-        idx = np.nonzero(np.abs(psi) > tol)[0]
-        digits = (idx[:, None] // _radix_weights(space)) % space.q
+    def from_dense(cls, space, psi: np.ndarray) -> "SparseState":
+        idx = np.nonzero(np.abs(psi) > PRUNE_TOL)[0]
+        digits = (idx[:, None] // space.radix) % space.q
         return cls(space.group, space.num_edges, digits, psi[idx])
 
 
-def _radix_weights(space) -> np.ndarray:
-    """q**e for every edge e: the dense index is the digits dotted with these."""
-    return space.q ** np.arange(space.num_edges, dtype=np.int64)
+def row_keys(digits: np.ndarray) -> np.ndarray:
+    """One fixed-width void scalar per uint8 digit row.  The keys compare as
+    the rows' bytes do, edge 0 first, so they sort as np.unique(axis=0)
+    orders the rows at every width."""
+    digits = np.ascontiguousarray(digits, dtype=np.uint8)
+    return digits.view(np.dtype((np.void, digits.shape[1]))).reshape(-1)
 
 
 def sparse_apply(op: Operator, state: SparseState) -> SparseState:

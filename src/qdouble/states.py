@@ -35,7 +35,7 @@ from .operators import (
     is_real,
     refuse_above,
 )
-from .sparse import SparseState, sparse_apply
+from .sparse import SparseState, row_keys, sparse_apply
 
 __all__ = [
     "StateFunctional",
@@ -142,10 +142,9 @@ def _orbit_states(model: QuantumDouble, reps: np.ndarray) -> list[SparseState]:
     per potential on the gauge vertices, sorted as a merge sorts them."""
     offsets = _gradients(model, _gauge_vertices(model.region))
     n, n_edges = offsets.shape
-    rows = model.group.mul_table()[reps[:, None, :], offsets[None]].reshape(-1, n_edges)
-    # lexsort's last key is primary: the part, then the digits from edge 0 on
-    order = np.lexsort((*rows.T[::-1], np.repeat(np.arange(len(reps)), n)))
-    rows = rows[order].reshape(len(reps), n, n_edges)
+    rows = model.group.mul_table()[reps[:, None, :], offsets[None]]
+    order = np.argsort(row_keys(rows.reshape(-1, n_edges)).reshape(len(reps), n), axis=1)
+    rows = np.take_along_axis(rows, order[:, :, None], axis=1)
     amps = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
     amps.flags.writeable = False  # shared by every part
     return [SparseState(model.group, n_edges, r, amps, merged=True) for r in rows]
@@ -374,23 +373,17 @@ def probe_family(model: QuantumDouble, site: Site, far_vertex) -> list:
 
 
 def eventual_constancy_check(
-    group,
-    region_small: Region,
-    region_large: Region,
-    site_coords,
-    chi,
-    c,
-    far_vertex=None,
+    group, region_small: Region, region_large: Region, site_coords, chi, c
 ) -> float:
     """Max deviation of a fixed probe family between the same excitation
-    built in a small free region and in a larger one containing it."""
+    built in a small free region and in a larger one containing it; the far
+    probes sit at the small region's last interior vertex."""
     if region_small.is_torus or region_large.is_torus:
         raise ValueError("embedding mismatch: constancy check needs free regions")
     if region_small.m > region_large.m or region_small.n > region_large.n:
         raise ValueError("embedding mismatch: small region does not fit in large")
     (vx, vy) = site_coords
-    if far_vertex is None:
-        far_vertex = (region_small.m - 2, region_small.n - 2)
+    far_vertex = (region_small.m - 2, region_small.n - 2)
     worst = 0.0
     values = {}
     routes = []
@@ -415,17 +408,16 @@ def eventual_constancy_check(
     return worst
 
 
-def indistinguishability_check(model: QuantumDouble, inner_vertex=None) -> float:
+def indistinguishability_check(model: QuantumDouble) -> float:
     """Max deviation between the vector seed and the uniform ground mixture
-    on observables supported on interior-interior edges only."""
+    on observables supported on interior-interior edges only: the star at
+    vertex (1, 1) and the plaquette, loops and edges of face (1, 1)."""
     region, group = model.region, model.group
     q = group.size
-    if inner_vertex is None:
-        inner_vertex = (1, 1)
     vec = frustration_free_state(model, "vector-seed")
     mixd = frustration_free_state(model, "uniform-mixture")
-    face = inner_vertex
-    probes = [("star", model.star(inner_vertex)), ("plaquette", model.plaquette(face))]
+    face = (1, 1)
+    probes = [("star", model.star((1, 1))), ("plaquette", model.plaquette(face))]
     for s in range(1, q):
         probes.append((f"loop-{s}", model.ribbon_char(face_direct_loop(region, face), s, 0)))
     for e, sgn in region.face_boundary(face):

@@ -1,6 +1,8 @@
 """End-to-end tests for the qdouble command line interface."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,28 @@ def test_dimension_cap_exits_three(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "Z2", "--region", "lambda:2")
     assert code == EXIT_CAP
     assert "2^40" in err
+
+
+def test_unsafe_cap_refuses_a_vector_larger_than_memory(capsys):
+    # 2^40 dimensions pass the --unsafe-cap dimension cap, but one complex
+    # vector would take 16 TiB: refused before anything is allocated
+    import scipy.sparse.linalg  # noqa: F401  (imported by the solver; not timed)
+
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, _, err = run_cli(capsys, "spectrum", "--group", "Z2", "--region", "free:5x5",
+                               "--unsafe-cap", "-k", "2")
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CAP
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error:") and "bytes per complex vector" in line
+    assert peak < 16 << 20
+    assert elapsed < 1.0
 
 
 def test_bad_group_exits_two(capsys):

@@ -4,7 +4,7 @@ import pytest
 from qdouble.groups import make_group
 from qdouble.lattice import Region, ribbon_between
 from qdouble.operators import ProductOp, QuantumDouble, ScaledOp, SumOp, Term, TermOp
-from qdouble.sparse import SparseState, sparse_apply
+from qdouble.sparse import PRUNE_TOL, SparseState, sparse_apply
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +137,97 @@ def test_dense_conversions_match_the_digit_loop(rng):
         assert np.array_equal(np.sort(back.digits, axis=0), np.sort(loop, axis=0))
         assert np.array_equal(back.to_dense(space), dense)
     assert SparseState.from_dense(space, np.zeros(space.dim)).n_configs == 0
+
+
+# ---------------------------------------------------------------------------
+# row keys: merge and dot against the structured-row and dict routes
+
+# (group, edges): 12 edges, Z3 at 40 edges (3^40 > 2^63 configurations) and
+# Z2 free:6x6 (60 edges)
+KEY_WIDTHS = [([4], 12), ([3], 40), ([2], 60)]
+
+
+def merge_oracle(digits, amps):
+    """The structured-row merge: np.unique(axis=0), np.add.at, then the prune."""
+    rows, inverse = np.unique(digits, axis=0, return_inverse=True)
+    out = np.zeros(rows.shape[0], dtype=np.complex128)
+    np.add.at(out, inverse.ravel(), amps)
+    keep = np.abs(out) > PRUNE_TOL * max(1.0, np.abs(out).max(initial=0.0))
+    return rows[keep], out[keep]
+
+
+def dot_oracle(s, t):
+    """<s|t> through a dict from row bytes to amplitude."""
+    lookup = {row.tobytes(): a for row, a in zip(s.digits, s.amps)}
+    acc = 0j
+    for row, b in zip(t.digits, t.amps):
+        if row.tobytes() in lookup:
+            acc += np.conj(lookup[row.tobytes()]) * b
+    return acc
+
+
+def random_rows(pool, rng, n=300):
+    """Seeded rows drawn with repeats from the first half of `pool`, plus the
+    rows of its second half twice each with opposite amplitudes, which cancel
+    exactly."""
+    half = len(pool) // 2
+    picks = rng.integers(0, half, size=n)
+    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    gone = rng.standard_normal(len(pool) - half) + 0.5j
+    digits = np.concatenate([pool[picks], pool[half:], pool[half:]])
+    amps = np.concatenate([amps, gone, -gone])
+    order = rng.permutation(len(amps))
+    return digits[order], amps[order]
+
+
+def random_pool(q, n_edges, rng, m=120):
+    return rng.integers(0, q, size=(m, n_edges), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("orders,n_edges", KEY_WIDTHS)
+def test_merge_matches_the_structured_row_merge(orders, n_edges):
+    group = make_group(orders)
+    rng = np.random.default_rng(n_edges)
+    digits, amps = random_rows(random_pool(group.size, n_edges, rng), rng)
+    s = SparseState(group, n_edges, digits, amps)
+    rows, want = merge_oracle(digits, amps)
+    assert 0 < s.n_configs <= 60  # repeats summed, cancelled rows pruned
+    assert np.array_equal(s.digits, rows)  # same rows, same order
+    assert np.allclose(s.amps, want, rtol=0, atol=1e-15)
+    # a state whose rows all cancel
+    both, signed = np.concatenate([digits, digits]), np.concatenate([amps, -amps])
+    assert SparseState(group, n_edges, both, signed).n_configs == 0
+    assert merge_oracle(both, signed)[0].shape[0] == 0
+
+
+@pytest.mark.parametrize("orders,n_edges", KEY_WIDTHS)
+def test_dot_matches_the_dict_lookup(orders, n_edges):
+    group = make_group(orders)
+    rng = np.random.default_rng(100 + n_edges)
+    pool = random_pool(group.size, n_edges, rng)
+    s = SparseState(group, n_edges, *random_rows(pool[:80], rng))
+    t = SparseState(group, n_edges, *random_rows(pool[20:], rng))
+    disjoint = SparseState(group, n_edges, *random_rows(pool[80:], rng))
+    empty = SparseState(group, n_edges, np.zeros((0, n_edges)), [])
+    rows = {name: set(map(bytes, x.digits)) for name, x in [("s", s), ("t", t), ("d", disjoint)]}
+    assert 0 < len(rows["s"] & rows["t"]) < s.n_configs and not rows["s"] & rows["d"]
+    for a, b in [(s, t), (t, s), (s, s), (s, disjoint), (s, empty), (empty, s), (empty, empty)]:
+        assert abs(a.dot(b) - dot_oracle(a, b)) < 1e-12
+    assert s.dot(disjoint) == 0 and s.dot(empty) == 0
+    assert s.dot(s) == pytest.approx(s.norm() ** 2)
+
+
+def test_basis_indexing_matches_the_digit_loop():
+    # the mixed-radix index sum_e digit_e q^e, read edge by edge
+    group = make_group([2, 3])
+    space = QuantumDouble(group, Region.free(2, 3)).space
+    for idx in (0, 1, 17, 4321, space.dim - 1):
+        digits, rest = [], idx
+        for _ in range(space.num_edges):
+            digits.append(rest % space.q)
+            rest //= space.q
+        assert space.config_of(idx) == tuple(digits)
+        loop = 0
+        for d in reversed(digits):
+            loop = loop * space.q + d
+        assert space.basis_index(digits) == loop == idx
