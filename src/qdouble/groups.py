@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -241,6 +241,10 @@ class Group:
     def inv_table(self) -> np.ndarray:
         return _inv_table(self.orders)
 
+    def pow_table(self) -> np.ndarray:
+        """lcm(orders) x |G| uint8 table: row k holds g^k on packed indices."""
+        return _pow_table(self.orders)
+
     def char_values(self, chi: Character) -> np.ndarray:
         """Complex character values on all packed element indices."""
         return _char_values(self.orders, chi.digits)
@@ -266,6 +270,16 @@ def _mul_table(orders: tuple[int, ...]) -> np.ndarray:
 def _inv_table(orders: tuple[int, ...]) -> np.ndarray:
     g = Group(orders)
     table = np.array([g.element_from_index(i).inverse().index for i in range(g.size)], dtype=np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _pow_table(orders: tuple[int, ...]) -> np.ndarray:
+    mul = _mul_table(orders)
+    table = np.zeros((lcm(*orders), len(mul)), dtype=np.uint8)
+    for k in range(1, len(table)):
+        table[k] = mul[table[k - 1], np.arange(len(mul))]
     table.setflags(write=False)
     return table
 

@@ -97,24 +97,15 @@ def _canon_form(group: Group, items) -> tuple:
     return tuple((e, c) for e, c in sorted(acc.items()) if c != 0)
 
 
-def _elem_pow(group: Group, g_idx: int, k: int) -> int:
-    el = group.element_from_index(g_idx)
-    dig = tuple((d * k) % n for d, n in zip(el.digits, group.orders))
-    return group.element(dig).index
-
-
 def holonomy_values(group: Group, column, n: int, form: tuple) -> np.ndarray:
     """Packed group value of a holonomy form on n configurations, where
     `column(edge)` gives the (n,) uint8 digits of one edge."""
-    mul = group.mul_table()
+    mul, power = group.mul_table(), group.pow_table()
     acc = np.zeros(n, dtype=np.uint8)
     for edge, c in form:
         d = column(edge)
         if c != 1:
-            pow_lut = np.array(
-                [_elem_pow(group, g, c) for g in range(group.size)], dtype=np.uint8
-            )
-            d = pow_lut[d]
+            d = power[c % len(power)][d]
         acc = mul[acc, d]
     return acc
 
@@ -123,10 +114,10 @@ def _form_on_shift(group: Group, form: tuple, shift: tuple) -> int:
     """Evaluate a holonomy form on a constant shift pattern; a group index."""
     tmap = dict(shift)
     acc = 0
-    mul = group.mul_table()
+    mul, power = group.mul_table(), group.pow_table()
     for edge, c in form:
         if edge in tmap:
-            acc = int(mul[acc, _elem_pow(group, tmap[edge], c)])
+            acc = int(mul[acc, power[c % len(power), tmap[edge]]])
     return acc
 
 

@@ -8,6 +8,11 @@ ribbon-excited vector keep a support of a few thousand rows even when the
 ambient dimension is astronomically large.  Every operator of the term
 engine can be applied exactly in this representation; amplitudes only pick
 up unit-modulus character values and the term coefficients.
+
+A stack holds many states in one: each row carries its part's index as
+trailing label bytes after the last edge.  Terms never address those
+columns, so one application to a stack acts on every part at once, and the
+merge, keyed on whole rows, only combines rows of the same part.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .operators import (
     holonomy_values,
 )
 
-__all__ = ["SparseState", "sparse_apply"]
+__all__ = ["SparseState", "sparse_apply", "stack", "stack_labels"]
 
 PRUNE_TOL = 1e-14
 
@@ -157,6 +162,38 @@ def row_keys(digits: np.ndarray) -> np.ndarray:
     orders the rows at every width."""
     digits = np.ascontiguousarray(digits, dtype=np.uint8)
     return digits.view(np.dtype((np.void, digits.shape[1]))).reshape(-1)
+
+
+def stack(states, n_parts: int | None = None) -> SparseState:
+    """One state over num_edges + w columns holding the rows of every part:
+    row by row, the part's index follows the edges as w big-endian label
+    bytes, w the fewest that hold every label below n_parts (by default the
+    number of states).
+
+    sparse_apply on a stack gives the stack of the per-part results, rows in
+    the same order within each part.  The stack's merge prunes below
+    PRUNE_TOL times the largest amplitude of all parts, a per-part merge
+    below PRUNE_TOL times that part's largest, both at least PRUNE_TOL: the
+    two agree exactly whenever every amplitude is at most 1 in modulus, as
+    in any normalized state and its image under a contraction.
+    """
+    states = list(states)
+    w = max(1, -(-((n_parts or len(states)) - 1).bit_length() // 8))
+    labels = np.repeat(np.arange(len(states)), [s.n_configs for s in states])
+    digits = np.hstack([np.concatenate([s.digits for s in states]), label_bytes(labels, w)])
+    amps = np.concatenate([s.amps for s in states])
+    return SparseState(states[0].group, states[0].num_edges + w, digits, amps, merged=True)
+
+
+def label_bytes(labels: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) uint8 big-endian bytes of non-negative integer labels."""
+    return np.asarray(labels, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+
+
+def stack_labels(state: SparseState, num_edges: int) -> np.ndarray:
+    """The part label of every row of a stack over num_edges edges."""
+    tail = state.digits[:, num_edges:].astype(np.int64)
+    return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def sparse_apply(op: Operator, state: SparseState) -> SparseState:

@@ -11,9 +11,9 @@ flat sector.  Excited states attach a ribbon operator routed to the boundary.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .operators import (
     is_real,
     refuse_above,
 )
-from .sparse import SparseState, row_keys, sparse_apply
+from .sparse import SparseState, label_bytes, row_keys, sparse_apply, stack, stack_labels
 
 __all__ = [
     "StateFunctional",
@@ -79,7 +79,23 @@ class StateFunctional:
         return cls(model, pairs, info or {})
 
     def expect(self, op: Operator) -> complex:
-        return sum(w * s.expect(op) for w, s in self.parts)
+        """sum_p w_p <s_p|A s_p>; a mixture applies A once, to the stack of
+        its parts, and sums the per-part overlaps by label."""
+        if self.is_pure():
+            return self.parts[0][0] * self.parts[0][1].expect(op)
+        st, labels = self._stack
+        out = sparse_apply(op, st)
+        _, i, j = np.intersect1d(
+            row_keys(st.digits), row_keys(out.digits), assume_unique=True, return_indices=True
+        )
+        terms, n = st.amps[i].conj() * out.amps[j], len(self.parts)
+        per_part = np.bincount(labels[i], terms.real, n) + 1j * np.bincount(labels[i], terms.imag, n)
+        return complex(np.dot([w for w, _ in self.parts], per_part))
+
+    @cached_property
+    def _stack(self) -> tuple[SparseState, np.ndarray]:
+        st = stack([s for _, s in self.parts])
+        return st, stack_labels(st, self.model.region.num_edges)
 
     def expect_real(self, op: Operator, tol: float = 1e-9) -> float:
         val = self.expect(op)
@@ -314,8 +330,7 @@ def one_sided_sector_expectation(state: StateFunctional, chi, c, op: Operator) -
     lam = state.expect_real(d)
     if lam <= 1e-10:
         raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
-    num = sum(w * s.dot(sparse_apply(op @ d, s)) for w, s in state.parts)
-    return num / lam
+    return state.expect(op @ d) / lam
 
 
 # ---------------------------------------------------------------------------
@@ -450,43 +465,36 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
     coset, and the character ribbons on one out-edge per interior vertex
     separate the configurations inside each orbit.  Every strip it applies
     is real, so the matrix is float64.
+
+    Column j = sum_a z_a q^(E-1-a) applies strip z_a on each axis a (the
+    other edges, then the gauge edges).  The columns grow as one stack, axis
+    by axis: column j becomes columns j*q + s, with strip s >= 1 applied
+    once to the whole stack, (q-1)·E applications in all; one scatter then
+    writes the matrix.
     """
     region, group = model.region, model.group
     if region.is_torus:
         raise ValueError("the spanning family is built for free regions")
     model.space.require_dense("spanning matrix")
     refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
-    q = group.size
-    interior = region.interior_vertices()
-    gauge_edges = [region.edge_id(("h", v[0], v[1])) for v in interior]
-    other_edges = [region.edge_id(e) for e in region.edges() if region.edge_id(e) not in gauge_edges]
-    omega = _seed_vector(model)
-
-    shift_ops = {}
-    for eid in other_edges:
-        e = region.edge_tuple(eid)
-        for g in range(1, q):
-            shift_ops[(eid, g)] = model.ribbon_char(dual_ribbon(region, e), 0, g)
-    char_ops = {}
-    for k, eid in enumerate(gauge_edges):
-        e = region.edge_tuple(eid)
-        for s in range(1, q):
-            char_ops[(k, s)] = model.ribbon_char(direct_ribbon(region, e), s, 0)
-
-    if not all(is_real(op) for op in (*shift_ops.values(), *char_ops.values())):
+    q, dim, n_edges = group.size, model.space.dim, region.num_edges
+    gauge_edges = [region.edge_id(("h", v[0], v[1])) for v in region.interior_vertices()]
+    other_edges = [eid for eid in range(n_edges) if eid not in gauge_edges]
+    axes = [[model.ribbon_char(dual_ribbon(region, region.edge_tuple(eid)), 0, g)
+             for g in range(1, q)] for eid in other_edges]
+    axes += [[model.ribbon_char(direct_ribbon(region, region.edge_tuple(eid)), s, 0)
+              for s in range(1, q)] for eid in gauge_edges]
+    if not all(is_real(op) for strips in axes for op in strips):
         raise ValueError("the spanning family needs real strips")
-    cols = np.zeros((model.space.dim, model.space.dim))
-    j = 0
-    for zs in itertools.product(range(q), repeat=len(other_edges)):
-        base = omega
-        for eid, g in zip(other_edges, zs):
-            if g:
-                base = sparse_apply(shift_ops[(eid, g)], base)
-        for sigmas in itertools.product(range(q), repeat=len(gauge_edges)):
-            vec = base
-            for k, s in enumerate(sigmas):
-                if s:
-                    vec = sparse_apply(char_ops[(k, s)], vec)
-            cols[:, j] = vec.to_dense(model.space).real
-            j += 1
+    cols = np.zeros((dim, dim))
+    st = stack([_seed_vector(model)], dim)
+    for strips in axes:
+        # column j becomes columns j*q + s: strip s applied to the whole stack
+        pieces = [st] + [sparse_apply(op, st) for op in strips]
+        labels = np.concatenate([stack_labels(p, n_edges) * q + s for s, p in enumerate(pieces)])
+        digits = np.concatenate([p.digits for p in pieces])
+        digits[:, n_edges:] = label_bytes(labels, st.num_edges - n_edges)
+        st = SparseState(group, st.num_edges, digits, np.concatenate([p.amps for p in pieces]),
+                         merged=True)
+    cols[st.digits[:, :n_edges] @ model.space.radix, stack_labels(st, n_edges)] = st.amps.real
     return cols

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import lcm
 
 from qdouble.groups import (
     Group,
@@ -141,6 +142,18 @@ def test_mul_and_inv_tables_agree_with_group_law():
         assert inv[a.index] == a.inverse().index
         for b in g.elements():
             assert mul[a.index, b.index] == (a * b).index
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [8], [2, 4]])
+def test_pow_table_matches_the_element_loop(orders):
+    g = make_group(orders)
+    table = g.pow_table()
+    assert table.shape == (lcm(*orders), g.size) and table.dtype == np.uint8
+    assert g.pow_table() is table  # cached
+    for k in range(lcm(*orders)):
+        for a in g.elements():
+            power = g.element(tuple((d * k) % n for d, n in zip(a.digits, orders)))
+            assert table[k, a.index] == power.index
 
 
 def test_char_values_table():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from qdouble.groups import make_group
+import qdouble.states as states_mod
 from qdouble.lattice import Region, ribbon_between
 from qdouble.operators import ProductOp, QuantumDouble, ScaledOp, SumOp, Term, TermOp
-from qdouble.sparse import PRUNE_TOL, SparseState, sparse_apply
+from qdouble.sparse import PRUNE_TOL, SparseState, sparse_apply, stack, stack_labels
+from qdouble.states import spanning_matrix
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +233,53 @@ def test_basis_indexing_matches_the_digit_loop():
         for d in reversed(digits):
             loop = loop * space.q + d
         assert space.basis_index(digits) == loop == idx
+
+
+def stack_parts(space, rng, n_parts=300):
+    """Normalized parts over one pool of rows, so parts share rows; parts 0
+    and 1 are equal and part 2 has part 0's rows with other amplitudes."""
+    pool = rng.integers(0, space.q, size=(40, space.num_edges), dtype=np.uint8)
+    parts = []
+    for _ in range(n_parts):
+        k = int(rng.integers(1, 12))
+        amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        parts.append(SparseState(space.group, space.num_edges, pool[rng.choice(40, k)], amps))
+    parts[1] = SparseState(space.group, space.num_edges, parts[0].digits, parts[0].amps)
+    parts[2] = SparseState(space.group, space.num_edges, parts[0].digits, rng.permutation(parts[0].amps))
+    return [p.normalized() for p in parts]
+
+
+@pytest.mark.parametrize("orders", [[2], [3]], ids=["Z2", "Z3"])
+def test_stack_applies_to_every_part_at_once(orders):
+    # 300 parts: labels take two bytes
+    group = make_group(orders)
+    model = QuantumDouble(group, Region.free(3, 3))
+    space, n_edges = model.space, model.space.num_edges
+    parts = stack_parts(space, np.random.default_rng(9))
+    st = stack(parts)
+    assert st.num_edges == n_edges + 2
+    assert np.array_equal(stack_labels(st, n_edges), np.repeat(np.arange(300), [p.n_configs for p in parts]))
+    shift = model.star_shift((1, 1), 1)
+    # (I - X)(I + X) = I - X^2 cancels every row exactly on Z2
+    cancel = ProductOp(space, [SumOp(space, [model.identity(), ScaledOp(space, -1.0, shift)]),
+                               SumOp(space, [model.identity(), shift])])
+    ops = [SumOp(space, [model.star((1, 1)), model.plaquette((1, 1))]), cancel,
+           model.ribbon_char(ribbon_between(model.region, model.region.site((1, 1), (1, 1)),
+                                            model.region.site((1, 2), (1, 2))), 1, 1)]
+    for op in ops:
+        out = sparse_apply(op, st)
+        labels = stack_labels(out, n_edges)
+        for p, part in enumerate(parts):
+            alone, mine = sparse_apply(op, part), labels == p
+            assert np.array_equal(out.digits[mine, :n_edges], alone.digits)
+            assert np.array_equal(out.amps[mine], alone.amps)
+    assert group.size != 2 or sparse_apply(cancel, st).n_configs == 0
+
+
+def test_spanning_matrix_applies_each_strip_once(monkeypatch):
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    calls = []
+    monkeypatch.setattr(states_mod, "sparse_apply",
+                        lambda op, st: calls.append(op) or sparse_apply(op, st))
+    spanning_matrix(model)
+    assert 0 < len(calls) <= (2 - 1) * model.region.num_edges

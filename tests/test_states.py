@@ -417,6 +417,28 @@ def test_vector_seed_vs_mixture_inner_block():
     assert indistinguishability_check(model) < 1e-10
 
 
+@pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 4)), (Z3, Region.free(3, 3))],
+                         ids=["Z2-free:3x4", "Z3-free:3x3"])
+def test_mixture_expect_matches_the_per_part_sum(monkeypatch, group, region):
+    # Z2 free:3x4 has 512 parts, so the stack's labels take two bytes; a mix
+    # of the seed, an excitation and the mixture has parts of every support
+    model = QuantumDouble(group, region)
+    site = region.site((1, 1), (1, 1))
+    state = mix([(frustration_free_state(model, "uniform-mixture"), 0.5),
+                 (frustration_free_state(model, "vector-seed"), 0.25),
+                 (single_excitation_state(model, site, 1, 1), 0.25)])
+    loop = ribbon_between(region, site, region.site((1, 2), (1, 2)))
+    ops = [model.star((1, 1)), model.plaquette((1, 1)), model.ribbon_char(loop, 1, 1),
+           model.star_shift((1, 1), 1), model.hamiltonian()]
+    calls = []
+    monkeypatch.setattr(states_mod, "sparse_apply",
+                        lambda op, st: calls.append(op) or sparse_apply(op, st))
+    for op in ops:
+        want = sum(w * s.expect(op) for w, s in state.parts)
+        assert abs(state.expect(op) - want) < 1e-13
+    assert len(calls) == len(ops)  # one application per operator
+
+
 def test_spanning_matrix_no_interior():
     model = QuantumDouble(Z2, Region.free(2, 3))
     cols = spanning_matrix(model)
@@ -425,19 +447,44 @@ def test_spanning_matrix_no_interior():
     assert int(np.sum(s > 1e-8 * s[0])) == 128
 
 
-@pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 3)), (Z3, Region.free(2, 3))],
-                         ids=["Z2-free:3x3", "Z3-free:2x3"])
+def spanning_oracle(model):
+    """The per-column loop: for every column, the strips of its index digits
+    applied one by one to the seed vector, then densified (complex)."""
+    region, q = model.region, model.group.size
+    gauge = [region.edge_id(("h", v[0], v[1])) for v in region.interior_vertices()]
+    other = [e for e in range(region.num_edges) if e not in gauge]
+    omega = states_mod._seed_vector(model)
+    cols = []
+    for zs in itertools.product(range(q), repeat=len(other)):
+        base = omega
+        for eid, g in zip(other, zs):
+            if g:
+                strip = model.ribbon_char(dual_ribbon(region, region.edge_tuple(eid)), 0, g)
+                base = sparse_apply(strip, base)
+        for sigmas in itertools.product(range(q), repeat=len(gauge)):
+            vec = base
+            for eid, s in zip(gauge, sigmas):
+                if s:
+                    strip = model.ribbon_char(direct_ribbon(region, region.edge_tuple(eid)), s, 0)
+                    vec = sparse_apply(strip, vec)
+            cols.append(vec.to_dense(model.space))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize(
+    "group, region",
+    [(Z2, Region.free(3, 3)), (Z3, Region.free(2, 3)), (Z2, Region.free(2, 3))],
+    ids=["Z2-free:3x3", "Z3-free:2x3", "Z2-free:2x3"],
+)
 def test_spanning_matrix_stays_real(monkeypatch, group, region):
-    # each float64 column equals, imaginary part included, the complex
-    # vector the strips produce
+    # the stacked build equals, byte for byte, the per-column loop, whose
+    # complex columns have imaginary part exactly 0
     model = QuantumDouble(group, region)
-    dense, to_dense = [], SparseState.to_dense
-    monkeypatch.setattr(SparseState, "to_dense",
-                        lambda self, space: dense.append(to_dense(self, space)) or dense[-1])
     cols = spanning_matrix(model)
+    oracle = spanning_oracle(model)
     assert cols.dtype == np.float64
-    assert len(dense) == cols.shape[1]
-    assert np.array_equal(cols, np.stack(dense, axis=1))
+    assert np.all(oracle.imag == 0)
+    assert np.array_equal(cols, oracle.real)
     monkeypatch.setattr(states_mod, "is_real", lambda op: False)
     with pytest.raises(ValueError, match="real strips"):
         spanning_matrix(model)
