@@ -34,7 +34,7 @@ print(f"  min eigenvalue {vals[0]:.2e} (PSD)")
 print(f"  kernel dimension {kernel.shape[1]} of {model.space.dim}")
 
 print("\nsector decomposition of the kernel (dense trace, counted labels):")
-dims = sector_dimensions(model, kernel, validate=True)
+dims = sector_dimensions(model, kernel)
 counts = sector_counts(group, region, "eps_mu")
 for (chi, c), d in sorted(dims.items()):
     print(f"  sector (chi={chi}, c={c}): dimension {d} dense, {counts.get((0, chi, c), 0)} counted")

@@ -250,7 +250,7 @@ class Group:
         return _char_values(self.orders, chi.digits)
 
     def __str__(self) -> str:
-        return "x".join(f"Z{n}" for n in self.orders)
+        return self.spec
 
 
 @lru_cache(maxsize=None)

@@ -783,22 +783,20 @@ class QuantumDouble:
 
     def boundary_charge_eps(self) -> TermOp:
         """(1/|G|) sum_c (I - F^{iota,c}) along the closed boundary ribbon."""
-        rib = boundary_ribbon(self.region)
-        q = self.group.size
-        terms = []
-        for c in range(q):
-            terms.append(Term(1.0 / q))
-            terms.extend(self.ribbon_char(rib, 0, c).scaled(-1.0 / q).terms)
-        return TermOp(self.space, terms).simplify()
+        return self._boundary_charge(lambda c: (0, c))
 
     def boundary_charge_mu(self) -> TermOp:
         """(1/|G|) sum_chi (I - F^{chi,e}) along the closed boundary ribbon."""
+        return self._boundary_charge(lambda chi: (chi, 0))
+
+    def _boundary_charge(self, labels) -> TermOp:
+        """(1/|G|) sum_k (I - F^{labels(k)}) along the closed boundary ribbon."""
         rib = boundary_ribbon(self.region)
         q = self.group.size
         terms = []
-        for chi in range(q):
+        for k in range(q):
             terms.append(Term(1.0 / q))
-            terms.extend(self.ribbon_char(rib, chi, 0).scaled(-1.0 / q).terms)
+            terms.extend(self.ribbon_char(rib, *labels(k)).scaled(-1.0 / q).terms)
         return TermOp(self.space, terms).simplify()
 
     # ---- site charge measurements ----

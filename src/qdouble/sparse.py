@@ -9,10 +9,13 @@ ambient dimension is astronomically large.  Every operator of the term
 engine can be applied exactly in this representation; amplitudes only pick
 up unit-modulus character values and the term coefficients.
 
-A stack holds many states in one: each row carries its part's index as
-trailing label bytes after the last edge.  Terms never address those
-columns, so one application to a stack acts on every part at once, and the
-merge, keyed on whole rows, only combines rows of the same part.
+A stack holds a family of states in one: each row carries its part's label
+as trailing big-endian bytes after the last edge, a layout only this module
+reads or writes.  Terms never address those columns, so one application to
+a stack acts on every part at once, and the merge, keyed on whole rows, only
+combines rows of the same part.  `grow` applies each of a list of operators
+once to a whole stack; `split`, `overlaps`, `squared_norms`, `scale_parts`
+and `to_columns` read or rescale it part by part.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .operators import (
     holonomy_values,
 )
 
-__all__ = ["SparseState", "sparse_apply", "stack", "stack_labels"]
+__all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow", "split",
+           "overlaps", "squared_norms", "scale_parts", "to_columns"]
 
 PRUNE_TOL = 1e-14
 
@@ -138,9 +142,6 @@ class SparseState:
     def apply(self, op: Operator) -> "SparseState":
         return sparse_apply(op, self)
 
-    def expect(self, op: Operator) -> complex:
-        return self.dot(self.apply(op))
-
     # ---- interop ----
 
     def to_dense(self, space) -> np.ndarray:
@@ -164,11 +165,8 @@ def row_keys(digits: np.ndarray) -> np.ndarray:
     return digits.view(np.dtype((np.void, digits.shape[1]))).reshape(-1)
 
 
-def stack(states, n_parts: int | None = None) -> SparseState:
-    """One state over num_edges + w columns holding the rows of every part:
-    row by row, the part's index follows the edges as w big-endian label
-    bytes, w the fewest that hold every label below n_parts (by default the
-    number of states).
+def stack(states) -> SparseState:
+    """The stack whose part j holds the rows of states[j], in their order.
 
     sparse_apply on a stack gives the stack of the per-part results, rows in
     the same order within each part.  The stack's merge prunes below
@@ -178,22 +176,83 @@ def stack(states, n_parts: int | None = None) -> SparseState:
     in any normalized state and its image under a contraction.
     """
     states = list(states)
-    w = max(1, -(-((n_parts or len(states)) - 1).bit_length() // 8))
     labels = np.repeat(np.arange(len(states)), [s.n_configs for s in states])
-    digits = np.hstack([np.concatenate([s.digits for s in states]), label_bytes(labels, w)])
-    amps = np.concatenate([s.amps for s in states])
-    return SparseState(states[0].group, states[0].num_edges + w, digits, amps, merged=True)
+    return _labelled(states[0].group, np.concatenate([s.digits for s in states]),
+                     np.concatenate([s.amps for s in states]), labels)
 
 
-def label_bytes(labels: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) uint8 big-endian bytes of non-negative integer labels."""
-    return np.asarray(labels, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+def stack_rows(group: Group, rows: np.ndarray, amps: np.ndarray) -> SparseState:
+    """The stack whose part j holds the distinct rows[j] of an
+    (n_parts, n, num_edges) digit array, each part with the amplitudes amps."""
+    n_parts, n, n_edges = rows.shape
+    return _labelled(group, rows.reshape(-1, n_edges), np.tile(amps, n_parts),
+                     np.repeat(np.arange(n_parts), n))
+
+
+def _labelled(group: Group, digits: np.ndarray, amps: np.ndarray, labels: np.ndarray) -> SparseState:
+    """Rows of distinct (row, label) pairs, each label appended as w
+    big-endian bytes after the last edge, w the fewest that hold them all."""
+    width = max(1, -(-int(labels.max(initial=0)).bit_length() // 8))
+    tail = np.asarray(labels, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+    return SparseState(group, digits.shape[1] + width, np.hstack([digits, tail]), amps, merged=True)
 
 
 def stack_labels(state: SparseState, num_edges: int) -> np.ndarray:
     """The part label of every row of a stack over num_edges edges."""
     tail = state.digits[:, num_edges:].astype(np.int64)
     return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def grow(st: SparseState, ops, num_edges: int) -> SparseState:
+    """Part j of the stack becomes parts j*(len(ops)+1) + s: s = 0 keeps it
+    and s >= 1 is ops[s-1] applied to it, each op applied once to the whole
+    stack."""
+    pieces = [st] + [sparse_apply(op, st) for op in ops]
+    labels = [stack_labels(p, num_edges) * len(pieces) + s for s, p in enumerate(pieces)]
+    return _labelled(st.group, np.concatenate([p.digits[:, :num_edges] for p in pieces]),
+                     np.concatenate([p.amps for p in pieces]), np.concatenate(labels))
+
+
+def split(st: SparseState, num_edges: int, n_parts: int) -> list[SparseState]:
+    """The parts 0 .. n_parts-1 of a stack as states, rows in stack order."""
+    labels = stack_labels(st, num_edges)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(1, n_parts))
+    digits = np.split(st.digits[order, :num_edges], bounds)
+    amps = np.split(st.amps[order], bounds)
+    return [SparseState(st.group, num_edges, d, a, merged=True) for d, a in zip(digits, amps)]
+
+
+def overlaps(a: SparseState, b: SparseState, num_edges: int, n_parts: int) -> np.ndarray:
+    """<a_l|b_l> for every label l < n_parts of two stacks of one width."""
+    _, i, j = np.intersect1d(
+        row_keys(a.digits), row_keys(b.digits), assume_unique=True, return_indices=True
+    )
+    terms, labels = a.amps[i].conj() * b.amps[j], stack_labels(a, num_edges)[i]
+    return np.bincount(labels, terms.real, n_parts) + 1j * np.bincount(labels, terms.imag, n_parts)
+
+
+def squared_norms(st: SparseState, num_edges: int, n_parts: int) -> np.ndarray:
+    """<s_l|s_l> for every label l < n_parts of a stack."""
+    return np.bincount(stack_labels(st, num_edges), np.abs(st.amps) ** 2, n_parts)
+
+
+def scale_parts(st: SparseState, num_edges: int, factors: np.ndarray) -> SparseState:
+    """The stack with part l scaled by factors[l]."""
+    amps = st.amps * factors[stack_labels(st, num_edges)]
+    return SparseState(st.group, st.num_edges, st.digits, amps, merged=True)
+
+
+def to_columns(st: SparseState, space, n_parts: int, dtype) -> np.ndarray:
+    """The (dim, n_parts) matrix of `dtype` whose column l is part l; a real
+    dtype needs every amplitude real."""
+    space.require_dense("stack densification")
+    cols = np.zeros((space.dim, n_parts), dtype=dtype)
+    if cols.dtype.kind != "c" and np.any(st.amps.imag):
+        raise ValueError("a real matrix cannot hold complex amplitudes")
+    amps = st.amps if cols.dtype.kind == "c" else st.amps.real
+    cols[st.digits[:, :space.num_edges] @ space.radix, stack_labels(st, space.num_edges)] = amps
+    return cols
 
 
 def sparse_apply(op: Operator, state: SparseState) -> SparseState:

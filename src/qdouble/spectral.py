@@ -272,14 +272,12 @@ def spectrum_lowest(
     return subspace_iteration(h, k, rng, tol=tol)
 
 
-def sector_dimensions(
-    model: QuantumDouble, basis: np.ndarray, validate: bool = True
-) -> dict[tuple[int, int], int]:
+def sector_dimensions(model: QuantumDouble, basis: np.ndarray) -> dict[tuple[int, int], int]:
     """Dimension of each (charge, flux) sector inside span(basis).
 
-    Computes tr(K* P_{chi,c} K) for the orthonormal columns K; when
-    `validate`, additionally checks the compressed projector has eigenvalues
-    0/1 and that the sector dimensions resolve the whole span.
+    Computes tr(K* P_{chi,c} K) for the orthonormal columns K, checks that
+    each compressed projector has eigenvalues 0/1 and that the sector
+    dimensions resolve the whole span.
     """
     q = model.group.size
     out: dict[tuple[int, int], int] = {}
@@ -294,7 +292,7 @@ def sector_dimensions(
             d = int(round(tr))
             if abs(tr - d) > 1e-6:
                 raise RuntimeError(f"sector trace {tr} for {(chi, c)} is not integral")
-            if validate and d:
+            if d:
                 evs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
                 if not np.all((np.abs(evs) < 1e-7) | (np.abs(evs - 1) < 1e-7)):
                     raise RuntimeError(
@@ -302,7 +300,7 @@ def sector_dimensions(
                     )
             out[(chi, c)] = d
             total += d
-    if validate and total != basis.shape[1]:
+    if total != basis.shape[1]:
         raise RuntimeError(
             f"sector dimensions add to {total}, expected {basis.shape[1]}"
         )

@@ -1,7 +1,8 @@
 """Finite-volume states of the model and their charge decompositions.
 
-States are convex mixtures of normalized sparse vectors, so every
-expectation value is evaluated exactly on the configurations that
+States are convex mixtures of normalized sparse vectors, held as one
+stack with a weight per part, so every expectation value is one
+application of the operator, evaluated exactly on the configurations that
 actually carry amplitude.  Ground states are gauge orbits, uniform
 superpositions over the gauge transformations of one flat configuration:
 the frustration-free vector is the orbit of the identity configuration, and
@@ -35,7 +36,8 @@ from .operators import (
     is_real,
     refuse_above,
 )
-from .sparse import SparseState, label_bytes, row_keys, sparse_apply, stack, stack_labels
+from .sparse import (SparseState, grow, overlaps, row_keys, scale_parts, sparse_apply, split,
+                     squared_norms, stack, stack_rows, to_columns)
 
 __all__ = [
     "StateFunctional",
@@ -60,42 +62,29 @@ WEIGHT_TOL = 1e-10
 
 @dataclass
 class StateFunctional:
-    """A convex mixture of normalized sparse vectors on one model."""
+    """A convex mixture of normalized sparse vectors on one model, held as
+    one stack (see `sparse.stack`) with a weight per part label."""
 
     model: QuantumDouble
-    parts: tuple
+    stack: SparseState
+    weights: np.ndarray
     info: dict = field(default_factory=dict)
 
     @classmethod
     def pure(cls, model: QuantumDouble, state: SparseState, info=None) -> "StateFunctional":
-        return cls(model, ((1.0, state.normalized()),), info or {})
-
-    @classmethod
-    def mixture(cls, model: QuantumDouble, pairs, info=None) -> "StateFunctional":
-        pairs = tuple((float(w), s) for w, s in pairs if w > 0)
-        total = sum(w for w, _ in pairs)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"mixture weights add to {total}, not 1")
-        return cls(model, pairs, info or {})
+        return cls(model, stack([state.normalized()]), np.ones(1), info or {})
 
     def expect(self, op: Operator) -> complex:
-        """sum_p w_p <s_p|A s_p>; a mixture applies A once, to the stack of
-        its parts, and sums the per-part overlaps by label."""
-        if self.is_pure():
-            return self.parts[0][0] * self.parts[0][1].expect(op)
-        st, labels = self._stack
-        out = sparse_apply(op, st)
-        _, i, j = np.intersect1d(
-            row_keys(st.digits), row_keys(out.digits), assume_unique=True, return_indices=True
-        )
-        terms, n = st.amps[i].conj() * out.amps[j], len(self.parts)
-        per_part = np.bincount(labels[i], terms.real, n) + 1j * np.bincount(labels[i], terms.imag, n)
-        return complex(np.dot([w for w, _ in self.parts], per_part))
+        """sum_p w_p <s_p|A s_p>: A applied once, to the whole stack."""
+        out = sparse_apply(op, self.stack)
+        per_part = overlaps(self.stack, out, self.model.region.num_edges, len(self.weights))
+        return complex(np.dot(self.weights, per_part))
 
     @cached_property
-    def _stack(self) -> tuple[SparseState, np.ndarray]:
-        st = stack([s for _, s in self.parts])
-        return st, stack_labels(st, self.model.region.num_edges)
+    def parts(self) -> tuple:
+        """((weight, state), ...) of the parts of positive weight."""
+        states = split(self.stack, self.model.region.num_edges, len(self.weights))
+        return tuple((float(w), s) for w, s in zip(self.weights, states) if w > 0)
 
     def expect_real(self, op: Operator, tol: float = 1e-9) -> float:
         val = self.expect(op)
@@ -103,12 +92,9 @@ class StateFunctional:
             raise ValueError(f"expectation {val} has a non-negligible imaginary part")
         return val.real
 
-    def is_pure(self) -> bool:
-        return len(self.parts) == 1
-
     @property
     def vector(self) -> SparseState:
-        if not self.is_pure():
+        if len(self.weights) != 1:
             raise ValueError("mixture has no single state vector")
         return self.parts[0][1]
 
@@ -117,12 +103,14 @@ def mix(functionals_and_weights) -> StateFunctional:
     """Convex combination of StateFunctionals on the same model."""
     items = list(functionals_and_weights)
     model = items[0][0].model
-    parts = []
-    for func, w in items:
-        if func.model is not model:
-            raise ValueError("cannot mix states of different models")
-        parts.extend((w * pw, ps) for pw, ps in func.parts)
-    return StateFunctional.mixture(model, parts, {"kind": "mixture"})
+    if any(func.model is not model for func, _ in items):
+        raise ValueError("cannot mix states of different models")
+    pairs = [(w * pw, s) for func, w in items for pw, s in func.parts if w * pw > 0]
+    total = sum(w for w, _ in pairs)
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"mixture weights add to {total}, not 1")
+    return StateFunctional(model, stack([s for _, s in pairs]), np.array([w for w, _ in pairs]),
+                           {"kind": "mixture"})
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +139,26 @@ def _gradients(model: QuantumDouble, vertices) -> np.ndarray:
     return rows
 
 
-def _orbit_states(model: QuantumDouble, reps: np.ndarray) -> list[SparseState]:
-    """The normalized uniform superposition over the gauge orbit of each row
-    of `reps`: what the ground projector product makes of a flat
-    configuration.  The gauge group acts freely, so every orbit has one row
-    per potential on the gauge vertices, sorted as a merge sorts them."""
+def _orbit_rows(model: QuantumDouble, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gauge orbit of each row of `reps`, as (len(reps), n, num_edges)
+    rows and the n amplitudes of the normalized uniform superposition: what
+    the ground projector product makes of a flat configuration.  The gauge
+    group acts freely, so every orbit has one row per potential on the gauge
+    vertices, sorted as a merge sorts them."""
     offsets = _gradients(model, _gauge_vertices(model.region))
     n, n_edges = offsets.shape
     rows = model.group.mul_table()[reps[:, None, :], offsets[None]]
     order = np.argsort(row_keys(rows.reshape(-1, n_edges)).reshape(len(reps), n), axis=1)
     rows = np.take_along_axis(rows, order[:, :, None], axis=1)
-    amps = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
-    amps.flags.writeable = False  # shared by every part
-    return [SparseState(model.group, n_edges, r, amps, merged=True) for r in rows]
+    return rows, np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
 
 
 def _seed_vector(model: QuantumDouble) -> SparseState:
     """The gauge orbit of the identity configuration."""
     n_orbit = model.group.size ** len(_gauge_vertices(model.region))
     refuse_above(n_orbit, MIXTURE_SUPPORT_LIMIT, "ground seed configurations")
-    return _orbit_states(model, np.zeros((1, model.region.num_edges), dtype=np.uint8))[0]
+    rows, amps = _orbit_rows(model, np.zeros((1, model.region.num_edges), dtype=np.uint8))
+    return SparseState(model.group, model.region.num_edges, rows[0], amps, merged=True)
 
 
 def _flat_orbit_representatives(model: QuantumDouble) -> np.ndarray:
@@ -207,10 +195,9 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
     region, q = model.region, model.group.size
     n_flat = q ** (len(region.vertices()) - 1 + 2 * region.is_torus)
     refuse_above(n_flat, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
-    parts = _orbit_states(model, _flat_orbit_representatives(model))
-    return StateFunctional.mixture(
-        model, [(1.0 / len(parts), s) for s in parts], {"kind": "uniform-mixture"}
-    )
+    rows, amps = _orbit_rows(model, _flat_orbit_representatives(model))
+    return StateFunctional(model, stack_rows(model.group, rows, amps),
+                           np.full(len(rows), 1.0 / len(rows)), {"kind": "uniform-mixture"})
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +290,18 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
 
 
 def conditional_sector_state(state: StateFunctional, chi, c) -> StateFunctional:
-    """The state conditioned on global sector (chi, c): omega(D . D)/omega(D)."""
-    model = state.model
-    d = model.sector_projector(chi, c)
-    parts = []
-    lam = 0.0
-    for w, s in state.parts:
-        proj = sparse_apply(d, s)
-        n2 = proj.norm() ** 2
-        if n2 > 0:
-            parts.append((w * n2, proj.scaled(1.0 / np.sqrt(n2))))
-            lam += w * n2
+    """The state conditioned on global sector (chi, c): omega(D . D)/omega(D),
+    one application of D to the whole stack, then each part renormalized."""
+    model, n_edges = state.model, state.model.region.num_edges
+    proj = sparse_apply(model.sector_projector(chi, c), state.stack)
+    n2 = squared_norms(proj, n_edges, len(state.weights))
+    lam = float(np.dot(state.weights, n2))
     if lam <= 1e-10:
         raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
-    parts = [(w / lam, s) for w, s in parts]
-    return StateFunctional.mixture(
-        model, parts, {"kind": "conditional", "sector": (chi, c), "weight": lam}
-    )
+    # a part D s_l with no rows has n2 = 0 and keeps weight 0
+    proj = scale_parts(proj, n_edges, 1.0 / np.sqrt(np.where(n2 > 0, n2, 1.0)))
+    return StateFunctional(model, proj, state.weights * n2 / lam,
+                           {"kind": "conditional", "sector": (chi, c), "weight": lam})
 
 
 def one_sided_sector_expectation(state: StateFunctional, chi, c, op: Operator) -> complex:
@@ -467,10 +449,8 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
     is real, so the matrix is float64.
 
     Column j = sum_a z_a q^(E-1-a) applies strip z_a on each axis a (the
-    other edges, then the gauge edges).  The columns grow as one stack, axis
-    by axis: column j becomes columns j*q + s, with strip s >= 1 applied
-    once to the whole stack, (q-1)·E applications in all; one scatter then
-    writes the matrix.
+    other edges, then the gauge edges): the columns grow as one stack, one
+    `grow` per axis, (q-1)·E applications in all, then one scatter.
     """
     region, group = model.region, model.group
     if region.is_torus:
@@ -486,15 +466,7 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
               for s in range(1, q)] for eid in gauge_edges]
     if not all(is_real(op) for strips in axes for op in strips):
         raise ValueError("the spanning family needs real strips")
-    cols = np.zeros((dim, dim))
-    st = stack([_seed_vector(model)], dim)
+    st = stack([_seed_vector(model)])
     for strips in axes:
-        # column j becomes columns j*q + s: strip s applied to the whole stack
-        pieces = [st] + [sparse_apply(op, st) for op in strips]
-        labels = np.concatenate([stack_labels(p, n_edges) * q + s for s, p in enumerate(pieces)])
-        digits = np.concatenate([p.digits for p in pieces])
-        digits[:, n_edges:] = label_bytes(labels, st.num_edges - n_edges)
-        st = SparseState(group, st.num_edges, digits, np.concatenate([p.amps for p in pieces]),
-                         merged=True)
-    cols[st.digits[:, :n_edges] @ model.space.radix, stack_labels(st, n_edges)] = st.amps.real
-    return cols
+        st = grow(st, strips, n_edges)
+    return to_columns(st, model.space, dim, np.float64)

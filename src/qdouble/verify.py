@@ -21,6 +21,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .operators import (
     support,
 )
 from .spectral import boundary_kernel, sector_counts, sector_dimensions
-from .sparse import SparseState
+from .sparse import SparseState, grow, sparse_apply, squared_norms, stack, to_columns
 from .states import (
     StateFunctional,
     frustration_free_state,
@@ -194,8 +195,6 @@ class _Ctx:
         self.region = model.region
         self.seed = seed
         self.q = model.group.size
-        self._omega = None
-        self._mixture = None
         self._boundary = None
         self.rng = None  # reseeded per check
 
@@ -238,18 +237,14 @@ class _Ctx:
     def commutator(self, op_a: Operator, op_b: Operator, k: int = 2) -> float:
         return self.probe(op_a @ op_b, op_b @ op_a, k)
 
-    @property
+    @cached_property
     def omega(self) -> SparseState:
-        if self._omega is None:
-            self._omega = frustration_free_state(self.model).vector
-        return self._omega
+        return frustration_free_state(self.model).vector
 
-    @property
+    @cached_property
     def mixture(self) -> StateFunctional:
-        """The uniform ground mixture (cached)."""
-        if self._mixture is None:
-            self._mixture = frustration_free_state(self.model, "uniform-mixture")
-        return self._mixture
+        """The uniform ground mixture."""
+        return frustration_free_state(self.model, "uniform-mixture")
 
     def boundary_kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of H^{eps,mu} and a dense orthonormal basis of its
@@ -925,44 +920,26 @@ def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
 def _boundary_hamiltonian_ground_zero(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     h = ctx.model.hamiltonian(boundary="eps_mu")
-    worst = ctx.omega.apply(h).norm()
-    parts = list(ctx.mixture.parts)
-    picks = ctx.rng.choice(len(parts), size=min(8, len(parts)), replace=False)
-    for i in picks:
-        worst = max(worst, parts[i][1].apply(h).norm())
-    return worst
+    mixture = ctx.mixture  # its first part is the vector seed
+    n2 = squared_norms(sparse_apply(h, mixture.stack), ctx.region.num_edges, len(mixture.weights))
+    return float(np.sqrt(n2.max()))
 
 
-def _quasiparticle_ops(ctx: _Ctx) -> tuple[list, list, list]:
-    """Ground parts plus the charge and flux strips that dress them."""
+def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[SparseState, int]:
+    """Each of the n_ground parts of the `ground` stack, then each
+    boundary-routed charge strip or none, then each flux strip or none: one
+    stack of n parts, the strips applied once each."""
     model, region = ctx.model, ctx.region
     sites = [
         region.site(v, f)
         for v in region.interior_vertices()
         for f in region.quadrant_faces(v).values()
     ]
-    charge_ops = [None] + [
-        model.ribbon_char(ribbon_to_boundary(region, s), chi, 0)
-        for s in sites
-        for chi in range(1, ctx.q)
-    ]
-    flux_ops = [None] + [
-        model.ribbon_char(ribbon_to_boundary(region, s), 0, c)
-        for s in sites
-        for c in range(1, ctx.q)
-    ]
-    parts = [p for _, p in ctx.mixture.parts]
-    return parts, charge_ops, flux_ops
-
-
-def _family_vector(parts, charge_ops, flux_ops, idx) -> SparseState:
-    i, j, k = idx
-    vec = parts[i]
-    if charge_ops[j] is not None:
-        vec = vec.apply(charge_ops[j])
-    if flux_ops[k] is not None:
-        vec = vec.apply(flux_ops[k])
-    return vec
+    ribbons = [ribbon_to_boundary(region, s) for s in sites]
+    charge_ops = [model.ribbon_char(r, chi, 0) for r in ribbons for chi in range(1, ctx.q)]
+    flux_ops = [model.ribbon_char(r, 0, c) for r in ribbons for c in range(1, ctx.q)]
+    family = grow(grow(ground, charge_ops, region.num_edges), flux_ops, region.num_edges)
+    return family, n_ground * (len(charge_ops) + 1) * (len(flux_ops) + 1)
 
 
 @_check(
@@ -974,26 +951,21 @@ def _family_vector(parts, charge_ops, flux_ops, idx) -> SparseState:
 def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     ctx.need_interior_vertex()
-    h = ctx.model.hamiltonian(boundary="eps_mu")
-    parts, charge_ops, flux_ops = _quasiparticle_ops(ctx)
-    shape = (len(parts), len(charge_ops), len(flux_ops))
-    if ctx.model.space.dim <= DENSE_MATRIX_LIMIT:
-        family = [
-            _family_vector(parts, charge_ops, flux_ops, idx)
-            for idx in itertools.product(*map(range, shape))
-        ]
-        worst = max(s.apply(h).norm() for s in family)
-        _, kernel = ctx.boundary_kernel()
-        cols = np.column_stack([s.to_dense(ctx.model.space) for s in family])
-        svals = _blockwise_singular_values(cols)  # unsorted
-        rank = int(np.sum(svals > TOL_KERNEL * svals.max())) if svals.size else 0
-        return max(worst, float(abs(kernel.shape[1] - rank)))
-    # above the dense cutoff: verify kernel membership on a deterministic sample
-    worst = 0.0
-    for _ in range(64):
-        idx = tuple(int(ctx.rng.integers(s)) for s in shape)
-        worst = max(worst, _family_vector(parts, charge_ops, flux_ops, idx).apply(h).norm())
-    return worst
+    model, mixture = ctx.model, ctx.mixture
+    ground, n_ground = mixture.stack, len(mixture.weights)
+    dense = model.space.dim <= DENSE_MATRIX_LIMIT
+    if not dense:  # kernel membership only, grown from a deterministic sample
+        picks = ctx.rng.choice(n_ground, size=min(8, n_ground), replace=False)
+        ground, n_ground = stack([mixture.parts[i][1] for i in picks]), len(picks)
+    family, n = _kernel_family(ctx, ground, n_ground)
+    h = model.hamiltonian(boundary="eps_mu")
+    worst = float(np.sqrt(squared_norms(sparse_apply(h, family), ctx.region.num_edges, n).max()))
+    if not dense:
+        return worst
+    _, kernel = ctx.boundary_kernel()
+    svals = _blockwise_singular_values(to_columns(family, model.space, n, np.complex128))
+    rank = int(np.sum(svals > TOL_KERNEL * svals.max())) if svals.size else 0
+    return max(worst, float(abs(kernel.shape[1] - rank)))
 
 
 @_check(
@@ -1005,7 +977,7 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     _, kernel = ctx.boundary_kernel()
-    dims = sector_dimensions(ctx.model, kernel, validate=True)
+    dims = sector_dimensions(ctx.model, kernel)
     counts = sector_counts(ctx.group, ctx.region, "eps_mu")
     miscount = max(abs(d - counts.get((0, chi, c), 0)) for (chi, c), d in dims.items())
     return float(max(abs(sum(dims.values()) - kernel.shape[1]), miscount))

@@ -285,7 +285,7 @@ def test_criterion_05_boundary_hamiltonian_structure(z2_boundary_eigh):
         cols[:, k] = _family_vector(parts, charge, flux, idx).to_dense(model.space)
     svals = np.linalg.svd(cols, compute_uv=False)
     span_dim = int(np.sum(svals > TOL_RANK * svals[0]))
-    dims = sector_dimensions(model, kernel, validate=True)
+    dims = sector_dimensions(model, kernel)
     ok = min_eig > -1e-12 and kernel_dim == span_dim and sum(dims.values()) == kernel_dim
     _report(
         5,

@@ -1,12 +1,33 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qdouble.groups import make_group
+import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
-from qdouble.lattice import Region, ribbon_between
+import qdouble.verify as verify_mod
+from qdouble.lattice import Region, ribbon_between, ribbon_to_boundary
 from qdouble.operators import ProductOp, QuantumDouble, ScaledOp, SumOp, Term, TermOp
-from qdouble.sparse import PRUNE_TOL, SparseState, sparse_apply, stack, stack_labels
-from qdouble.states import spanning_matrix
+from qdouble.sparse import (
+    PRUNE_TOL,
+    SparseState,
+    grow,
+    overlaps,
+    sparse_apply,
+    split,
+    squared_norms,
+    stack,
+    stack_labels,
+    to_columns,
+)
+from qdouble.states import (
+    conditional_sector_state,
+    frustration_free_state,
+    mix,
+    single_excitation_state,
+    spanning_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +126,7 @@ def test_dot_and_expect_match_dense(rng):
     assert s.dot(t) == pytest.approx(np.vdot(s.to_dense(model.space), t.to_dense(model.space)))
     h = model.hamiltonian()
     want = np.vdot(s.to_dense(model.space), h.apply(s.to_dense(model.space)))
-    assert s.expect(h) == pytest.approx(want)
+    assert s.dot(sparse_apply(h, s)) == pytest.approx(want)
 
 
 def test_indicator_terms_filter_rows():
@@ -276,10 +297,150 @@ def test_stack_applies_to_every_part_at_once(orders):
     assert group.size != 2 or sparse_apply(cancel, st).n_configs == 0
 
 
+def count_applies(monkeypatch, *modules):
+    """Record every outermost sparse_apply made through `modules`; the
+    recursion inside an operator tree is not counted."""
+    calls, depth = [], [0]
+
+    def counted(op, st):
+        if not depth[0]:
+            calls.append(op)
+        depth[0] += 1
+        try:
+            return sparse_apply(op, st)
+        finally:
+            depth[0] -= 1
+
+    for module in modules:
+        monkeypatch.setattr(module, "sparse_apply", counted)
+    return calls
+
+
 def test_spanning_matrix_applies_each_strip_once(monkeypatch):
     model = QuantumDouble(make_group([2]), Region.free(3, 3))
-    calls = []
-    monkeypatch.setattr(states_mod, "sparse_apply",
-                        lambda op, st: calls.append(op) or sparse_apply(op, st))
+    calls = count_applies(monkeypatch, states_mod, sparse_mod)
     spanning_matrix(model)
     assert 0 < len(calls) <= (2 - 1) * model.region.num_edges
+
+
+def grow_parts(model, rng):
+    """100 normalized parts (one label byte); every row of part 7 has
+    edge 0 at 1, every row of the others has it at 0."""
+    space = model.space
+    parts = []
+    for j, p in enumerate(stack_parts(space, rng, 100)):
+        digits = p.digits.copy()
+        digits[:, 0] = j == 7
+        parts.append(SparseState(space.group, space.num_edges, digits, p.amps).normalized())
+    return parts
+
+
+@pytest.mark.parametrize("orders", [[2], [3]], ids=["Z2", "Z3"])
+def test_grow_and_split_match_the_per_part_apply(orders):
+    # 100 parts grown by two ops become 300: the labels go from 1 byte to 2
+    group = make_group(orders)
+    model = QuantumDouble(group, Region.free(3, 3))
+    space, n_edges = model.space, model.space.num_edges
+    parts = grow_parts(model, np.random.default_rng(11))
+    st = stack(parts)
+    assert st.num_edges == n_edges + 1
+    for part, alone in zip(split(st, n_edges, 100), parts):
+        assert np.array_equal(part.digits, alone.digits) and np.array_equal(part.amps, alone.amps)
+    # the indicator keeps edge 0 at 0, so the product cancels every row of part 7
+    at_zero = TermOp(space, [Term(1.0, (), (), ((((0, 1),), 0),))])
+    kill = ProductOp(space, [at_zero, model.plaquette((1, 1)), model.star_shift((1, 1), 1)])
+    ribbon = model.ribbon_char(ribbon_between(model.region, model.region.site((1, 1), (1, 1)),
+                                              model.region.site((1, 2), (1, 2))), 1, 1)
+    ops = [kill, ribbon]
+    grown = grow(st, ops, n_edges)
+    assert grown.num_edges == n_edges + 2
+    assert stack_labels(grown, n_edges).max() == 299
+    out = split(grown, n_edges, 300)
+    for j, part in enumerate(parts):
+        for s, want in enumerate([part] + [sparse_apply(op, part) for op in ops]):
+            got = out[3 * j + s]
+            assert np.array_equal(got.digits, want.digits)
+            assert np.array_equal(got.amps, want.amps)
+    assert out[3 * 7 + 1].n_configs == 0 < out[3 * 8 + 1].n_configs
+    # per-label overlaps and squared norms
+    h = model.hamiltonian()
+    applied = sparse_apply(h, grown)
+    want = [p.dot(sparse_apply(h, p)) for p in out]
+    assert np.allclose(overlaps(grown, applied, n_edges, 300), want, rtol=0, atol=1e-13)
+    norms = [p.norm() ** 2 for p in out]
+    assert np.allclose(squared_norms(grown, n_edges, 300), norms, rtol=0, atol=1e-13)
+
+
+def kernel_family_oracle(model):
+    """The triple loop: every ground part, then each boundary-routed charge
+    strip or none, then each flux strip or none, one vector at a time."""
+    region, q = model.region, model.group.size
+    sites = [region.site(v, f) for v in region.interior_vertices()
+             for f in region.quadrant_faces(v).values()]
+    charge = [None] + [model.ribbon_char(ribbon_to_boundary(region, s), chi, 0)
+                       for s in sites for chi in range(1, q)]
+    flux = [None] + [model.ribbon_char(ribbon_to_boundary(region, s), 0, c)
+                     for s in sites for c in range(1, q)]
+    for _, vec in frustration_free_state(model, "uniform-mixture").parts:
+        for a, b in itertools.product(charge, flux):
+            out = vec if a is None else sparse_apply(a, vec)
+            yield out if b is None else sparse_apply(b, out)
+
+
+def test_kernel_family_matches_the_triple_loop(monkeypatch):
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    ctx = verify_mod._Ctx(model, seed=7)
+    mixture = ctx.mixture
+    calls = count_applies(monkeypatch, sparse_mod)
+    family, n = verify_mod._kernel_family(ctx, mixture.stack, len(mixture.weights))
+    assert len(calls) == 4 + 4  # one application per charge and per flux strip
+    monkeypatch.undo()
+    cols = to_columns(family, model.space, n, np.complex128)
+    oracle = kernel_family_oracle(model)
+    for k, vec in enumerate(oracle):
+        assert np.array_equal(cols[:, k], vec.to_dense(model.space))
+    assert k + 1 == n == 128 * 5 * 5
+
+
+def test_kernel_span_check_applies_each_strip_once(monkeypatch):
+    # Z3 free:3x3 is above the dense cutoff: 8 seeded parts, membership only
+    ctx = verify_mod._Ctx(QuantumDouble(make_group([3]), Region.free(3, 3)), seed=7)
+    calls = count_applies(monkeypatch, sparse_mod, verify_mod)
+    assert verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None).passed is True
+    n_strips = 4 * (3 - 1)
+    assert len(calls) == n_strips + n_strips + 1
+
+
+def conditional_oracle(state, chi, c):
+    """The per-part loop: project, renormalize and reweigh each part."""
+    d = state.model.sector_projector(chi, c)
+    parts, lam = [], 0.0
+    for w, s in state.parts:
+        proj = sparse_apply(d, s)
+        n2 = proj.norm() ** 2
+        if n2 > 0:
+            parts.append((w * n2, proj.scaled(1.0 / np.sqrt(n2))))
+            lam += w * n2
+    return [(w / lam, s) for w, s in parts], lam
+
+
+@pytest.mark.parametrize("sector", [(0, 0), (1, 1)], ids=["ground", "excited"])
+def test_conditional_state_matches_the_per_part_loop(monkeypatch, sector):
+    # Z2 free:3x4: the uniform mixture has 512 parts
+    group, region = make_group([2]), Region.free(3, 4)
+    model = QuantumDouble(group, region)
+    site = region.site((1, 1), (1, 1))
+    state = mix([(frustration_free_state(model, "uniform-mixture"), 0.5),
+                 (frustration_free_state(model, "vector-seed"), 0.25),
+                 (single_excitation_state(model, site, 1, 1), 0.25)])
+    want, lam = conditional_oracle(state, *sector)
+    calls = count_applies(monkeypatch, states_mod, sparse_mod)
+    cond = conditional_sector_state(state, *sector)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert abs(cond.info["weight"] - lam) < 1e-13
+    assert len(cond.parts) == len(want) == (513 if sector == (0, 0) else 1)
+    for (w, s), (w0, s0) in zip(cond.parts, want):
+        assert abs(w - w0) < 1e-13
+        assert np.array_equal(s.digits, s0.digits)
+        assert np.max(np.abs(s.amps - s0.amps)) < 1e-13

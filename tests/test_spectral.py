@@ -253,10 +253,10 @@ def test_two_charges_on_z3_free_4x4_see_the_product_of_the_charges():
     for chi_b, want in ((1, 1), (2, 2)):
         psi = omega.apply(model.ribbon_char(rib_a, 1, 0)).apply(model.ribbon_char(rib_b, chi_b, 0))
         psi = psi.normalized()
-        energy = psi.expect(h).real
+        energy = psi.dot(psi.apply(h)).real
         assert energy == pytest.approx(want, abs=1e-12)
         assert psi.apply(h).add(psi.scaled(-want)).norm() < 1e-12
-        weights = [psi.expect(model.total_charge_projector(chi)).real for chi in range(3)]
+        weights = [psi.dot(psi.apply(model.total_charge_projector(chi))).real for chi in range(3)]
         total = int(np.argmax(weights))
         assert weights[total] == pytest.approx(1.0, abs=1e-12)
         assert (total != 0) == (want == 1)

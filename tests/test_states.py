@@ -434,7 +434,7 @@ def test_mixture_expect_matches_the_per_part_sum(monkeypatch, group, region):
     monkeypatch.setattr(states_mod, "sparse_apply",
                         lambda op, st: calls.append(op) or sparse_apply(op, st))
     for op in ops:
-        want = sum(w * s.expect(op) for w, s in state.parts)
+        want = sum(w * s.dot(sparse_apply(op, s)) for w, s in state.parts)
         assert abs(state.expect(op) - want) < 1e-13
     assert len(calls) == len(ops)  # one application per operator
 
