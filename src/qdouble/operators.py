@@ -52,15 +52,14 @@ BOUNDARY_FLAVORS = ("none", "eps", "mu", "eps_mu")  # boundary charges H may sub
 
 DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
-DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and sector kernels
-DENSE_EIG_LIMIT = 8192  # dense diagonalization for spectra and ground spaces
+DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and the H^{eps,mu} spectrum
+DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
 PROBE_BATCH_LIMIT = 1 << 22  # above this restricted dimension a probe batch is one column
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the ground seed or uniform mixture
 PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
 FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
-PROJECTOR_BASIS_BYTES = 4_000_000_000  # seed block of the projector ground basis
 # measured, not set: no dense vector may outgrow the machine's physical memory
 PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 

@@ -14,8 +14,8 @@ as trailing big-endian bytes after the last edge, a layout only this module
 reads or writes.  Terms never address those columns, so one application to
 a stack acts on every part at once, and the merge, keyed on whole rows, only
 combines rows of the same part.  `grow` applies each of a list of operators
-once to a whole stack; `split`, `overlaps`, `squared_norms`, `scale_parts`
-and `to_columns` read or rescale it part by part.
+once to a whole stack; `split`, `take_parts`, `overlaps`, `squared_norms`,
+`scale_parts` and `to_columns` read, select or rescale it part by part.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .operators import (
 )
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow", "split",
-           "overlaps", "squared_norms", "scale_parts", "to_columns"]
+           "take_parts", "overlaps", "squared_norms", "scale_parts", "to_columns"]
 
 PRUNE_TOL = 1e-14
 
@@ -199,7 +199,12 @@ def _labelled(group: Group, digits: np.ndarray, amps: np.ndarray, labels: np.nda
 
 def stack_labels(state: SparseState, num_edges: int) -> np.ndarray:
     """The part label of every row of a stack over num_edges edges."""
-    tail = state.digits[:, num_edges:].astype(np.int64)
+    return _decode(state.digits[:, num_edges:])
+
+
+def _decode(tail: np.ndarray) -> np.ndarray:
+    """The labels held by rows of big-endian label bytes."""
+    tail = tail.astype(np.int64)
     return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
@@ -223,12 +228,23 @@ def split(st: SparseState, num_edges: int, n_parts: int) -> list[SparseState]:
     return [SparseState(st.group, num_edges, d, a, merged=True) for d, a in zip(digits, amps)]
 
 
+def take_parts(st: SparseState, num_edges: int, labels) -> SparseState:
+    """The stack whose part k holds the rows of part labels[k] of `st`, for
+    distinct labels, rows in stack order."""
+    old, labels = stack_labels(st, num_edges), np.asarray(labels, dtype=np.int64)
+    position = np.full(max(old.max(initial=-1), labels.max(initial=-1)) + 1, -1)
+    position[labels] = np.arange(len(labels))
+    new = position[old]
+    keep = new >= 0
+    return _labelled(st.group, st.digits[keep, :num_edges], st.amps[keep], new[keep])
+
+
 def overlaps(a: SparseState, b: SparseState, num_edges: int, n_parts: int) -> np.ndarray:
     """<a_l|b_l> for every label l < n_parts of two stacks of one width."""
     _, i, j = np.intersect1d(
         row_keys(a.digits), row_keys(b.digits), assume_unique=True, return_indices=True
     )
-    terms, labels = a.amps[i].conj() * b.amps[j], stack_labels(a, num_edges)[i]
+    terms, labels = a.amps[i].conj() * b.amps[j], _decode(a.digits[i, num_edges:])
     return np.bincount(labels, terms.real, n_parts) + 1j * np.bincount(labels, terms.imag, n_parts)
 
 

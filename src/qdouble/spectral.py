@@ -5,15 +5,15 @@ commuting projector, so each joint eigenspace is labeled by a charge on every
 full-star vertex and a flux on every face, and its energy and dimension follow
 from those labels (`sector_counts`, `spectrum_counts`).
 
-Vectors come from three independent routes to the ground space, which the
-test battery cross-checks against the counts:
+Vectors come from two routes:
 
-* dense diagonalization of the full Hamiltonian (small spaces);
-* the image of the commuting-projector product applied to seed vectors,
-  with toroidal winding representatives to reach every flux sector;
-* scipy's LOBPCG for the lowest k eigenpairs of mid-size spectra; the
-  residuals ||H v - lambda v|| are recomputed and checked against
-  tol * sigma, so unconverged data is never returned.
+* the ground space is built, not searched for: one gauge-orbit state per
+  orbit of flat configurations (`ground_space`), which the test battery
+  cross-checks against dense diagonalization and the projector product;
+* the lowest k eigenpairs come from a dense `eigh` on small spaces and from
+  scipy's LOBPCG on mid-size ones; the residuals ||H v - lambda v|| are
+  recomputed and checked against tol * sigma, so unconverged data is never
+  returned.
 """
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ from .lattice import boundary_ribbon
 from .operators import (
     BOUNDARY_FLAVORS,
     DENSE_EIG_LIMIT,
-    DENSE_MATRIX_LIMIT,
-    PROJECTOR_BASIS_BYTES,
+    PHYSICAL_MEMORY_BYTES,
     Operator,
     QuantumDouble,
     TermOp,
     refuse_above,
 )
-from .states import _flat_orbit_representatives
+from .sparse import sparse_apply, squared_norms, to_columns
+from .states import frustration_free_state
 
 __all__ = [
     "EigenBasis",
-    "boundary_kernel",
     "ground_dimension_count",
     "ground_space",
     "sector_counts",
@@ -49,9 +48,6 @@ __all__ = [
     "sector_dimensions",
     "rayleigh",
 ]
-
-KERNEL_TOL = 1e-8
-
 
 @dataclass
 class EigenBasis:
@@ -147,71 +143,24 @@ def rayleigh(op: Operator, psi: np.ndarray) -> tuple[float, float]:
     return float(val.real), float(res)
 
 
-def boundary_kernel(model: QuantumDouble) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of H^{eps,mu} and an orthonormal basis of its kernel
-    (eigenvalues below 1e-10), from one dense diagonalization."""
-    h = model.hamiltonian(boundary="eps_mu").to_dense(DENSE_MATRIX_LIMIT)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs[:, vals < 1e-10]
+def ground_space(model: QuantumDouble) -> EigenBasis:
+    """Orthonormal basis of the kernel of the Hamiltonian, as float64 columns.
 
-
-def _projector_ground_basis(
-    model: QuantumDouble, rng: np.random.Generator, tol: float
-) -> EigenBasis:
-    space = model.space
-    expected = ground_dimension_count(model.group, model.region)
-    n_seeds = expected + max(4, expected // 8)
-    refuse_above(space.dim * n_seeds * 16, PROJECTOR_BASIS_BYTES,
-                 "projector ground basis bytes")
-    cols = [space.random_vectors(rng, n_seeds)]
-    if model.region.is_torus:
-        # one flat winding configuration per flux sector
-        winding = np.zeros((space.dim, model.group.size ** 2), dtype=complex)
-        for k, digs in enumerate(_flat_orbit_representatives(model)):
-            winding[space.basis_index(digs), k] = 1.0
-        cols.append(winding)
-    y = np.concatenate(cols, axis=1)
-    for p in model.ground_projector_factors():
-        y = p.apply(y)
-    u, s, _ = np.linalg.svd(y, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
-    vectors = u[:, :rank]
-    h = model.hamiltonian()
-    hv = h.apply(vectors)
-    residuals = np.linalg.norm(hv, axis=0)
-    return EigenBasis(
-        vectors=vectors,
-        values=np.zeros(rank),
-        residuals=residuals,
-        method="projector",
-        meta={"expected_dimension": expected, "singular_values": s[: rank + 3]},
-    )
-
-
-def ground_space(
-    model: QuantumDouble,
-    method: str = "auto",
-    rng: np.random.Generator | None = None,
-    tol: float = KERNEL_TOL,
-) -> EigenBasis:
-    """Orthonormal basis of the kernel of the Hamiltonian."""
-    rng = rng if rng is not None else np.random.default_rng(7)
-    if method == "auto":
-        method = "dense" if model.space.dim <= DENSE_EIG_LIMIT else "projector"
-    if method == "dense":
-        vals, vecs = np.linalg.eigh(model.hamiltonian().to_dense(DENSE_EIG_LIMIT))
-        keep = vals < tol
-        basis = vecs[:, keep]
-        return EigenBasis(
-            vectors=basis,
-            values=vals[keep],
-            residuals=np.abs(vals[keep]),
-            method="dense",
-            meta={"low_spectrum": vals[: min(16, len(vals))]},
-        )
-    if method == "projector":
-        return _projector_ground_basis(model, rng, tol)
-    raise ValueError(f"unknown ground space method {method!r}")
+    Column j is the orbit state of flat sector j, the part j of the uniform
+    ground mixture: the orbits are disjoint, so the columns are orthonormal,
+    one per counted ground dimension.  The residuals ||H v|| come from one
+    sparse application of H to all of them.  Refuses before enumerating
+    anything when the columns would not fit in physical memory.
+    """
+    space, region = model.space, model.region
+    space.require_dense("ground space")
+    refuse_above(space.dim * ground_dimension_count(model.group, region) * 8,
+                 PHYSICAL_MEMORY_BYTES, "ground basis bytes")
+    mixture = frustration_free_state(model, "uniform-mixture")
+    n = len(mixture.weights)
+    hv = sparse_apply(model.hamiltonian(), mixture.stack)
+    return EigenBasis(to_columns(mixture.stack, space, n, np.float64), np.zeros(n),
+                      np.sqrt(squared_norms(hv, region.num_edges, n)), "orbit")
 
 
 def subspace_iteration(

@@ -54,8 +54,9 @@ from .operators import (
     sparse_matrix,
     support,
 )
-from .spectral import boundary_kernel, sector_counts, sector_dimensions
-from .sparse import SparseState, grow, sparse_apply, squared_norms, stack, to_columns
+from .spectral import sector_counts, spectrum_counts
+from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, take_parts,
+                     to_columns)
 from .states import (
     StateFunctional,
     frustration_free_state,
@@ -187,7 +188,7 @@ def _sparse_column_norms(m) -> np.ndarray:
 
 
 class _Ctx:
-    """Shared per-run state: the model, a per-check RNG, cached bases."""
+    """Shared per-run state: the model, a per-check RNG, cached states."""
 
     def __init__(self, model: QuantumDouble, seed: int):
         self.model = model
@@ -195,7 +196,6 @@ class _Ctx:
         self.region = model.region
         self.seed = seed
         self.q = model.group.size
-        self._boundary = None
         self.rng = None  # reseeded per check
 
     def reseed(self, check_id: str):
@@ -245,14 +245,6 @@ class _Ctx:
     def mixture(self) -> StateFunctional:
         """The uniform ground mixture."""
         return frustration_free_state(self.model, "uniform-mixture")
-
-    def boundary_kernel(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of H^{eps,mu} and a dense orthonormal basis of its
-        kernel (cached)."""
-        self.need_dense("the boundary kernel basis")
-        if self._boundary is None:
-            self._boundary = boundary_kernel(self.model)
-        return self._boundary
 
     # ---- gates ----
 
@@ -627,10 +619,13 @@ def _ribbon_concatenate(ctx: _Ctx) -> float:
 def _ribbon_span(ctx: _Ctx) -> float:
     ctx.need_boundary()
     ctx.need_dense("the spanning family rank")
-    cols = spanning_matrix(ctx.model)
-    svals = _blockwise_singular_values(cols)
-    rank = int(np.sum(svals > 1e-8 * svals.max())) if svals.size else 0
-    return float(ctx.model.space.dim - rank)
+    return float(ctx.model.space.dim - _rank(spanning_matrix(ctx.model), 1e-8))
+
+
+def _rank(mat: np.ndarray, tol: float) -> int:
+    """Numerical rank: the singular values above tol times the largest."""
+    svals = _blockwise_singular_values(mat)
+    return int(np.sum(svals > tol * svals.max())) if svals.size else 0
 
 
 def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
@@ -657,6 +652,20 @@ def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
         for b in np.unique(label[rows])
     ]
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _blockwise_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a symmetric matrix, one eigvalsh per block.
+
+    Blocks are the connected components of the graph that joins i to j when
+    mat[i, j] != 0; permuting rows and columns alike makes the matrix block
+    diagonal with these blocks, so their eigenvalues are its eigenvalues.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    _, label = connected_components(mat != 0, directed=False)
+    blocks = [label == b for b in np.unique(label)]
+    return np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
 
 
 @_check(
@@ -886,30 +895,29 @@ def _boundary_equality_mu(ctx: _Ctx) -> float:
 @_check(
     "boundary-hamiltonian.positive",
     "The fully charged boundary Hamiltonian H - V^eps - V^mu has no negative "
-    "spectrum.",
+    "spectrum; where it is diagonalized, its kernel has the counted dimension.",
     TOL_EIG,
 )
 def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     dim = ctx.model.space.dim
-    if dim <= DENSE_MATRIX_LIMIT:
-        vals, _ = ctx.boundary_kernel()
-        bottom = float(vals[0])
-    elif dim <= EIGSH_LIMIT:
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        h = ctx.model.hamiltonian(boundary="eps_mu")
-        lin = LinearOperator(
-            (dim, dim),
-            matvec=lambda x: h.apply(np.asarray(x, dtype=np.complex128)),
-            dtype=np.complex128,
-        )
-        v0 = ctx.rng.standard_normal(dim)
-        vals = eigsh(lin, k=1, which="SA", tol=1e-9, v0=v0, return_eigenvectors=False)
-        bottom = float(vals[0])
-    else:
+    if dim > EIGSH_LIMIT:
         raise _Skip(f"bottom-of-spectrum solve too large (dim {dim} > {EIGSH_LIMIT})")
-    return max(0.0, -bottom)
+    h = ctx.model.hamiltonian(boundary="eps_mu")
+    if dim <= DENSE_MATRIX_LIMIT:  # every eigenvalue, so the kernel is counted too
+        vals = _blockwise_eigenvalues(h.to_dense())
+        miscount = abs(int(np.sum(vals < TOL_KERNEL)) - spectrum_counts(ctx.model, "eps_mu")[0])
+        return max(0.0, -float(vals.min()), float(miscount))
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    lin = LinearOperator(
+        (dim, dim),
+        matvec=lambda x: h.apply(np.asarray(x, dtype=np.complex128)),
+        dtype=np.complex128,
+    )
+    v0 = ctx.rng.standard_normal(dim)
+    vals = eigsh(lin, k=1, which="SA", tol=1e-9, v0=v0, return_eigenvectors=False)
+    return max(0.0, -float(vals[0]))
 
 
 @_check(
@@ -925,10 +933,12 @@ def _boundary_hamiltonian_ground_zero(ctx: _Ctx) -> float:
     return float(np.sqrt(n2.max()))
 
 
-def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[SparseState, int]:
+def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[SparseState, np.ndarray]:
     """Each of the n_ground parts of the `ground` stack, then each
     boundary-routed charge strip or none, then each flux strip or none: one
-    stack of n parts, the strips applied once each."""
+    stack, the strips applied once each.  Also returns the (chi, c) sector of
+    every part, read from its strips (0 where a part has none): ground
+    vectors carry no total charge or flux."""
     model, region = ctx.model, ctx.region
     sites = [
         region.site(v, f)
@@ -939,48 +949,66 @@ def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[Spars
     charge_ops = [model.ribbon_char(r, chi, 0) for r in ribbons for chi in range(1, ctx.q)]
     flux_ops = [model.ribbon_char(r, 0, c) for r in ribbons for c in range(1, ctx.q)]
     family = grow(grow(ground, charge_ops, region.num_edges), flux_ops, region.num_edges)
-    return family, n_ground * (len(charge_ops) + 1) * (len(flux_ops) + 1)
+    # with S strips of each kind, grow numbers part (ground j, charge strip s,
+    # flux strip t) as (j * (S + 1) + s) * (S + 1) + t, and strip k >= 1
+    # carries the label (k - 1) % (q - 1) + 1
+    strip = np.concatenate([[0], np.tile(np.arange(1, ctx.q), len(ribbons))])
+    chi, c = np.meshgrid(strip, strip, indexing="ij")
+    sectors = np.tile(np.stack([chi.ravel(), c.ravel()], axis=1), (n_ground, 1))
+    return family, sectors
 
 
 @_check(
     "boundary-hamiltonian.kernel-span",
     "Ground vectors dressed by boundary-routed charge and flux strips lie in the "
-    "kernel of the boundary Hamiltonian and span it exactly.",
+    "kernel of the boundary Hamiltonian and span it exactly: their rank is the "
+    "counted kernel dimension.",
     TOL_KERNEL,
 )
 def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     ctx.need_interior_vertex()
-    model, mixture = ctx.model, ctx.mixture
+    model, mixture, num_edges = ctx.model, ctx.mixture, ctx.region.num_edges
     ground, n_ground = mixture.stack, len(mixture.weights)
     dense = model.space.dim <= DENSE_MATRIX_LIMIT
     if not dense:  # kernel membership only, grown from a deterministic sample
         picks = ctx.rng.choice(n_ground, size=min(8, n_ground), replace=False)
-        ground, n_ground = stack([mixture.parts[i][1] for i in picks]), len(picks)
-    family, n = _kernel_family(ctx, ground, n_ground)
+        ground, n_ground = take_parts(ground, num_edges, picks), len(picks)
+    family, sectors = _kernel_family(ctx, ground, n_ground)
+    n = len(sectors)
     h = model.hamiltonian(boundary="eps_mu")
-    worst = float(np.sqrt(squared_norms(sparse_apply(h, family), ctx.region.num_edges, n).max()))
+    worst = float(np.sqrt(squared_norms(sparse_apply(h, family), num_edges, n).max()))
     if not dense:
         return worst
-    _, kernel = ctx.boundary_kernel()
-    svals = _blockwise_singular_values(to_columns(family, model.space, n, np.complex128))
-    rank = int(np.sum(svals > TOL_KERNEL * svals.max())) if svals.size else 0
-    return max(worst, float(abs(kernel.shape[1] - rank)))
+    rank = _rank(to_columns(family, model.space, n, np.complex128), TOL_KERNEL)
+    return max(worst, float(abs(spectrum_counts(model, "eps_mu")[0] - rank)))
 
 
 @_check(
     "sectors.direct-sum",
-    "The boundary kernel splits into (charge, flux) sectors with integral "
-    "dimensions that add up to the whole kernel and equal the counted ones.",
+    "The boundary kernel splits into (charge, flux) sectors: each dressed "
+    "ground vector lies in the sector its strips carry, and each sector's "
+    "vectors span the counted dimension of that sector.",
     TOL_KERNEL,
 )
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    _, kernel = ctx.boundary_kernel()
-    dims = sector_dimensions(ctx.model, kernel)
+    ctx.need_dense("the sector ranks")
+    model, mixture, num_edges = ctx.model, ctx.mixture, ctx.region.num_edges
+    family, sectors = _kernel_family(ctx, mixture.stack, len(mixture.weights))
     counts = sector_counts(ctx.group, ctx.region, "eps_mu")
-    miscount = max(abs(d - counts.get((0, chi, c), 0)) for (chi, c), d in dims.items())
-    return float(max(abs(sum(dims.values()) - kernel.shape[1]), miscount))
+    worst = 0.0
+    for chi, c in itertools.product(range(ctx.q), repeat=2):
+        inside = (sectors == (chi, c)).all(axis=1)
+        # P f - [f in the sector] f, for every part f at once
+        moved = sparse_apply(model.sector_projector(chi, c), family)
+        moved = moved.add(scale_parts(family, num_edges, -inside.astype(float)))
+        labels = np.flatnonzero(inside)
+        rank = _rank(to_columns(take_parts(family, num_edges, labels), model.space, len(labels),
+                                np.complex128), TOL_KERNEL)
+        worst = max(worst, float(np.sqrt(squared_norms(moved, num_edges, len(sectors)).max())),
+                    float(abs(rank - counts.get((0, chi, c), 0))))
+    return worst
 
 
 # ---- excitation energies -------------------------------------------------

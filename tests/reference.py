@@ -9,10 +9,22 @@ independent route to the same operator.
 
 Operators are represented as column functions: colfn(j) returns a dict
 {row index: amplitude} for basis column j.
+
+The exception is `_projector_ground_basis`, the ground-space oracle: it
+applies the package's own commuting projector factors to seed vectors, a
+route independent of the gauge-orbit construction that `ground_space` uses.
 """
 
 import cmath
 from math import prod
+
+import numpy as np
+
+from qdouble.operators import QuantumDouble, refuse_above
+from qdouble.spectral import EigenBasis, ground_dimension_count
+from qdouble.states import _flat_orbit_representatives
+
+PROJECTOR_BASIS_BYTES = 4_000_000_000  # seed block of the projector ground basis
 
 
 def group_elements(orders):
@@ -169,3 +181,36 @@ def to_matrix(colfn, dim):
         for i, v in colfn(j).items():
             m[i, j] = v
     return m
+
+
+def _projector_ground_basis(
+    model: QuantumDouble, rng: np.random.Generator, tol: float
+) -> EigenBasis:
+    space = model.space
+    expected = ground_dimension_count(model.group, model.region)
+    n_seeds = expected + max(4, expected // 8)
+    refuse_above(space.dim * n_seeds * 16, PROJECTOR_BASIS_BYTES,
+                 "projector ground basis bytes")
+    cols = [space.random_vectors(rng, n_seeds)]
+    if model.region.is_torus:
+        # one flat winding configuration per flux sector
+        winding = np.zeros((space.dim, model.group.size ** 2), dtype=complex)
+        for k, digs in enumerate(_flat_orbit_representatives(model)):
+            winding[space.basis_index(digs), k] = 1.0
+        cols.append(winding)
+    y = np.concatenate(cols, axis=1)
+    for p in model.ground_projector_factors():
+        y = p.apply(y)
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    vectors = u[:, :rank]
+    h = model.hamiltonian()
+    hv = h.apply(vectors)
+    residuals = np.linalg.norm(hv, axis=0)
+    return EigenBasis(
+        vectors=vectors,
+        values=np.zeros(rank),
+        residuals=residuals,
+        method="projector",
+        meta={"expected_dimension": expected, "singular_values": s[: rank + 3]},
+    )

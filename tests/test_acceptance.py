@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from qdouble.groups import Phase, parse_group_spec
 from qdouble.lattice import (
@@ -34,7 +33,7 @@ from qdouble.lattice import (
 )
 from qdouble.operators import QuantumDouble
 from qdouble.sparse import SparseState
-from qdouble.spectral import ground_dimension_count, ground_space, sector_dimensions
+from qdouble.spectral import ground_dimension_count, sector_dimensions
 from qdouble.states import (
     StateFunctional,
     eventual_constancy_check,
@@ -46,6 +45,8 @@ from qdouble.states import (
     spanning_matrix,
 )
 from qdouble.verify import run_check
+
+import reference as ref
 
 Z2 = parse_group_spec("Z2")
 Z3 = parse_group_spec("Z3")
@@ -84,16 +85,7 @@ def _report(num, title, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared heavy artifacts
-
-
-@pytest.fixture(scope="module")
-def z2_boundary_eigh():
-    """Full spectrum of the fully charged boundary Hamiltonian, Z2 free 3x3."""
-    model = QuantumDouble(Z2, FREE33)
-    h = model.hamiltonian(boundary="eps_mu").to_dense(max_dim=4096)
-    vals, vecs = np.linalg.eigh(h)
-    return model, vals, vecs
+# shared heavy artifacts (z2_boundary_eigh is in conftest.py)
 
 
 def _boundary_family(model):
@@ -214,7 +206,7 @@ def test_criterion_03_torus_degeneracy():
             got = int(np.sum(vals < TOL_RANK))
             method = "dense"
         else:
-            basis = ground_space(model, method="projector")
+            basis = ref._projector_ground_basis(model, np.random.default_rng(7), TOL_RANK)
             assert float(basis.residuals.max()) < TOL_RANK
             got = basis.dim
             method = "projector"

@@ -389,9 +389,9 @@ def test_size_policy_refuses_before_allocating(monkeypatch):
     with pytest.raises(DimensionCapError):
         states_mod.frustration_free_state(QuantumDouble(z2, Region.free(5, 5)), "uniform-mixture")
     with pytest.raises(DimensionCapError):
-        ground_space(QuantumDouble(z2, Region.torus(5, 5)), method="projector")
-    with pytest.raises(DimensionCapError):
-        ground_space(QuantumDouble(z2, Region.free(3, 4)), method="dense")
+        ground_space(QuantumDouble(z2, Region.torus(5, 5)))
+    with pytest.raises(DimensionCapError):  # 2^24 x 2048 float64 columns, about 275 GB
+        ground_space(QuantumDouble(z2, Region.free(4, 4)))
 
 
 def test_basis_indexing_roundtrip():

@@ -19,6 +19,7 @@ from qdouble.sparse import (
     squared_norms,
     stack,
     stack_labels,
+    take_parts,
     to_columns,
 )
 from qdouble.states import (
@@ -362,6 +363,9 @@ def test_grow_and_split_match_the_per_part_apply(orders):
             assert np.array_equal(got.digits, want.digits)
             assert np.array_equal(got.amps, want.amps)
     assert out[3 * 7 + 1].n_configs == 0 < out[3 * 8 + 1].n_configs
+    # taking parts relabels them in the order asked, an empty part included
+    for got, j in zip(split(take_parts(grown, n_edges, [299, 22, 4]), n_edges, 3), [299, 22, 4]):
+        assert np.array_equal(got.digits, out[j].digits) and np.array_equal(got.amps, out[j].amps)
     # per-label overlaps and squared norms
     h = model.hamiltonian()
     applied = sparse_apply(h, grown)
@@ -392,7 +396,8 @@ def test_kernel_family_matches_the_triple_loop(monkeypatch):
     ctx = verify_mod._Ctx(model, seed=7)
     mixture = ctx.mixture
     calls = count_applies(monkeypatch, sparse_mod)
-    family, n = verify_mod._kernel_family(ctx, mixture.stack, len(mixture.weights))
+    family, sectors = verify_mod._kernel_family(ctx, mixture.stack, len(mixture.weights))
+    n = len(sectors)
     assert len(calls) == 4 + 4  # one application per charge and per flux strip
     monkeypatch.undo()
     cols = to_columns(family, model.space, n, np.complex128)

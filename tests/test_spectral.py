@@ -16,6 +16,8 @@ from qdouble.spectral import (
 )
 from qdouble.states import frustration_free_state
 
+import reference as ref
+
 
 @pytest.fixture(scope="module")
 def rng():
@@ -34,9 +36,11 @@ def test_ground_dimension_count_against_dense():
         group = make_group(orders)
         model = QuantumDouble(group, region)
         assert ground_dimension_count(group, region) == expected
-        basis = ground_space(model, method="dense")
-        assert basis.dim == expected
-        assert np.all(basis.residuals < 1e-10)
+        vals = np.linalg.eigvalsh(model.hamiltonian().to_dense(DENSE_EIG_LIMIT))
+        keep = vals < 1e-8
+        assert int(np.sum(keep)) == expected
+        assert np.all(np.abs(vals[keep]) < 1e-10)
+        assert ground_space(model).dim == expected
 
 
 def test_ground_dimension_count_torus_is_group_size_squared():
@@ -45,45 +49,62 @@ def test_ground_dimension_count_torus_is_group_size_squared():
     assert ground_dimension_count(make_group([2]), Region.torus(3, 3)) == 4
 
 
+def assert_orbit_basis_matches(model, oracle):
+    """ground_space spans the oracle's space: the same dimension, every
+    principal cosine 1, orthonormal columns and residuals at most 1e-12."""
+    basis = ground_space(model)
+    assert basis.method == "orbit"
+    assert basis.dim == oracle.dim == ground_dimension_count(model.group, model.region)
+    assert np.linalg.norm(basis.vectors.T @ basis.vectors - np.eye(basis.dim)) < 1e-12
+    cosines = np.linalg.svd(basis.vectors.T @ oracle.vectors, compute_uv=False)
+    assert np.allclose(cosines, 1.0, rtol=0, atol=1e-10)
+    assert basis.residuals.max() <= 1e-12
+
+
 def test_projector_ground_basis_matches_dense_span(rng):
     group = make_group([2])
     region = Region.torus(2, 2)
     model = QuantumDouble(group, region)
-    dense = ground_space(model, method="dense")
-    proj = ground_space(model, method="projector", rng=rng)
-    assert proj.dim == dense.dim == 4
+    vals, vecs = np.linalg.eigh(model.hamiltonian().to_dense(DENSE_EIG_LIMIT))
+    dense = vecs[:, vals < 1e-8]
+    proj = ref._projector_ground_basis(model, rng, 1e-8)
+    assert proj.dim == dense.shape[1] == 4
     assert np.all(proj.residuals < 1e-10)
     # identical subspaces: dense projector reproduces every projector vector
-    overlap = dense.vectors @ (dense.vectors.conj().T @ proj.vectors)
+    overlap = dense @ (dense.conj().T @ proj.vectors)
     assert np.linalg.norm(overlap - proj.vectors) < 1e-9
     # orthonormality
     gram = proj.vectors.conj().T @ proj.vectors
     assert np.linalg.norm(gram - np.eye(4)) < 1e-10
+    assert_orbit_basis_matches(model, proj)
 
 
 def test_projector_ground_basis_torus_z3(rng):
     group = make_group([3])
     model = QuantumDouble(group, Region.torus(2, 2))
-    basis = ground_space(model, method="projector", rng=rng)
+    basis = ref._projector_ground_basis(model, rng, 1e-8)
     assert basis.dim == 9
     assert np.all(basis.residuals < 1e-10)
+    assert_orbit_basis_matches(model, basis)
 
 
 def test_projector_ground_basis_larger_torus(rng):
     group = make_group([2])
     model = QuantumDouble(group, Region.torus(3, 3))
-    basis = ground_space(model, method="projector", rng=rng)
+    basis = ref._projector_ground_basis(model, rng, 1e-8)
     assert basis.dim == 4
     assert np.all(basis.residuals < 1e-10)
+    assert_orbit_basis_matches(model, basis)
 
 
 def test_free_3x3_ground_dimension(rng):
     group = make_group([2])
     model = QuantumDouble(group, Region.free(3, 3))
     assert ground_dimension_count(group, Region.free(3, 3)) == 128
-    basis = ground_space(model, method="projector", rng=rng)
+    basis = ground_space(model)
     assert basis.dim == 128
     assert np.all(basis.residuals < 1e-10)
+    assert_orbit_basis_matches(model, ref._projector_ground_basis(model, rng, 1e-8))
 
 
 def test_dense_spectrum_torus_2x2_z2():
@@ -139,17 +160,17 @@ def test_spectrum_lowest_iterative_agrees_with_the_counts():
 def test_rayleigh_quotient(rng):
     group = make_group([2])
     model = QuantumDouble(group, Region.torus(2, 2))
-    basis = ground_space(model, method="dense")
-    val, res = rayleigh(model.hamiltonian(), basis.vectors[:, 0])
+    _, vecs = np.linalg.eigh(model.hamiltonian().to_dense(DENSE_EIG_LIMIT))
+    val, res = rayleigh(model.hamiltonian(), vecs[:, 0])
     assert val == pytest.approx(0.0, abs=1e-10)
     assert res < 1e-10
 
 
-def test_sector_dimensions_ground_and_excited(rng):
+def test_sector_dimensions_ground_and_excited():
     group = make_group([2])
     region = Region.free(3, 3)
     model = QuantumDouble(group, region)
-    ground = ground_space(model, method="projector", rng=rng)
+    ground = ground_space(model)
     dims = sector_dimensions(model, ground.vectors)
     assert dims[(0, 0)] == 128
     assert sum(dims.values()) == 128

@@ -1,12 +1,16 @@
 """Tests for the named verification battery."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from qdouble.groups import make_group
 from qdouble.lattice import Region, ribbon_to_boundary
-from qdouble.operators import Operator, QuantumDouble
+from qdouble.operators import DENSE_MATRIX_LIMIT, Operator, QuantumDouble
+from qdouble.sparse import sparse_apply, squared_norms, take_parts, to_columns
+from qdouble.spectral import sector_dimensions
 from qdouble.verify import (
     TOL_ALGEBRAIC,
     CheckError,
@@ -264,11 +268,63 @@ def test_suite_builds_uniform_mixture_once(monkeypatch):
 
 
 def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
+    # Z2 free:3x3 is the one boundary instance below the dense cutoff: the
+    # three kernel checks densify one matrix between them, and decide exactly
     densified = _count_calls(monkeypatch, Operator, "to_dense")
     ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
-    for cid in ("boundary-hamiltonian.positive", "sectors.direct-sum"):
-        assert verify_mod._run_one(cid, ctx, None).passed is True
+    for cid in ("boundary-hamiltonian.positive", "boundary-hamiltonian.kernel-span",
+                "sectors.direct-sum"):
+        result = verify_mod._run_one(cid, ctx, None)
+        assert result.passed is True and result.residual == 0.0, cid
     assert len(densified) == 1
+
+
+def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
+    # ground vectors dressed by charge strips alone span sectors (0, 0) and
+    # (1, 0), 128 + 128 of the 1280 kernel dimensions
+    original = verify_mod._kernel_family
+
+    def no_flux(ctx, ground, n_ground):
+        family, sectors = original(ctx, ground, n_ground)
+        keep = np.flatnonzero(sectors[:, 1] == 0)
+        return take_parts(family, ctx.region.num_edges, keep), sectors[keep]
+
+    monkeypatch.setattr(verify_mod, "_kernel_family", no_flux)
+    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
+    span = verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None)
+    assert span.passed is False and span.residual == 1280 - 256
+    direct = verify_mod._run_one("sectors.direct-sum", ctx, None)
+    assert direct.passed is False and direct.residual == 512
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [2, 2]], ids=["Z2", "Z3", "Z2xZ2"])
+def test_kernel_family_sectors_match_the_sector_projectors(orders):
+    model = QuantumDouble(make_group(orders), Region.free(3, 3))
+    ctx = verify_mod._Ctx(model, seed=7)
+    num_edges, q = model.region.num_edges, model.group.size
+    ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
+    if model.space.dim > DENSE_MATRIX_LIMIT:  # a sample of ground parts
+        ground, n_ground = take_parts(ground, num_edges, [0, 1, n_ground - 1]), 3
+    family, sectors = verify_mod._kernel_family(ctx, ground, n_ground)
+    assert len({tuple(s) for s in sectors}) == q * q
+    for chi, c in itertools.product(range(q), repeat=2):
+        kept = sparse_apply(model.sector_projector(chi, c), family)
+        inside = (sectors == (chi, c)).all(axis=1)
+        assert np.allclose(squared_norms(kept, num_edges, len(sectors)), inside, rtol=0, atol=1e-12)
+
+
+def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundary_eigh):
+    model, vals, vecs = z2_boundary_eigh
+    ctx = verify_mod._Ctx(model, seed=7)
+    family, sectors = verify_mod._kernel_family(ctx, ctx.mixture.stack, len(ctx.mixture.weights))
+    ranks = {}
+    for chi, c in itertools.product(range(2), repeat=2):
+        labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
+        part = take_parts(family, model.region.num_edges, labels)
+        cols = to_columns(part, model.space, len(labels), np.complex128)
+        ranks[(chi, c)] = verify_mod._rank(cols, verify_mod.TOL_KERNEL)
+    assert ranks == {(0, 0): 128, (0, 1): 512, (1, 0): 128, (1, 1): 512}
+    assert sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
 
 
 # ---------------------------------------------------------------------------
