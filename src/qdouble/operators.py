@@ -39,7 +39,7 @@ __all__ = [
     "ScaledOp",
     "QuantumDouble",
     "support",
-    "restrict",
+    "form_image",
     "sparse_matrix",
     "is_real",
 ]
@@ -54,7 +54,6 @@ DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
 DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and the H^{eps,mu} spectrum
 DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
-PROBE_BATCH_LIMIT = 1 << 22  # above this restricted dimension a probe batch is one column
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the ground seed or uniform mixture
 PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
@@ -118,6 +117,31 @@ def _form_on_shift(group: Group, form: tuple, shift: tuple) -> int:
         if edge in tmap:
             acc = int(mul[acc, power[c % len(power), tmap[edge]]])
     return acc
+
+
+def form_image(group: Group, forms, cap: int) -> np.ndarray:
+    """Every distinct tuple of values the holonomy `forms` take on
+    configurations: one row per tuple of an (n, len(forms)) uint8 array of
+    packed group indices.
+
+    Together the k forms are a homomorphism from G^E to G^k, so the tuples
+    are its image, a subgroup: the closure of the images of one generator of
+    G placed on one edge at a time.  Refused when the bound q^min(k, edges)
+    on its size exceeds `cap`.
+    """
+    edges = sorted({e for form in forms for e, _ in form})
+    refuse_above(group.size ** min(len(forms), len(edges)), cap, "holonomy form image")
+    mul, power = group.mul_table(), group.pow_table()
+    image = np.zeros((1, len(forms)), dtype=np.uint8)
+    for edge in edges:
+        for g in np.cumprod((1,) + group.orders[:-1]):  # one generator per cyclic factor
+            h = np.array([_form_on_shift(group, form, ((edge, int(g)),)) for form in forms],
+                         dtype=np.uint8)
+            if not (image == h).all(axis=1).any():
+                # the image times every power of h
+                image = np.unique(mul[image[:, None, :], power[:, h][None]].reshape(-1, len(forms)),
+                                  axis=0)
+    return image
 
 
 def _neg_shift(group: Group, shift: tuple) -> tuple:
@@ -200,6 +224,20 @@ def _adjoint_term(group: Group, t: Term) -> Term:
     )
 
 
+def term_factor(group: Group, term: Term, values) -> np.ndarray | None:
+    """The diagonal factor of a term, without its coefficient, on n points
+    where `values(form)` gives the (n,) packed group values of each holonomy
+    form; None when the term has no phases or indicators."""
+    diag = None
+    for form, chi_idx in term.phases:
+        factor = group.char_values(group.character_from_index(chi_idx))[values(form)]
+        diag = factor if diag is None else diag * factor
+    for form, target in term.indicators:
+        mask = values(form) == target
+        diag = mask.astype(np.complex128) if diag is None else diag * mask
+    return diag
+
+
 # ---------------------------------------------------------------------------
 # the Hilbert space and dense application
 
@@ -280,17 +318,7 @@ class HilbertSpace:
 
     def term_diag(self, term: Term) -> np.ndarray | None:
         """The diagonal factor of a term on every basis index, or None."""
-        if not term.phases and not term.indicators:
-            return None
-        diag = None
-        for form, chi_idx in term.phases:
-            vals = self.group.char_values(self.group.character_from_index(chi_idx))
-            factor = vals[self.form_values(form)]
-            diag = factor if diag is None else diag * factor
-        for form, target in term.indicators:
-            mask = self.form_values(form) == target
-            diag = mask.astype(np.complex128) if diag is None else diag * mask
-        return diag
+        return term_factor(self.group, term, self.form_values)
 
     def apply_terms(self, terms, psi: np.ndarray) -> np.ndarray:
         """Apply a sum of terms to a vector or a (dim, k) batch of columns."""
@@ -500,47 +528,6 @@ def support(op: Operator) -> set[int]:
     if isinstance(op, ScaledOp):
         return support(op.op)
     raise TypeError(f"no support for {type(op).__name__}")
-
-
-def _relabel_term(t: Term, index: dict[int, int]) -> Term:
-    def form(f):
-        return tuple((index[e], c) for e, c in f)
-
-    return Term(
-        t.coeff,
-        tuple((index[e], g) for e, g in t.shift),
-        tuple((form(f), chi) for f, chi in t.phases),
-        tuple((form(f), u) for f, u in t.indicators),
-    )
-
-
-def restrict(ops, edges) -> list[Operator]:
-    """The operators `ops` on one space over just `edges`, which must contain
-    their supports; edge `edges[i]` (in sorted order) becomes edge i.
-
-    The operators share the small space, so its holonomy tables and shift
-    permutations are built once for all of them.
-    """
-    edges = sorted(edges)
-    missing = set().union(*(support(op) for op in ops)) - set(edges)
-    if missing:
-        raise ValueError(f"edges {sorted(missing)} of the support are not kept")
-    full = ops[0].space
-    space = HilbertSpace(full.group, len(edges), cap=full.cap)
-    index = {e: i for i, e in enumerate(edges)}
-
-    def on_space(o: Operator) -> Operator:
-        if isinstance(o, TermOp):
-            return TermOp(space, [_relabel_term(t, index) for t in o.terms])
-        if isinstance(o, SumOp):
-            return SumOp(space, [on_space(p) for p in o.parts])
-        if isinstance(o, ProductOp):
-            return ProductOp(space, [on_space(f) for f in o.factors])
-        if isinstance(o, ScaledOp):
-            return ScaledOp(space, o.scalar, on_space(o.op))
-        raise TypeError(f"cannot restrict {type(o).__name__}")
-
-    return [on_space(op) for op in ops]
 
 
 def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):

@@ -10,10 +10,10 @@ Vectors come from two routes:
 * the ground space is built, not searched for: one gauge-orbit state per
   orbit of flat configurations (`ground_space`), which the test battery
   cross-checks against dense diagonalization and the projector product;
-* the lowest k eigenpairs come from a dense `eigh` on small spaces and from
-  scipy's LOBPCG on mid-size ones; the residuals ||H v - lambda v|| are
-  recomputed and checked against tol * sigma, so unconverged data is never
-  returned.
+* the lowest k eigenpairs come from one dense `eigh` per block of the
+  Hamiltonian's sparsity graph on small spaces and from scipy's LOBPCG on
+  mid-size ones; the residuals ||H v - lambda v|| are recomputed and checked
+  against tol * sigma, so unconverged data is never returned.
 """
 
 from __future__ import annotations
@@ -28,17 +28,21 @@ from .lattice import boundary_ribbon
 from .operators import (
     BOUNDARY_FLAVORS,
     DENSE_EIG_LIMIT,
+    DENSE_MATRIX_LIMIT,
     PHYSICAL_MEMORY_BYTES,
     Operator,
     QuantumDouble,
     TermOp,
+    is_real,
     refuse_above,
+    sparse_matrix,
 )
 from .sparse import sparse_apply, squared_norms, to_columns
 from .states import frustration_free_state
 
 __all__ = [
     "EigenBasis",
+    "blockwise_eigenvalues",
     "ground_dimension_count",
     "ground_space",
     "sector_counts",
@@ -201,6 +205,43 @@ def subspace_iteration(
                        meta={"iterations": len(history), "sigma": sigma})
 
 
+def _blocks(op: Operator, max_dim: int):
+    """The diagonal blocks of a Hermitian operator's exact matrix, by size:
+    for each block size s, the (n, s) basis indices of its n blocks and
+    their (n, s, s) dense entries (float64 when `is_real(op)`).
+
+    Blocks are the connected components of the graph that joins i to j when
+    the matrix entry (i, j) is nonzero.  Permuting rows and columns alike
+    makes the matrix block diagonal with these blocks, so their eigenpairs
+    are its eigenpairs.  For H they are gauge orbits.  Refused above
+    `max_dim`.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    m = sparse_matrix(op, max_dim)
+    m = m.real if is_real(op) else m
+    m.eliminate_zeros()  # entries that cancelled exactly join no blocks
+    _, label = connected_components(m, directed=False)
+    size_of = np.bincount(label)[label]
+    order = np.lexsort((label, size_of))  # one diagonal band per block size
+    band = m[order][:, order].tocoo()
+    start = 0
+    for size, count in zip(*np.unique(size_of, return_counts=True)):
+        inside = (band.row >= start) & (band.row < start + count)
+        row, col = band.row[inside] - start, band.col[inside] - start
+        blocks = np.zeros((count // size, size, size), dtype=m.dtype)
+        blocks[row // size, row % size, col % size] = band.data[inside]
+        yield order[start:start + count].reshape(-1, size), blocks
+        start += count
+
+
+def blockwise_eigenvalues(op: Operator) -> np.ndarray:
+    """Every eigenvalue of a Hermitian operator of at most DENSE_MATRIX_LIMIT
+    dimensions, ascending: one batched `eigvalsh` per block size."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel()
+                                   for _, b in _blocks(op, DENSE_MATRIX_LIMIT)]))
+
+
 def spectrum_lowest(
     model: QuantumDouble,
     k: int,
@@ -208,17 +249,27 @@ def spectrum_lowest(
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
 ) -> EigenBasis:
-    """The k lowest eigenvalues of the Hamiltonian, with residuals."""
+    """The k lowest eigenvalues of the Hamiltonian, with residuals: up to
+    DENSE_EIG_LIMIT dimensions one `eigh` per block size (`_blocks`), of which
+    only the k lowest eigenvectors are scattered into columns; LOBPCG above."""
     rng = rng if rng is not None else np.random.default_rng(7)
     h = model.hamiltonian(boundary=boundary)
-    if model.space.dim <= DENSE_EIG_LIMIT:
-        vals, vecs = np.linalg.eigh(h.to_dense(DENSE_EIG_LIMIT))
-        k = min(k, len(vals))
-        basis = vecs[:, :k]
-        hv = h.apply(basis)
-        resid = np.linalg.norm(hv - basis * vals[None, :k], axis=0)
-        return EigenBasis(basis, vals[:k], resid, "dense")
-    return subspace_iteration(h, k, rng, tol=tol)
+    dim = model.space.dim
+    if dim > DENSE_EIG_LIMIT:
+        return subspace_iteration(h, k, rng, tol=tol)
+    k = min(k, dim)
+    parts = [(idx, *np.linalg.eigh(blocks)) for idx, blocks in _blocks(h, DENSE_EIG_LIMIT)]
+    vals = np.concatenate([w.ravel() for _, w, _ in parts])
+    lowest = np.argsort(vals, kind="stable")[:k]
+    basis = np.zeros((dim, k), dtype=parts[0][2].dtype)
+    offset = 0
+    for idx, w, v in parts:  # eigenvalue offset + b * size + j is column j of block b
+        cols = np.flatnonzero((lowest >= offset) & (lowest < offset + w.size))
+        b, j = np.divmod(lowest[cols] - offset, w.shape[1])
+        basis[idx[b], cols[:, None]] = v[b, :, j]
+        offset += w.size
+    resid = np.linalg.norm(h.apply(basis) - basis * vals[lowest][None, :], axis=0)
+    return EigenBasis(basis, vals[lowest], resid, "dense")
 
 
 def sector_dimensions(model: QuantumDouble, basis: np.ndarray) -> dict[tuple[int, int], int]:

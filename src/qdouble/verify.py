@@ -7,11 +7,10 @@ runs a single id.  Checks that need a boundary skip themselves on tori
 with an explicit reason, and checks that need a dense spectral solve skip
 above the dense cutoff instead of guessing.
 
-Operator identities are compared on the joint support of the two sides:
-every operator acts as A_S (x) I, so A = B exactly when the two agree on
-the |G|^|S| configurations of S.  Up to DENSE_MATRIX_LIMIT configurations
-the comparison is exact, column by column of the restricted matrices;
-above it, seeded random probes are drawn on the restricted space.
+Operator identities are compared exactly, in the term algebra, at any
+support: every term reads a configuration only through its holonomy forms,
+so A = B exactly when every shift's diagonal factor agrees on every tuple of
+values those forms can take together (`_Ctx.probe`).
 """
 
 from __future__ import annotations
@@ -46,15 +45,12 @@ from .operators import (
     DEFAULT_DIM_CAP,
     DENSE_MATRIX_LIMIT,
     EIGSH_LIMIT,
-    PROBE_BATCH_LIMIT,
-    Operator,
     QuantumDouble,
     TermOp,
-    restrict,
-    sparse_matrix,
-    support,
+    form_image,
+    term_factor,
 )
-from .spectral import sector_counts, spectrum_counts
+from .spectral import blockwise_eigenvalues, sector_counts, spectrum_counts
 from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, take_parts,
                      to_columns)
 from .states import (
@@ -175,18 +171,6 @@ class VerificationReport:
 # check context
 
 
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """2-norms of the columns of a (dim, k) array, without a conjugated copy."""
-    return np.sqrt(np.array([np.vdot(col, col).real for col in np.asarray(x).T]))
-
-
-def _sparse_column_norms(m) -> np.ndarray:
-    """2-norms of the columns of a scipy CSC matrix without duplicate entries."""
-    n = m.shape[1]
-    cols = np.repeat(np.arange(n), np.diff(m.indptr))
-    return np.sqrt(np.bincount(cols, weights=np.abs(m.data) ** 2, minlength=n))
-
-
 class _Ctx:
     """Shared per-run state: the model, a per-check RNG, cached states."""
 
@@ -203,39 +187,34 @@ class _Ctx:
 
     # ---- probes ----
 
-    def probe(self, op_a: Operator, op_b: Operator, k: int = 3) -> float:
-        """Max relative residual of A - B, compared on their joint support.
+    def probe(self, op_a: TermOp, op_b: TermOp) -> float:
+        """Max relative residual of A - B over every basis column, exactly:
+        max_x |(A - B) e_x| / max(|A e_x|, |B e_x|, 1).
 
-        Both sides are restricted to the edges either one shifts or reads,
-        unless those are already every edge of their space.  Up to
-        DENSE_MATRIX_LIMIT configurations there the comparison is exact and
-        independent of the seed: the residual is
-        max_j |(A - B) e_j| / max(|A e_j|, |B e_j|, 1) over every basis
-        column, read from the exact sparse matrices, and `k` is unused.
-        Above it, the residual is taken over `k` seeded random columns of
-        the restricted space (one when it is larger than PROBE_BATCH_LIMIT).
+        Grouped by shift, A = sum_s shift_s D_s with D_s diagonal, and
+        distinct shifts send e_x to distinct basis vectors, so
+        |(A - B) e_x|^2 = sum_s |D^A_s(x) - D^B_s(x)|^2.  Every D_s reads x
+        only through the holonomy forms of the two operators' terms, so the
+        residual is taken over the image of those forms (`form_image`),
+        never over configurations; it does not depend on the seed.
         """
-        edges = sorted(support(op_a) | support(op_b))
-        if len(edges) == op_a.space.num_edges:
-            a, b = op_a, op_b  # global support: nothing to restrict
-        else:
-            a, b = restrict([op_a, op_b], edges)
-        space = a.space
-        if space.dim <= DENSE_MATRIX_LIMIT:
-            ma, mb = sparse_matrix(a), sparse_matrix(b)
-            num = _sparse_column_norms(ma - mb)
-            den = np.maximum(np.maximum(_sparse_column_norms(ma), _sparse_column_norms(mb)), 1.0)
-            return float(np.max(num / den))
-        if space.dim > PROBE_BATCH_LIMIT:
-            k = 1  # memory guard: one 2^24-dim probe is already 268 MB
-        psi = space.random_vectors(self.rng, k)
-        a, b = a.apply(psi), b.apply(psi)
-        num = _column_norms(a - b)
-        den = np.maximum(np.maximum(_column_norms(a), _column_norms(b)), 1.0)
-        return float(np.max(num / den))
+        group = self.group
+        terms = op_a.terms + op_b.terms
+        forms = sorted({f for t in terms for f, _ in t.phases + t.indicators})
+        values = dict(zip(forms, form_image(group, forms, op_a.space.cap).T))
+        diag_a, diag_b = {}, {}  # shift -> its diagonal on the image
+        for op, diag in ((op_a, diag_a), (op_b, diag_b)):
+            for t in op.terms:
+                factor = term_factor(group, t, values.__getitem__)
+                diag[t.shift] = diag.get(t.shift, 0) + t.coeff * (1.0 if factor is None else factor)
+        shifts = sorted(diag_a.keys() | diag_b.keys())
+        a, b = [diag_a.get(s, 0) for s in shifts], [diag_b.get(s, 0) for s in shifts]
+        num = sum(np.abs(x - y) ** 2 for x, y in zip(a, b))
+        norm = np.maximum(sum(np.abs(x) ** 2 for x in a), sum(np.abs(y) ** 2 for y in b))
+        return float(np.max(np.sqrt(num) / np.maximum(np.sqrt(norm), 1.0)))
 
-    def commutator(self, op_a: Operator, op_b: Operator, k: int = 2) -> float:
-        return self.probe(op_a @ op_b, op_b @ op_a, k)
+    def commutator(self, op_a: TermOp, op_b: TermOp) -> float:
+        return self.probe(op_a.compose(op_b), op_b.compose(op_a))
 
     @cached_property
     def omega(self) -> SparseState:
@@ -362,9 +341,9 @@ def _star_compose(ctx: _Ctx) -> float:
     worst = 0.0
     for g, h in ctx.label_pairs():
         lhs = model.star_shift(v, g).compose(model.star_shift(v, h))
-        worst = max(worst, ctx.probe(lhs, model.star_shift(v, int(g_mul[g, h])), k=1))
+        worst = max(worst, ctx.probe(lhs, model.star_shift(v, int(g_mul[g, h]))))
     star = model.star(v)
-    worst = max(worst, ctx.probe(star.compose(star), star, k=2))
+    worst = max(worst, ctx.probe(star.compose(star), star))
     return worst
 
 
@@ -381,9 +360,9 @@ def _star_adjoint(ctx: _Ctx) -> float:
     for g in range(ctx.q):
         worst = max(
             worst,
-            ctx.probe(model.star_shift(v, g).adjoint(), model.star_shift(v, int(inv[g])), k=1),
+            ctx.probe(model.star_shift(v, g).adjoint(), model.star_shift(v, int(inv[g]))),
         )
-    worst = max(worst, ctx.probe(model.star(v).adjoint(), model.star(v), k=1))
+    worst = max(worst, ctx.probe(model.star(v).adjoint(), model.star(v)))
     return worst
 
 
@@ -399,12 +378,12 @@ def _plaquette_orthogonal(ctx: _Ctx) -> float:
     for g, h in ctx.label_pairs():
         lhs = model.plaquette_indicator(f, g).compose(model.plaquette_indicator(f, h))
         rhs = model.plaquette_indicator(f, g) if g == h else TermOp(model.space, [])
-        worst = max(worst, ctx.probe(lhs, rhs, k=1))
+        worst = max(worst, ctx.probe(lhs, rhs))
     total = TermOp(
         model.space,
         [t for g in range(ctx.q) for t in model.plaquette_indicator(f, g).terms],
     ).simplify()
-    worst = max(worst, ctx.probe(total, model.identity(), k=1))
+    worst = max(worst, ctx.probe(total, model.identity()))
     return worst
 
 
@@ -419,7 +398,7 @@ def _plaquette_adjoint(ctx: _Ctx) -> float:
     worst = 0.0
     for g in range(ctx.q):
         op = model.plaquette_indicator(f, g)
-        worst = max(worst, ctx.probe(op.adjoint(), op, k=1))
+        worst = max(worst, ctx.probe(op.adjoint(), op))
     return worst
 
 
@@ -455,7 +434,7 @@ def _terms_commute(ctx: _Ctx) -> float:
     ops += [model.plaquette(f) for f in ctx.region.faces()[:3]]
     worst = 0.0
     for a, b in itertools.combinations(ops, 2):
-        worst = max(worst, ctx.commutator(a, b, k=1))
+        worst = max(worst, ctx.commutator(a, b))
     return worst
 
 
@@ -491,7 +470,7 @@ def _ribbon_fuse(ctx: _Ctx) -> float:
         lhs = model.ribbon_char(rib, chi, c).compose(model.ribbon_char(rib, xi, d))
         chi_prod = ctx.group.character_from_index(chi) * ctx.group.character_from_index(xi)
         rhs = model.ribbon_char(rib, chi_prod.index, int(mul[c, d]))
-        worst = max(worst, ctx.probe(lhs, rhs, k=1))
+        worst = max(worst, ctx.probe(lhs, rhs))
     return worst
 
 
@@ -524,21 +503,21 @@ def _ribbon_endpoint_exchange(ctx: _Ctx) -> float:
         if not rib_edges & {region.edge_id(e) for e, _ in region.face_boundary(f)}
     ]
     for v in far_vs[:2]:
-        worst = max(worst, ctx.commutator(f_op, model.star(v), k=1))
+        worst = max(worst, ctx.commutator(f_op, model.star(v)))
     for f in far_fs[:2]:
-        worst = max(worst, ctx.commutator(f_op, model.plaquette(f), k=1))
+        worst = max(worst, ctx.commutator(f_op, model.plaquette(f)))
     # end-site exchange, labels fixed by the pair-creation convention:
     # the start star twists by chi(g), the far star by conj(chi)(g)
     char = ctx.group.character_from_index(chi)
     for g in range(ctx.q):
         phase = char(ctx.group.element_from_index(g)).to_complex()
         a0 = model.star_shift(rib.start.vertex, g)
-        worst = max(worst, ctx.probe(a0.compose(f_op), f_op.compose(a0).scaled(phase), k=1))
+        worst = max(worst, ctx.probe(a0.compose(f_op), f_op.compose(a0).scaled(phase)))
         if region.has_full_star(rib.end.vertex):
             a1 = model.star_shift(rib.end.vertex, g)
             worst = max(
                 worst,
-                ctx.probe(a1.compose(f_op), f_op.compose(a1).scaled(phase.conjugate()), k=1),
+                ctx.probe(a1.compose(f_op), f_op.compose(a1).scaled(phase.conjugate())),
             )
     return worst
 
@@ -606,7 +585,7 @@ def _ribbon_concatenate(ctx: _Ctx) -> float:
     for chi, c in [(1 % ctx.q, 1 % ctx.q), (ctx.q - 1, 1 % ctx.q)]:
         lhs = model.ribbon_char(whole, chi, c)
         rhs = model.ribbon_char(r1, chi, c).compose(model.ribbon_char(r2, chi, c))
-        worst = max(worst, ctx.probe(lhs, rhs, k=2))
+        worst = max(worst, ctx.probe(lhs, rhs))
     return worst
 
 
@@ -654,20 +633,6 @@ def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _blockwise_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of a symmetric matrix, one eigvalsh per block.
-
-    Blocks are the connected components of the graph that joins i to j when
-    mat[i, j] != 0; permuting rows and columns alike makes the matrix block
-    diagonal with these blocks, so their eigenvalues are its eigenvalues.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    _, label = connected_components(mat != 0, directed=False)
-    blocks = [label == b for b in np.unique(label)]
-    return np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
-
-
 @_check(
     "ribbon.crossing-phase",
     "Two strips crossing once transversally commute up to the exact scalar "
@@ -681,11 +646,6 @@ def _ribbon_crossing(ctx: _Ctx) -> float:
     labels = list(itertools.product(ctx.group.characters(), ctx.group.elements()))
     f1s = [model.ribbon_char(rho, chi, c) for chi, c in labels]
     f2s = [model.ribbon_char(sigma, xi, d) for xi, d in labels]
-    # every strip on one space over the pair's joint support, so that its
-    # tables are built once for all q^4 label pairs
-    edges = set().union(*(support(f) for f in f1s + f2s))
-    strips = restrict(f1s + f2s, edges)
-    f1s, f2s = strips[: len(labels)], strips[len(labels):]
     worst = 0.0
     for (chi, c), f1 in zip(labels, f1s):
         for (xi, d), f2 in zip(labels, f2s):
@@ -695,7 +655,7 @@ def _ribbon_crossing(ctx: _Ctx) -> float:
                 return 1.0
             # and by composition, on every label pair
             lhs, rhs = f1.compose(f2), f2.compose(f1).scaled(scalar.to_complex())
-            worst = max(worst, ctx.probe(lhs, rhs, k=2))
+            worst = max(worst, ctx.probe(lhs, rhs))
     return worst
 
 
@@ -801,7 +761,7 @@ def _charge_orthogonality(ctx: _Ctx) -> float:
     for a, b in itertools.product(labels[:4], repeat=2):
         lhs = model.site_charge_projector(site, *a).compose(model.site_charge_projector(site, *b))
         rhs = model.site_charge_projector(site, *a) if a == b else TermOp(model.space, [])
-        worst = max(worst, ctx.probe(lhs, rhs, k=1))
+        worst = max(worst, ctx.probe(lhs, rhs))
     return worst
 
 
@@ -817,7 +777,7 @@ def _charge_completeness(ctx: _Ctx) -> float:
     for chi, c in itertools.product(range(ctx.q), repeat=2):
         terms.extend(model.site_charge_projector(site, chi, c).terms)
     total = TermOp(model.space, terms).simplify()
-    return ctx.probe(total, model.identity(), k=2)
+    return ctx.probe(total, model.identity())
 
 
 @_check(
@@ -855,7 +815,7 @@ def _charge_local_invariance(ctx: _Ctx) -> float:
 def _boundary_loop_eps(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     v = ctx.model.boundary_charge_eps()
-    return max(ctx.probe(v.compose(v), v, k=2), ctx.probe(v.adjoint(), v, k=2))
+    return max(ctx.probe(v.compose(v), v), ctx.probe(v.adjoint(), v))
 
 
 @_check(
@@ -866,7 +826,7 @@ def _boundary_loop_eps(ctx: _Ctx) -> float:
 def _boundary_loop_mu(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     v = ctx.model.boundary_charge_mu()
-    return max(ctx.probe(v.compose(v), v, k=2), ctx.probe(v.adjoint(), v, k=2))
+    return max(ctx.probe(v.compose(v), v), ctx.probe(v.adjoint(), v))
 
 
 @_check(
@@ -876,7 +836,7 @@ def _boundary_loop_mu(ctx: _Ctx) -> float:
 )
 def _boundary_equality_eps(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    return ctx.probe(ctx.model.detector_eps(), ctx.model.boundary_charge_eps(), k=8)
+    return ctx.probe(ctx.model.detector_eps(), ctx.model.boundary_charge_eps())
 
 
 @_check(
@@ -886,7 +846,7 @@ def _boundary_equality_eps(ctx: _Ctx) -> float:
 )
 def _boundary_equality_mu(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    return ctx.probe(ctx.model.detector_mu(), ctx.model.boundary_charge_mu(), k=8)
+    return ctx.probe(ctx.model.detector_mu(), ctx.model.boundary_charge_mu())
 
 
 # ---- boundary Hamiltonian ----------------------------------------------
@@ -905,7 +865,7 @@ def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
         raise _Skip(f"bottom-of-spectrum solve too large (dim {dim} > {EIGSH_LIMIT})")
     h = ctx.model.hamiltonian(boundary="eps_mu")
     if dim <= DENSE_MATRIX_LIMIT:  # every eigenvalue, so the kernel is counted too
-        vals = _blockwise_eigenvalues(h.to_dense())
+        vals = blockwise_eigenvalues(h)
         miscount = abs(int(np.sum(vals < TOL_KERNEL)) - spectrum_counts(ctx.model, "eps_mu")[0])
         return max(0.0, -float(vals.min()), float(miscount))
     from scipy.sparse.linalg import LinearOperator, eigsh

@@ -10,9 +10,15 @@ independent route to the same operator.
 Operators are represented as column functions: colfn(j) returns a dict
 {row index: amplitude} for basis column j.
 
-The exception is `_projector_ground_basis`, the ground-space oracle: it
-applies the package's own commuting projector factors to seed vectors, a
-route independent of the gauge-orbit construction that `ground_space` uses.
+The exceptions use the package's own operators through a route independent
+of the one they check:
+
+* `_projector_ground_basis`, the ground-space oracle, applies the commuting
+  projector factors to seed vectors, where `ground_space` builds gauge
+  orbits;
+* `exact_probe`, the operator-comparison oracle, reads the exact matrices of
+  both operators restricted to their joint support (`restrict`), column by
+  column, where `_Ctx.probe` works on the image of their holonomy forms.
 """
 
 import cmath
@@ -20,7 +26,8 @@ from math import prod
 
 import numpy as np
 
-from qdouble.operators import QuantumDouble, refuse_above
+from qdouble.operators import (HilbertSpace, Operator, ProductOp, QuantumDouble, ScaledOp, SumOp,
+                               Term, TermOp, refuse_above, sparse_matrix, support)
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -214,3 +221,75 @@ def _projector_ground_basis(
         method="projector",
         meta={"expected_dimension": expected, "singular_values": s[: rank + 3]},
     )
+
+
+# ---------------------------------------------------------------------------
+# operator comparison on the joint support
+
+
+def _relabel_term(t: Term, index: dict[int, int]) -> Term:
+    def form(f):
+        return tuple((index[e], c) for e, c in f)
+
+    return Term(
+        t.coeff,
+        tuple((index[e], g) for e, g in t.shift),
+        tuple((form(f), chi) for f, chi in t.phases),
+        tuple((form(f), u) for f, u in t.indicators),
+    )
+
+
+def restrict(ops, edges) -> list[Operator]:
+    """The operators `ops` on one space over just `edges`, which must contain
+    their supports; edge `edges[i]` (in sorted order) becomes edge i.
+
+    The operators share the small space, so its holonomy tables and shift
+    permutations are built once for all of them.
+    """
+    edges = sorted(edges)
+    missing = set().union(*(support(op) for op in ops)) - set(edges)
+    if missing:
+        raise ValueError(f"edges {sorted(missing)} of the support are not kept")
+    full = ops[0].space
+    space = HilbertSpace(full.group, len(edges), cap=full.cap)
+    index = {e: i for i, e in enumerate(edges)}
+
+    def on_space(o: Operator) -> Operator:
+        if isinstance(o, TermOp):
+            return TermOp(space, [_relabel_term(t, index) for t in o.terms])
+        if isinstance(o, SumOp):
+            return SumOp(space, [on_space(p) for p in o.parts])
+        if isinstance(o, ProductOp):
+            return ProductOp(space, [on_space(f) for f in o.factors])
+        if isinstance(o, ScaledOp):
+            return ScaledOp(space, o.scalar, on_space(o.op))
+        raise TypeError(f"cannot restrict {type(o).__name__}")
+
+    return [on_space(op) for op in ops]
+
+
+def restricted_dim(op_a: Operator, op_b: Operator) -> int:
+    """Dimension of the space over the joint support of two operators."""
+    return op_a.space.q ** len(support(op_a) | support(op_b))
+
+
+def _sparse_column_norms(m) -> np.ndarray:
+    """2-norms of the columns of a scipy CSC matrix without duplicate entries."""
+    n = m.shape[1]
+    cols = np.repeat(np.arange(n), np.diff(m.indptr))
+    return np.sqrt(np.bincount(cols, weights=np.abs(m.data) ** 2, minlength=n))
+
+
+def exact_probe(op_a: Operator, op_b: Operator) -> float:
+    """max_j |(A - B) e_j| / max(|A e_j|, |B e_j|, 1) over every basis column,
+    read from the exact sparse matrices of both operators on their joint
+    support; refused above the dense matrix limit."""
+    edges = sorted(support(op_a) | support(op_b))
+    if len(edges) == op_a.space.num_edges:
+        a, b = op_a, op_b  # global support: nothing to restrict
+    else:
+        a, b = restrict([op_a, op_b], edges)
+    ma, mb = sparse_matrix(a), sparse_matrix(b)
+    num = _sparse_column_norms(ma - mb)
+    den = np.maximum(np.maximum(_sparse_column_norms(ma), _sparse_column_norms(mb)), 1.0)
+    return float(np.max(num / den))

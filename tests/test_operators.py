@@ -15,13 +15,14 @@ from qdouble.lattice import (
 )
 from qdouble.operators import (
     DimensionCapError,
+    HilbertSpace,
     ProductOp,
     QuantumDouble,
     ScaledOp,
     SumOp,
     TermOp,
+    form_image,
     is_real,
-    restrict,
     sparse_matrix,
     support,
 )
@@ -411,7 +412,7 @@ def embedded_columns(op, cols):
     matrix of its restriction to its support: A = A_S (x) I."""
     space = op.space
     edges = sorted(support(op))
-    (small,) = restrict([op], edges)
+    (small,) = ref.restrict([op], edges)
     mat = sparse_matrix(small)
     cols = np.asarray(cols)
     digits = np.array([space.config_of(int(z)) for z in cols]).reshape(len(cols), -1)
@@ -499,7 +500,7 @@ def test_restrict_puts_every_operator_on_one_space():
     v, f = region.interior_vertices()[0], region.faces()[0]
     star, plaq = model.star(v), model.plaquette(f)
     edges = support(star) | support(plaq)
-    small_star, small_plaq = restrict([star, plaq], edges)
+    small_star, small_plaq = ref.restrict([star, plaq], edges)
     assert small_star.space is small_plaq.space
     assert small_star.space.num_edges == len(edges)
     assert support(small_star) | support(small_plaq) == set(range(len(edges)))
@@ -509,7 +510,29 @@ def test_restrict_rejects_edges_missing_from_the_support():
     model = QuantumDouble(make_group([2]), Region.free(3, 3))
     v = model.region.interior_vertices()[0]
     with pytest.raises(ValueError, match="support"):
-        restrict([model.star(v)], [0])
+        ref.restrict([model.star(v)], [0])
+
+
+@pytest.mark.parametrize("orders, forms", [
+    # two generators; the second form reads the first factor twice over
+    ((2, 2), (((0, 1), (1, 1)), ((1, 1), (2, 1), (3, 1)), ((0, 1), (3, 1)), ((2, 2), (3, 1)))),
+    ((4,), (((0, 2),), ((0, 1), (1, 3)), ((1, 2), (2, 2)), ((2, 1), (3, 1)), ((0, 3), (3, 2)))),
+    # weights 2 and 3 on Z6 reach proper subgroups
+    ((6,), (((0, 2), (1, 4)), ((1, 3), (2, 3)), ((2, 2), (3, 3)))),
+    ((2, 4), (((0, 2), (1, 1)), ((1, 2), (2, 3)), ((3, 5),))),
+    ((3,), ()),
+], ids=["Z2xZ2", "Z4", "Z6", "Z2xZ4", "no-forms"])
+def test_form_image_is_every_value_tuple_of_the_forms(orders, forms):
+    group = make_group(orders)
+    space = HilbertSpace(group, 4)
+    cols = [space.form_values(f) for f in forms]
+    brute = {tuple(int(c[i]) for c in cols) for i in range(space.dim)}
+    image = form_image(group, forms, space.cap)
+    assert image.shape == (len(brute), len(forms))
+    assert {tuple(row) for row in image} == brute
+    if forms:  # the bound q^min(k, edges) is checked before anything is built
+        with pytest.raises(DimensionCapError):
+            form_image(group, forms, group.size ** min(len(forms), 4) - 1)
 
 
 def test_sparse_matrix_refuses_above_the_dense_limit():

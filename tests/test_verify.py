@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from qdouble.groups import make_group
-from qdouble.lattice import Region, ribbon_to_boundary
+from qdouble.groups import make_group, parse_group_spec
+from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import DENSE_MATRIX_LIMIT, Operator, QuantumDouble
 from qdouble.sparse import sparse_apply, squared_norms, take_parts, to_columns
 from qdouble.spectral import sector_dimensions
@@ -20,6 +20,8 @@ from qdouble.verify import (
 )
 import qdouble.states as states_mod
 import qdouble.verify as verify_mod
+
+import reference as ref
 
 Z2 = make_group([2])
 Z3 = make_group([3])
@@ -38,6 +40,18 @@ LOCAL_PROBE_CHECKS = (
     "ribbon.endpoint-exchange",
     "ribbon.concatenate",
     "ribbon.crossing-phase",
+)
+# the other checks that compare operators through _Ctx.probe on Z4 free
+# 3x3, where their joint supports have 7 to 12 edges
+WIDE_PROBE_CHECKS = (
+    "boundary.charge-equality-mu",
+    "boundary-loop.projection-mu",
+    "charge.local-invariance",
+)
+# instances on which every probe of run_suite is compared with the oracle
+ORACLE_INSTANCES = (
+    ("Z2", "free:3x3"), ("Z3", "free:3x3"), ("Z2xZ2", "free:3x3"), ("Z4", "free:3x3"),
+    ("Z2", "torus:3x3"), ("Z3", "torus:2x2"),
 )
 
 
@@ -269,14 +283,14 @@ def test_suite_builds_uniform_mixture_once(monkeypatch):
 
 def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
     # Z2 free:3x3 is the one boundary instance below the dense cutoff: the
-    # three kernel checks densify one matrix between them, and decide exactly
+    # three kernel checks decide exactly without densifying the whole matrix
     densified = _count_calls(monkeypatch, Operator, "to_dense")
     ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
     for cid in ("boundary-hamiltonian.positive", "boundary-hamiltonian.kernel-span",
                 "sectors.direct-sum"):
         result = verify_mod._run_one(cid, ctx, None)
         assert result.passed is True and result.residual == 0.0, cid
-    assert len(densified) == 1
+    assert densified == []
 
 
 def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
@@ -346,7 +360,8 @@ def test_probe_separates_unequal_operators():
             "ribbon with the wrong phase": (
                 model.ribbon_char(rib, 1, 1), model.ribbon_char(rib, 1, 1).scaled(-1.0)),
             "ribbon without its phase": (model.ribbon_char(rib, 1, 1), model.ribbon_char(rib, 0, 1)),
-            # 8 edges: above the exact limit on Z4, so random probes decide
+            # 8 edges, 4^8 configurations on Z4: compared on the 4 values of
+            # the plaquette's holonomy form
             "star times far plaquette": (
                 model.star_shift(v, 1).compose(model.plaquette(far)),
                 model.star_shift(v, 2).compose(model.plaquette(far)),
@@ -355,6 +370,8 @@ def test_probe_separates_unequal_operators():
         for name, (a, b) in pairs.items():
             assert ctx.probe(a, b) >= 0.5, (group.spec, name)
             assert ctx.probe(a, a) < TOL_ALGEBRAIC, (group.spec, name)
+            if ref.restricted_dim(a, b) <= DENSE_MATRIX_LIMIT:
+                assert abs(ctx.probe(a, b) - ref.exact_probe(a, b)) <= 1e-15, (group.spec, name)
 
 
 def test_local_checks_stay_off_the_full_space(monkeypatch):
@@ -365,22 +382,22 @@ def test_local_checks_stay_off_the_full_space(monkeypatch):
 
     for name in ("random_vectors", "shift_perm", "form_values", "apply_terms"):
         monkeypatch.setattr(ctx.model.space, name, refuse)
-    for cid in LOCAL_PROBE_CHECKS:
+    for cid in LOCAL_PROBE_CHECKS + WIDE_PROBE_CHECKS:
         assert verify_mod._run_one(cid, ctx, None).passed is True, cid
 
 
 def test_local_check_residuals_do_not_depend_on_the_seed():
     region = Region.free(3, 3)
-    for cid in LOCAL_PROBE_CHECKS:
+    for cid in LOCAL_PROBE_CHECKS + WIDE_PROBE_CHECKS:
         a = run_check(cid, Z4, region, seed=7)
         b = run_check(cid, Z4, region, seed=11)
         assert a.passed is True and b.passed is True, cid
         assert a.residual == b.residual, cid
 
 
-def test_crossing_check_shares_one_space_across_label_pairs(monkeypatch):
-    # one space per probe would be q^4 = 256 spaces on Z4; only pairs whose
-    # joint support is smaller than the strips' get a space of their own
+def test_crossing_check_builds_no_space(monkeypatch):
+    # the q^4 = 256 label pairs on Z4 are compared on the image of their
+    # holonomy forms, not on a Hilbert space of their own
     import qdouble.operators as operators_mod
 
     built = []
@@ -390,7 +407,26 @@ def test_crossing_check_shares_one_space_across_label_pairs(monkeypatch):
         built.append(args)
         original(self, *args, **kwargs)
 
+    model = QuantumDouble(Z4, Region.free(3, 3))
     monkeypatch.setattr(operators_mod.HilbertSpace, "__init__", counting_init)
-    result = run_check("ribbon.crossing-phase", Z4, Region.free(3, 3), seed=7)
-    assert result.passed is True
-    assert len(built) < Z4.size ** 4 // 2
+    ctx = verify_mod._Ctx(model, seed=7)
+    assert verify_mod._run_one("ribbon.crossing-phase", ctx, None).passed is True
+    assert built == []
+
+
+@pytest.mark.parametrize("group_spec, region_spec", ORACLE_INSTANCES)
+def test_probe_equals_the_restricted_matrix_oracle(monkeypatch, group_spec, region_spec):
+    compared = []
+    probe = verify_mod._Ctx.probe
+
+    def checked(self, op_a, op_b):
+        got = probe(self, op_a, op_b)
+        if ref.restricted_dim(op_a, op_b) <= DENSE_MATRIX_LIMIT:
+            assert abs(got - ref.exact_probe(op_a, op_b)) <= 1e-15
+            compared.append(got)
+        return got
+
+    monkeypatch.setattr(verify_mod._Ctx, "probe", checked)
+    report = run_suite(parse_group_spec(group_spec), parse_region_spec(region_spec), seed=7)
+    assert report.ok
+    assert len(compared) >= 70
