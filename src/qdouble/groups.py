@@ -1,8 +1,12 @@
 """Finite abelian groups, their characters, and exact unit-phase arithmetic.
 
 A group is a direct product of cyclic factors Z_{n_1} x ... x Z_{n_k}.
-Elements and characters are digit vectors; characters evaluate to exact
-rational phases so that long products of character values never drift.
+Elements and characters are digit vectors that pack into the same indices,
+so characters multiply and invert through the element tables.  A character
+is evaluated through one exact |G| x |G| table per group: its integer
+entry (chi, g) is the k with chi(g) = exp(2*pi*i*k/L), L = lcm(n_1, ...,
+n_k), and its complex twin holds those values exactly at 1, i, -1 and -i.
+`Character.__call__` reads the integer table into an exact rational `Phase`.
 """
 
 from __future__ import annotations
@@ -140,10 +144,7 @@ class Character(_Digits):
 
     def __call__(self, g: GroupElement) -> Phase:
         self.group.require_same(g.group)
-        q = Fraction(0)
-        for k, d, n in zip(self.digits, g.digits, self.group.orders):
-            q += Fraction(k * d, n)
-        return Phase(q)
+        return Phase.of(int(self.group._exponents()[self.index, g.index]), lcm(*self.group.orders))
 
     def conjugate(self) -> "Character":
         return self.inverse()
@@ -245,9 +246,15 @@ class Group:
         """lcm(orders) x |G| uint8 table: row k holds g^k on packed indices."""
         return _pow_table(self.orders)
 
-    def char_values(self, chi: Character) -> np.ndarray:
-        """Complex character values on all packed element indices."""
-        return _char_values(self.orders, chi.digits)
+    def char_values(self, chi: Character | int) -> np.ndarray:
+        """Complex values of a character, or of the character with that packed
+        index, on all packed element indices."""
+        return _char_table(self.orders)[chi.index if isinstance(chi, Character) else chi]
+
+    def _exponents(self) -> np.ndarray:
+        """|G| x |G| table: entry (chi, g) is the k in [0, L) with
+        chi(g) = exp(2*pi*i*k/L), L = lcm(orders), on packed indices."""
+        return _char_exponents(self.orders)
 
     def __str__(self) -> str:
         return self.spec
@@ -285,15 +292,20 @@ def _pow_table(orders: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _char_values(orders: tuple[int, ...], chi_digits: tuple[int, ...]) -> np.ndarray:
-    g = Group(orders)
-    chi = Character(g, chi_digits)
-    vals = np.array(
-        [chi(g.element_from_index(i)).to_complex() for i in range(g.size)],
-        dtype=np.complex128,
-    )
-    vals.setflags(write=False)
-    return vals
+def _char_exponents(orders: tuple[int, ...]) -> np.ndarray:
+    g, L = Group(orders), lcm(*orders)
+    digits = np.array([g._unpack(i, "element") for i in range(g.size)], dtype=np.int64)
+    table = (digits * (L // np.array(orders))) @ digits.T % L  # sum_j chi_j g_j L/n_j
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _char_table(orders: tuple[int, ...]) -> np.ndarray:
+    L = lcm(*orders)
+    table = np.array([Phase.of(k, L).to_complex() for k in range(L)])[_char_exponents(orders)]
+    table.setflags(write=False)
+    return table
 
 
 def make_group(orders) -> Group:

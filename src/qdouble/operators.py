@@ -10,7 +10,11 @@ with F_i, G_j integer-weighted sums of edge variables (holonomies), chi_i
 characters, and t a fixed pattern of group shifts.  Terms are closed under
 products and adjoints, so compositions of stars, plaquettes, and ribbon
 operators never leave the class and all scalar factors produced along the
-way come from exact character evaluations.
+way come from exact character evaluations.  Characters are packed indices
+throughout: they multiply and invert through the group's element tables
+and are evaluated only through its character table (`Group.char_values`),
+so the term algebra, the dense and the sparse engine build no character
+objects.
 
 Dense application scatters through cached index permutations; the space
 dimension |G|^edges is capped (override deliberately for big instances).
@@ -38,7 +42,6 @@ __all__ = [
     "ProductOp",
     "ScaledOp",
     "QuantumDouble",
-    "support",
     "form_image",
     "sparse_matrix",
     "is_real",
@@ -149,15 +152,12 @@ def _neg_shift(group: Group, shift: tuple) -> tuple:
     return tuple((e, int(inv[g])) for e, g in shift)
 
 
-def _merge_phases(group: Group, *phase_lists) -> tuple:
+def _merge_phases(group: Group, phases) -> tuple:
+    """Canonical phases: the characters of each form multiplied together."""
+    mul = group.mul_table()  # characters multiply as packed elements do
     acc: dict[tuple, int] = {}
-    for phases in phase_lists:
-        for form, chi_idx in phases:
-            if form in acc:
-                chi = group.character_from_index(acc[form]) * group.character_from_index(chi_idx)
-                acc[form] = chi.index
-            else:
-                acc[form] = chi_idx
+    for form, chi in phases:
+        acc[form] = int(mul[acc.get(form, 0), chi])
     return tuple((f, c) for f, c in sorted(acc.items()) if c != 0)
 
 
@@ -178,12 +178,10 @@ class Term:
 def _compose_terms(group: Group, s: Term, t: Term) -> Term | None:
     """The term acting as 'first t, then s'; None when indicators clash."""
     coeff = s.coeff * t.coeff
-    phases = list(t.phases)
-    for form, chi_idx in s.phases:
+    for form, chi in s.phases:
         k = _form_on_shift(group, form, t.shift)
         if k:
-            coeff *= group.character_from_index(chi_idx)(group.element_from_index(k)).to_complex()
-        phases.append((form, chi_idx))
+            coeff *= complex(group.char_values(chi)[k])  # keeps a Python complex coeff
     indicators: dict[tuple, int] = dict(t.indicators)
     mul = group.mul_table()
     inv = group.inv_table()
@@ -197,20 +195,20 @@ def _compose_terms(group: Group, s: Term, t: Term) -> Term | None:
     return Term(
         coeff,
         shift,
-        _merge_phases(group, phases),
+        _merge_phases(group, t.phases + s.phases),
         tuple(sorted(indicators.items())),
     )
 
 
 def _adjoint_term(group: Group, t: Term) -> Term:
     coeff = np.conj(t.coeff)
+    inv = group.inv_table()
     phases = []
-    for form, chi_idx in t.phases:
+    for form, chi in t.phases:
         k = _form_on_shift(group, form, t.shift)
-        chi = group.character_from_index(chi_idx)
         if k:
-            coeff *= chi(group.element_from_index(k)).to_complex()
-        phases.append((form, chi.inverse().index))
+            coeff *= group.char_values(chi)[k]
+        phases.append((form, int(inv[chi])))
     mul = group.mul_table()
     indicators = []
     for form, target in t.indicators:
@@ -229,8 +227,8 @@ def term_factor(group: Group, term: Term, values) -> np.ndarray | None:
     where `values(form)` gives the (n,) packed group values of each holonomy
     form; None when the term has no phases or indicators."""
     diag = None
-    for form, chi_idx in term.phases:
-        factor = group.char_values(group.character_from_index(chi_idx))[values(form)]
+    for form, chi in term.phases:
+        factor = group.char_values(chi)[values(form)]
         diag = factor if diag is None else diag * factor
     for form, target in term.indicators:
         mask = values(form) == target
@@ -503,33 +501,6 @@ class ScaledOp(Operator):
         return ScaledOp(self.space, np.conj(self.scalar), self.op.adjoint())
 
 
-# ---------------------------------------------------------------------------
-# locality: every operator acts as A_S (x) I, with S its support
-
-
-def support(op: Operator) -> set[int]:
-    """The edge ids an operator shifts or reads through a holonomy form.
-
-    The operator acts as the identity on every other edge, so two operators
-    are equal exactly when they agree on the configurations of their joint
-    support.
-    """
-    if isinstance(op, TermOp):
-        edges: set[int] = set()
-        for t in op.terms:
-            edges.update(e for e, _ in t.shift)
-            for form, _ in t.phases + t.indicators:
-                edges.update(e for e, _ in form)
-        return edges
-    if isinstance(op, SumOp):
-        return set().union(*(support(p) for p in op.parts))
-    if isinstance(op, ProductOp):
-        return set().union(*(support(f) for f in op.factors))
-    if isinstance(op, ScaledOp):
-        return support(op.op)
-    raise TypeError(f"no support for {type(op).__name__}")
-
-
 def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     """The exact matrix of an operator as a scipy CSC matrix.
 
@@ -573,8 +544,8 @@ def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
 def _conjugate_key(group: Group, key: tuple) -> tuple:
     """Key of the term whose matrix is the entrywise conjugate of the keyed one's."""
     shift, phases, indicators = key
-    conj = sorted((f, group.character_from_index(chi).inverse().index) for f, chi in phases)
-    return (shift, tuple(conj), indicators)
+    inv = group.inv_table()
+    return (shift, tuple(sorted((f, int(inv[chi])) for f, chi in phases)), indicators)
 
 
 def is_real(op: Operator) -> bool:
@@ -619,10 +590,12 @@ class QuantumDouble:
     def _g_idx(self, g) -> int:
         return g.index if isinstance(g, GroupElement) else int(g)
 
-    def _chi(self, chi) -> Character:
-        if isinstance(chi, Character):
-            return chi
-        return self.group.character_from_index(int(chi))
+    def _chi_idx(self, chi) -> int:
+        return chi.index if isinstance(chi, Character) else int(chi)
+
+    def _chibar_idx(self, chi) -> int:
+        """Packed index of the conjugate (inverse) character."""
+        return int(self.group.inv_table()[self._chi_idx(chi)])
 
     def identity(self) -> TermOp:
         return TermOp(self.space, [Term(1.0)])
@@ -641,20 +614,15 @@ class QuantumDouble:
 
     def star(self, vertex) -> TermOp:
         """The gauge average A_v = (1/|G|) sum_g A_v^g, a projector."""
-        q = self.group.size
-        terms = []
-        for g in range(q):
-            terms.extend(self.star_shift(vertex, g).scaled(1.0 / q).terms)
-        return TermOp(self.space, terms).simplify()
+        return self.vertex_charge(vertex, 0)
 
     def vertex_charge(self, vertex, chi) -> TermOp:
         """Projector onto the sector where A_v^g acts as chi(g)."""
         q = self.group.size
-        chi = self._chi(chi)
+        conj = self.group.char_values(self._chibar_idx(chi))
         terms = []
-        for g in self.group.elements():
-            w = chi(g).conjugate().to_complex() / q
-            terms.extend(self.star_shift(vertex, g).scaled(w).terms)
+        for g in range(q):
+            terms.extend(self.star_shift(vertex, g).scaled(complex(conj[g]) / q).terms)
         return TermOp(self.space, terms).simplify()
 
     # ---- plaquettes ----
@@ -672,10 +640,10 @@ class QuantumDouble:
 
     def face_flux_phase(self, face, chi) -> TermOp:
         """The diagonal operator conj(chi)(holonomy of f)."""
-        chibar = self._chi(chi).inverse()
-        if chibar.is_trivial:
+        chibar = self._chibar_idx(chi)
+        if not chibar:
             return self.identity()
-        return TermOp(self.space, [Term(1.0, (), ((self._face_form(face), chibar.index),), ())])
+        return TermOp(self.space, [Term(1.0, (), ((self._face_form(face), chibar),), ())])
 
     # ---- ribbon operators ----
 
@@ -695,9 +663,9 @@ class QuantumDouble:
     def ribbon_char(self, ribbon: Ribbon, chi, c) -> TermOp:
         """F^{chi,c}: conj(chi) of the direct-path holonomy, then shift the
         crossed edges by c to the exit side."""
-        chibar = self._chi(chi).inverse()
+        chibar = self._chibar_idx(chi)
         form, shift = self._ribbon_data(ribbon, c)
-        phases = ((form, chibar.index),) if (form and not chibar.is_trivial) else ()
+        phases = ((form, chibar),) if (form and chibar) else ()
         return TermOp(self.space, [Term(1.0, shift, phases, ())])
 
     def ribbon_element(self, ribbon: Ribbon, g, c) -> TermOp:
@@ -717,26 +685,22 @@ class QuantumDouble:
         form2, shift2 = self._ribbon_data(rib2, d)
         k1 = _form_on_shift(g, form1, shift2)
         k2 = _form_on_shift(g, form2, shift1)
-        chibar = self._chi(chi).inverse()
-        xi = self._chi(xi)
-        return chibar(g.element_from_index(k1)) * xi(g.element_from_index(k2))
+        exponents = g._exponents()
+        k = exponents[self._chibar_idx(chi), k1] + exponents[self._chi_idx(xi), k2]
+        return Phase.of(int(k), lcm(*g.orders))
 
     # ---- global charge detectors ----
 
     def total_charge_projector(self, chi) -> TermOp:
         """Projector onto total gauge charge chi over the full-star vertices."""
         q = self.group.size
-        chi = self._chi(chi)
-        verts = self.region.interior_vertices()
+        inv = self.group.inv_table()
+        conj = self.group.char_values(self._chibar_idx(chi))
+        edges = [e for v in self.region.interior_vertices() for e in self.region.star_edges(v)]
         terms = []
-        for g in self.group.elements():
-            items = []
-            for v in verts:
-                inv = self.group.inv_table()
-                for eid, sign in self.region.star_edges(v):
-                    items.append((eid, g.index if sign > 0 else int(inv[g.index])))
-            w = chi(g).conjugate().to_complex() / q
-            terms.append(Term(w, _canon_shift(self.group, items)))
+        for g in range(q):
+            items = [(eid, g if sign > 0 else int(inv[g])) for eid, sign in edges]
+            terms.append(Term(complex(conj[g]) / q, _canon_shift(self.group, items)))
         return TermOp(self.space, terms).simplify()
 
     def total_flux_projector(self, c) -> TermOp:
@@ -744,13 +708,11 @@ class QuantumDouble:
         q = self.group.size
         ci = self._g_idx(c)
         faces = self.region.faces()
+        inv = self.group.inv_table()
         terms = []
-        for chi in self.group.characters():
-            coeff = chi(self.group.element_from_index(ci)).to_complex() / q
-            phases = _merge_phases(
-                self.group,
-                [(self._face_form(f), chi.inverse().index) for f in faces],
-            ) if not chi.is_trivial else ()
+        for chi in range(q):
+            coeff = complex(self.group.char_values(chi)[ci]) / q
+            phases = _merge_phases(self.group, [(self._face_form(f), int(inv[chi])) for f in faces])
             terms.append(Term(coeff, (), phases, ()))
         return TermOp(self.space, terms).simplify()
 

@@ -31,6 +31,7 @@ from .operators import (
     Term,
     TermOp,
     holonomy_values,
+    term_factor,
 )
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow", "split",
@@ -106,21 +107,17 @@ class SparseState:
     # ---- operator application ----
 
     def _apply_term(self, term: Term) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and amplitudes of one term's image: the term's diagonal,
+        as the dense engine takes it, and then its shift; the rows where the
+        diagonal is 0 (an indicator fails; a phase never vanishes) are dropped."""
         group = self.group
-        amps = np.full(self.n_configs, term.coeff, dtype=np.complex128)
-        amps *= self.amps
-        keep = np.ones(self.n_configs, dtype=bool)
-
-        def column(edge):
-            return self.digits[:, edge]
-
-        for form, chi_idx in term.phases:
-            vals = group.char_values(group.character_from_index(chi_idx))
-            amps = amps * vals[holonomy_values(group, column, self.n_configs, form)]
-        for form, target in term.indicators:
-            keep &= holonomy_values(group, column, self.n_configs, form) == target
-        digits = self.digits[keep].copy()
-        amps = amps[keep]
+        diag = term_factor(group, term, lambda form: holonomy_values(
+            group, lambda edge: self.digits[:, edge], self.n_configs, form))
+        if diag is None:
+            digits, amps = self.digits.copy(), term.coeff * self.amps
+        else:
+            keep = diag != 0
+            digits, amps = self.digits[keep], term.coeff * self.amps[keep] * diag[keep]
         mul = group.mul_table()
         for edge, g in term.shift:
             digits[:, edge] = mul[digits[:, edge], g]

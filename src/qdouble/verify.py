@@ -181,6 +181,7 @@ class _Ctx:
         self.seed = seed
         self.q = model.group.size
         self.rng = None  # reseeded per check
+        self.images: dict[tuple, dict] = {}  # sorted forms -> their values on form_image
 
     def reseed(self, check_id: str):
         self.rng = np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
@@ -196,12 +197,15 @@ class _Ctx:
         |(A - B) e_x|^2 = sum_s |D^A_s(x) - D^B_s(x)|^2.  Every D_s reads x
         only through the holonomy forms of the two operators' terms, so the
         residual is taken over the image of those forms (`form_image`),
-        never over configurations; it does not depend on the seed.
+        never over configurations; it does not depend on the seed.  The
+        model is fixed, so each distinct tuple of forms is imaged once a run.
         """
         group = self.group
         terms = op_a.terms + op_b.terms
-        forms = sorted({f for t in terms for f, _ in t.phases + t.indicators})
-        values = dict(zip(forms, form_image(group, forms, op_a.space.cap).T))
+        forms = tuple(sorted({f for t in terms for f, _ in t.phases + t.indicators}))
+        if forms not in self.images:
+            self.images[forms] = dict(zip(forms, form_image(group, forms, op_a.space.cap).T))
+        values = self.images[forms]
         diag_a, diag_b = {}, {}  # shift -> its diagonal on the image
         for op, diag in ((op_a, diag_a), (op_b, diag_b)):
             for t in op.terms:

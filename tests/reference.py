@@ -17,8 +17,8 @@ of the one they check:
   projector factors to seed vectors, where `ground_space` builds gauge
   orbits;
 * `exact_probe`, the operator-comparison oracle, reads the exact matrices of
-  both operators restricted to their joint support (`restrict`), column by
-  column, where `_Ctx.probe` works on the image of their holonomy forms.
+  both operators restricted to their joint `support` (`restrict`), column
+  by column, where `_Ctx.probe` works on the image of their holonomy forms.
 """
 
 import cmath
@@ -27,7 +27,7 @@ from math import prod
 import numpy as np
 
 from qdouble.operators import (HilbertSpace, Operator, ProductOp, QuantumDouble, ScaledOp, SumOp,
-                               Term, TermOp, refuse_above, sparse_matrix, support)
+                               Term, TermOp, refuse_above, sparse_matrix)
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -225,6 +225,29 @@ def _projector_ground_basis(
 
 # ---------------------------------------------------------------------------
 # operator comparison on the joint support
+
+
+def support(op: Operator) -> set[int]:
+    """The edge ids an operator shifts or reads through a holonomy form.
+
+    The operator acts as the identity on every other edge, so two operators
+    are equal exactly when they agree on the configurations of their joint
+    support.
+    """
+    if isinstance(op, TermOp):
+        edges: set[int] = set()
+        for t in op.terms:
+            edges.update(e for e, _ in t.shift)
+            for form, _ in t.phases + t.indicators:
+                edges.update(e for e, _ in form)
+        return edges
+    if isinstance(op, SumOp):
+        return set().union(*(support(p) for p in op.parts))
+    if isinstance(op, ProductOp):
+        return set().union(*(support(f) for f in op.factors))
+    if isinstance(op, ScaledOp):
+        return support(op.op)
+    raise TypeError(f"no support for {type(op).__name__}")
 
 
 def _relabel_term(t: Term, index: dict[int, int]) -> Term:

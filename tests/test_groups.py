@@ -156,12 +156,37 @@ def test_pow_table_matches_the_element_loop(orders):
             assert table[k, a.index] == power.index
 
 
+CHARACTER_TABLE_GROUPS = ([2, 2], [3], [6], [2, 4], [3, 3])
+
+
 def test_char_values_table():
-    g = make_group([2, 2])
+    for orders in CHARACTER_TABLE_GROUPS:
+        g = make_group(orders)
+        for chi in g.characters():
+            vals = g.char_values(chi)
+            assert vals.tolist() == [chi(a).to_complex() for a in g.elements()], chi
+            # the packed index reads the same row
+            assert g.char_values(chi.index).tolist() == vals.tolist()
+            assert not vals.flags.writeable
+
+
+@pytest.mark.parametrize("orders", CHARACTER_TABLE_GROUPS)
+def test_character_evaluation_is_the_exact_sum_of_digit_products(orders):
+    g = make_group(orders)
     for chi in g.characters():
-        vals = g.char_values(chi)
-        direct = np.array([chi(a).to_complex() for a in g.elements()])
-        np.testing.assert_allclose(vals, direct, atol=1e-15)
+        for a in g.elements():
+            q = sum(Fraction(k * d, n) for k, d, n in zip(chi.digits, a.digits, orders))
+            assert chi(a).exponent == q % 1, (chi, a)
+
+
+@pytest.mark.parametrize("orders", CHARACTER_TABLE_GROUPS)
+def test_characters_multiply_and_invert_through_the_element_tables(orders):
+    g = make_group(orders)
+    mul, inv = g.mul_table(), g.inv_table()
+    for chi in g.characters():
+        assert inv[chi.index] == chi.inverse().index
+        for xi in g.characters():
+            assert mul[chi.index, xi.index] == (chi * xi).index
 
 
 def test_quarter_turn_character_values_exact():

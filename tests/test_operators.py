@@ -24,7 +24,6 @@ from qdouble.operators import (
     form_image,
     is_real,
     sparse_matrix,
-    support,
 )
 from qdouble.spectral import ground_space
 import qdouble.states as states_mod
@@ -411,7 +410,7 @@ def embedded_columns(op, cols):
     """Columns `cols` of the full-space matrix of `op`, rebuilt from the exact
     matrix of its restriction to its support: A = A_S (x) I."""
     space = op.space
-    edges = sorted(support(op))
+    edges = sorted(ref.support(op))
     (small,) = ref.restrict([op], edges)
     mat = sparse_matrix(small)
     cols = np.asarray(cols)
@@ -458,12 +457,12 @@ def test_support_unions_shift_and_form_edges():
     v, f = region.interior_vertices()[0], region.faces()[0]
     star_edges = {e for e, _ in region.star_edges(v)}
     face_edges = {e for e, _ in region.face_boundary_ids(f)}
-    assert support(model.star_shift(v, 1)) == star_edges
-    assert support(model.plaquette(f)) == face_edges
-    assert support(model.identity()) == set()
+    assert ref.support(model.star_shift(v, 1)) == star_edges
+    assert ref.support(model.plaquette(f)) == face_edges
+    assert ref.support(model.identity()) == set()
     both = ProductOp(model.space, [model.star(v), ScaledOp(model.space, 2.0, model.plaquette(f))])
-    assert support(both) == star_edges | face_edges
-    assert support(SumOp(model.space, [model.star(v), model.plaquette(f)])) == star_edges | face_edges
+    assert ref.support(both) == star_edges | face_edges
+    assert ref.support(SumOp(model.space, [model.star(v), model.plaquette(f)])) == star_edges | face_edges
 
 
 @pytest.mark.parametrize("orders", [(2,), (3,)])
@@ -499,11 +498,11 @@ def test_restrict_puts_every_operator_on_one_space():
     region = model.region
     v, f = region.interior_vertices()[0], region.faces()[0]
     star, plaq = model.star(v), model.plaquette(f)
-    edges = support(star) | support(plaq)
+    edges = ref.support(star) | ref.support(plaq)
     small_star, small_plaq = ref.restrict([star, plaq], edges)
     assert small_star.space is small_plaq.space
     assert small_star.space.num_edges == len(edges)
-    assert support(small_star) | support(small_plaq) == set(range(len(edges)))
+    assert ref.support(small_star) | ref.support(small_plaq) == set(range(len(edges)))
 
 
 def test_restrict_rejects_edges_missing_from_the_support():

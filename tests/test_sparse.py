@@ -80,6 +80,15 @@ def test_sparse_term_apply_matches_dense(rng):
         model.total_charge_projector(1),
         model.total_flux_projector(2),
     ]
+    # terms with two phases and an indicator: the sparse route multiplies the
+    # phases into one diagonal before the amplitudes there
+    region = model.region
+    start, end = region.site((0, 0), (0, 0)), region.site((1, 1), (0, 0))
+    rib = ribbon_between(region, start, end)
+    mixed = (model.site_charge_projector(end, 1, 2).compose(model.ribbon_char(rib, 1, 1))
+             .compose(model.face_flux_phase((0, 0), 2)))
+    assert any(len(t.phases) >= 2 and t.indicators for t in mixed.terms)
+    ops.append(mixed)
     for op in ops:
         s = random_sparse(space, rng)
         got = sparse_apply(op, s).to_dense(space)

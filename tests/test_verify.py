@@ -414,6 +414,23 @@ def test_crossing_check_builds_no_space(monkeypatch):
     assert built == []
 
 
+def test_crossing_check_images_each_form_tuple_once(monkeypatch):
+    # every label pair of the q^4 = 256 on Z4 reads at most the two strips'
+    # direct-path forms, so the run images at most the 4 subsets of them
+    images = []
+    form_image = verify_mod.form_image
+
+    def counting(*args):
+        images.append(args[1])
+        return form_image(*args)
+
+    monkeypatch.setattr(verify_mod, "form_image", counting)
+    result = run_check("ribbon.crossing-phase", Z4, Region.free(3, 3))
+    assert result.passed is True and result.residual == 0.0
+    assert 1 <= len(images) <= 4
+    assert len(set(map(tuple, images))) == len(images)
+
+
 @pytest.mark.parametrize("group_spec, region_spec", ORACLE_INSTANCES)
 def test_probe_equals_the_restricted_matrix_oracle(monkeypatch, group_spec, region_spec):
     compared = []
