@@ -165,8 +165,9 @@ def _parse_specs(cfg: RunConfig) -> tuple[Group, Region]:
     except (GroupError, RibbonError, ValueError) as err:
         raise ConfigError(str(err)) from err
     n_edges = len(region.edges())
-    refuse_above(group.size**n_edges, cfg.cap,
-                 f"dimension |G|^E = {group.size}^{n_edges} (--unsafe-cap lifts the cap)")
+    if cfg.task != "braid":  # braid composes terms and allocates no |G|^E vector
+        refuse_above(group.size**n_edges, cfg.cap,
+                     f"dimension |G|^E = {group.size}^{n_edges} (--unsafe-cap lifts the cap)")
     return group, region
 
 

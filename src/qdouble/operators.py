@@ -16,14 +16,13 @@ and are evaluated only through its character table (`Group.char_values`),
 so the term algebra, the dense and the sparse engine build no character
 objects.
 
-Dense application scatters through cached index permutations; the space
-dimension |G|^edges is capped (override deliberately for big instances).
+Dense application gathers through index permutations built on each call;
+the space dimension |G|^edges is capped (override deliberately for big instances).
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import lcm
 
@@ -59,8 +58,6 @@ DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and the H^{eps,mu
 DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the ground seed or uniform mixture
-PERM_CACHE_BYTES = 1_500_000_000  # cached shift permutations per space
-FORM_CACHE_ENTRIES = 24  # cached holonomy tables per space
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
 # measured, not set: no dense vector may outgrow the machine's physical memory
 PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -241,7 +238,7 @@ def term_factor(group: Group, term: Term, values) -> np.ndarray | None:
 
 
 class HilbertSpace:
-    """Group-valued configurations of `num_edges` edges, with dense-apply caches."""
+    """Group-valued configurations of `num_edges` edges and dense application."""
 
     def __init__(self, group: Group, num_edges: int, cap: int = DEFAULT_DIM_CAP):
         self.group = group
@@ -249,9 +246,6 @@ class HilbertSpace:
         self.q = group.size
         self.num_edges = num_edges
         self.dim = self.q ** self.num_edges
-        self._form_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._perm_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._perm_bytes = 0
 
     def require_dense(self, what: str = "dense computation"):
         refuse_above(self.dim, self.cap, f"{what} dimension")
@@ -281,23 +275,11 @@ class HilbertSpace:
 
     def form_values(self, form: tuple) -> np.ndarray:
         """Packed group value of a holonomy form on every basis index."""
-        cached = self._form_cache.get(form)
-        if cached is not None:
-            self._form_cache.move_to_end(form)
-            return cached
         self.require_dense("holonomy table")
-        acc = holonomy_values(self.group, self.digit_array, self.dim, form)
-        self._form_cache[form] = acc
-        while len(self._form_cache) > FORM_CACHE_ENTRIES:
-            self._form_cache.popitem(last=False)
-        return acc
+        return holonomy_values(self.group, self.digit_array, self.dim, form)
 
     def shift_perm(self, shift: tuple) -> np.ndarray:
         """Index permutation P with P[i] = index(config(i) + shift)."""
-        cached = self._perm_cache.get(shift)
-        if cached is not None:
-            self._perm_cache.move_to_end(shift)
-            return cached
         self.require_dense("shift permutation")
         mul = self.group.mul_table()
         # intp, the index type np.take works in: an int32 table would be
@@ -307,11 +289,6 @@ class HilbertSpace:
             d = self.digit_array(edge)
             nd = mul[d, g]
             perm += (nd.astype(np.intp) - d) * (self.q ** edge)
-        self._perm_cache[shift] = perm
-        self._perm_bytes += perm.nbytes
-        while self._perm_bytes > PERM_CACHE_BYTES and len(self._perm_cache) > 1:
-            _, old = self._perm_cache.popitem(last=False)
-            self._perm_bytes -= old.nbytes
         return perm
 
     def term_diag(self, term: Term) -> np.ndarray | None:
@@ -504,28 +481,32 @@ class ScaledOp(Operator):
 def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     """The exact matrix of an operator as a scipy CSC matrix.
 
-    A term sends basis column j to row shift_perm(shift)[j] with value
-    coeff * term_diag[j], so a TermOp costs O(terms x dim) and no dense
+    Grouped by shift, a TermOp is A = sum_s shift_s D_s: column j holds
+    D_s[j] at row shift_perm(s)[j], and distinct shifts send j to distinct
+    rows, so nothing needs summing.  That costs O(terms x dim) and no dense
     (dim, dim) product; sums add and products multiply these matrices.
-    Refused above `max_dim`.
+    Refused above `max_dim` and when the entries outgrow physical memory.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csc_matrix
 
     space = op.space
     dim = space.dim
     refuse_above(dim, max_dim, "matrix dimension")
     if isinstance(op, TermOp):
-        rows, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
-        for t in op.terms:
-            if t.coeff == 0:
-                continue
+        terms = [t for t in op.terms if t.coeff != 0]
+        slot = {s: i for i, s in enumerate(dict.fromkeys(t.shift for t in terms))}
+        n = len(slot)
+        # 28 bytes an entry (its value, its row and scipy's int32 copy of the
+        # rows), and under 64 a column for one term's diagonal or permutation
+        refuse_above(dim * (28 * n + 64), PHYSICAL_MEMORY_BYTES, "sparse matrix bytes")
+        vals = np.zeros((dim, n), dtype=np.complex128)
+        rows = np.empty((dim, n), dtype=np.intp)
+        for t in terms:
             diag = space.term_diag(t)
-            vals.append(t.coeff * (np.ones(dim) if diag is None else diag))
-            rows.append(space.shift_perm(t.shift))
-        cols = np.tile(np.arange(dim), len(rows) - 1)
-        entries = (np.concatenate(vals), (np.concatenate(rows), cols))
-        # the conversion sums duplicate (row, column) entries
-        return coo_matrix(entries, shape=(dim, dim)).tocsc()
+            vals[:, slot[t.shift]] += t.coeff if diag is None else t.coeff * diag
+        for s, i in slot.items():
+            rows[:, i] = space.shift_perm(s)
+        return csc_matrix((vals.ravel(), rows.ravel(), n * np.arange(dim + 1)), shape=(dim, dim))
     if isinstance(op, SumOp):
         out = sparse_matrix(op.parts[0], max_dim)
         for p in op.parts[1:]:

@@ -176,33 +176,40 @@ def subspace_iteration(
 ) -> EigenBasis:
     """Lowest k eigenpairs of a nonnegative operator by scipy's LOBPCG.
 
-    The block starts from k seeded random columns.  The residuals
-    ||H v - lambda v|| are recomputed with `op.apply` and must all be below
-    tol * sigma, sigma = 1 + sum |coeff| bounding the spectrum (every term is
-    scalar x unit-modulus diagonals x permutation).  Raises otherwise;
-    unconverged output is never returned.
+    LOBPCG starts from k seeded random columns and multiplies by the exact
+    sparse matrix, built once.  The residuals ||H v - lambda v|| are
+    recomputed with `op.apply` and must all be below tol * sigma, sigma =
+    1 + sum |coeff| bounding the spectrum (every term is scalar x
+    unit-modulus diagonals x permutation).  A column LOBPCG locked can end
+    just above that, so it restarts from its own block until they pass, and
+    raises once `max_iter` iterations are used in all: unconverged output
+    is never returned.
     """
     # imported here: it adds about 10 MB of RSS to every other route
-    from scipy.sparse.linalg import LinearOperator, lobpcg
+    from scipy.sparse.linalg import lobpcg
 
     space = op.space
     # below 5k rows LOBPCG densifies the operator as A(eye(dim)), dim x dim
     refuse_above(5 * k, space.dim, "LOBPCG rows needed (5 per eigenpair)")
     sigma = 1.0 + float(sum(abs(t.coeff) for t in op.terms))
-    a = LinearOperator((space.dim, space.dim), matvec=op.apply, matmat=op.apply,
-                       dtype=np.complex128)
-    with warnings.catch_warnings():
-        # LOBPCG warns when it stops short; the residual check below decides
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs, history = lobpcg(a, space.random_vectors(rng, k), tol=tol * sigma,
-                                     largest=False, maxiter=max_iter,
-                                     retResidualNormsHistory=True)
-    resid = np.linalg.norm(op.apply(vecs) - vecs * vals[None, :], axis=0)
-    if not np.all(resid < tol * sigma):
-        raise RuntimeError(f"LOBPCG did not converge in {max_iter} iterations; "
-                           f"last values {vals}, residuals {resid}")
-    return EigenBasis(vecs, vals, resid, "iterative",
-                       meta={"iterations": len(history), "sigma": sigma})
+    vecs = space.random_vectors(rng, k)  # refuses a space too large for one vector
+    a = sparse_matrix(op, space.cap)
+    iterations = 0
+    while True:
+        with warnings.catch_warnings():
+            # LOBPCG warns when it stops short; the residual check below decides
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs, history = lobpcg(a, vecs, tol=tol * sigma, largest=False,
+                                         maxiter=max_iter - iterations,
+                                         retResidualNormsHistory=True)
+        iterations += len(history)
+        resid = np.linalg.norm(op.apply(vecs) - vecs * vals[None, :], axis=0)
+        if np.all(resid < tol * sigma):
+            return EigenBasis(vecs, vals, resid, "iterative",
+                              meta={"iterations": iterations, "sigma": sigma})
+        if iterations >= max_iter:
+            raise RuntimeError(f"LOBPCG did not converge in {max_iter} iterations; "
+                               f"last values {vals}, residuals {resid}")
 
 
 def _blocks(op: Operator, max_dim: int):
@@ -247,7 +254,6 @@ def spectrum_lowest(
     k: int,
     boundary: str = "none",
     rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
 ) -> EigenBasis:
     """The k lowest eigenvalues of the Hamiltonian, with residuals: up to
     DENSE_EIG_LIMIT dimensions one `eigh` per block size (`_blocks`), of which
@@ -256,7 +262,7 @@ def spectrum_lowest(
     h = model.hamiltonian(boundary=boundary)
     dim = model.space.dim
     if dim > DENSE_EIG_LIMIT:
-        return subspace_iteration(h, k, rng, tol=tol)
+        return subspace_iteration(h, k, rng)
     k = min(k, dim)
     parts = [(idx, *np.linalg.eigh(blocks)) for idx, blocks in _blocks(h, DENSE_EIG_LIMIT)]
     vals = np.concatenate([w.ravel() for _, w, _ in parts])

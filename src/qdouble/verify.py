@@ -48,6 +48,7 @@ from .operators import (
     QuantumDouble,
     TermOp,
     form_image,
+    sparse_matrix,
     term_factor,
 )
 from .spectral import blockwise_eigenvalues, sector_counts, spectrum_counts
@@ -622,12 +623,12 @@ def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
     zero singular values).  The spanning family splits into one block per
     gauge-orbit coset.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     m, n = mat.shape
     rows, cols = np.nonzero(mat)
-    graph = coo_matrix((np.ones(rows.size), (rows, m + cols)), shape=(m + n, m + n))
+    graph = csr_matrix((np.ones(rows.size), (rows, m + cols)), shape=(m + n, m + n))
     _, label = connected_components(graph, directed=False)
     row_label, col_label = label[:m], label[m:]
     parts = [
@@ -872,15 +873,11 @@ def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
         vals = blockwise_eigenvalues(h)
         miscount = abs(int(np.sum(vals < TOL_KERNEL)) - spectrum_counts(ctx.model, "eps_mu")[0])
         return max(0.0, -float(vals.min()), float(miscount))
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.sparse.linalg import eigsh
 
-    lin = LinearOperator(
-        (dim, dim),
-        matvec=lambda x: h.apply(np.asarray(x, dtype=np.complex128)),
-        dtype=np.complex128,
-    )
     v0 = ctx.rng.standard_normal(dim)
-    vals = eigsh(lin, k=1, which="SA", tol=1e-9, v0=v0, return_eigenvectors=False)
+    vals = eigsh(sparse_matrix(h, EIGSH_LIMIT), k=1, which="SA", tol=1e-9, v0=v0,
+                 return_eigenvectors=False)
     return max(0.0, -float(vals[0]))
 
 

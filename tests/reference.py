@@ -18,7 +18,10 @@ of the one they check:
   orbits;
 * `exact_probe`, the operator-comparison oracle, reads the exact matrices of
   both operators restricted to their joint `support` (`restrict`), column
-  by column, where `_Ctx.probe` works on the image of their holonomy forms.
+  by column, where `_Ctx.probe` works on the image of their holonomy forms;
+* `coo_sparse_matrix`, the exact-matrix oracle, writes one COO entry per
+  term and column and lets scipy sum the duplicates, where `sparse_matrix`
+  sums each shift's diagonal first.
 """
 
 import cmath
@@ -26,8 +29,9 @@ from math import prod
 
 import numpy as np
 
-from qdouble.operators import (HilbertSpace, Operator, ProductOp, QuantumDouble, ScaledOp, SumOp,
-                               Term, TermOp, refuse_above, sparse_matrix)
+from qdouble.operators import (DENSE_MATRIX_LIMIT, HilbertSpace, Operator, ProductOp,
+                               QuantumDouble, ScaledOp, SumOp, Term, TermOp, refuse_above,
+                               sparse_matrix)
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -266,8 +270,7 @@ def restrict(ops, edges) -> list[Operator]:
     """The operators `ops` on one space over just `edges`, which must contain
     their supports; edge `edges[i]` (in sorted order) becomes edge i.
 
-    The operators share the small space, so its holonomy tables and shift
-    permutations are built once for all of them.
+    The operators share the small space.
     """
     edges = sorted(edges)
     missing = set().union(*(support(op) for op in ops)) - set(edges)
@@ -316,3 +319,46 @@ def exact_probe(op_a: Operator, op_b: Operator) -> float:
     num = _sparse_column_norms(ma - mb)
     den = np.maximum(np.maximum(_sparse_column_norms(ma), _sparse_column_norms(mb)), 1.0)
     return float(np.max(num / den))
+
+
+# ---------------------------------------------------------------------------
+# the exact matrix, one entry per term
+
+
+def coo_sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
+    """The exact matrix of an operator as a scipy CSC matrix, term by term.
+
+    A term sends basis column j to row shift_perm(shift)[j] with value
+    coeff * term_diag[j]; the COO to CSC conversion sums the entries that
+    terms with the same shift put at the same (row, column).  Sums add and
+    products multiply these matrices.  Refused above `max_dim`.
+    """
+    from scipy.sparse import coo_matrix
+
+    space = op.space
+    dim = space.dim
+    refuse_above(dim, max_dim, "matrix dimension")
+    if isinstance(op, TermOp):
+        rows, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
+        for t in op.terms:
+            if t.coeff == 0:
+                continue
+            diag = space.term_diag(t)
+            vals.append(t.coeff * (np.ones(dim) if diag is None else diag))
+            rows.append(space.shift_perm(t.shift))
+        cols = np.tile(np.arange(dim), len(rows) - 1)
+        entries = (np.concatenate(vals), (np.concatenate(rows), cols))
+        return coo_matrix(entries, shape=(dim, dim)).tocsc()
+    if isinstance(op, SumOp):
+        out = coo_sparse_matrix(op.parts[0], max_dim)
+        for p in op.parts[1:]:
+            out = out + coo_sparse_matrix(p, max_dim)
+        return out
+    if isinstance(op, ProductOp):
+        out = coo_sparse_matrix(op.factors[0], max_dim)
+        for f in op.factors[1:]:
+            out = out @ coo_sparse_matrix(f, max_dim)
+        return out
+    if isinstance(op, ScaledOp):
+        return op.scalar * coo_sparse_matrix(op.op, max_dim)
+    raise TypeError(f"no sparse matrix for {type(op).__name__}")

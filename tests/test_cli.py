@@ -273,6 +273,15 @@ def test_braid_reads_the_crossing_strips(capsys, monkeypatch):
     assert {x for row in json.loads(out)["crossing_exponents"] for x in row} == {"0"}
 
 
+def test_braid_allocates_no_vector_so_the_dimension_cap_passes(capsys):
+    # 8^12 configurations exceed the cap, but braid only composes terms
+    code, out, _ = run_cli(capsys, "braid", "--group", "Z2xZ4", "--json")
+    assert code == EXIT_OK
+    assert run_cli(capsys, "braid", "--group", "Z2xZ4", "--json", "--unsafe-cap")[1] == out
+    code, _, err = run_cli(capsys, "excite", "--group", "Z2xZ4", "--json")
+    assert code == EXIT_CAP and "--unsafe-cap" in err
+
+
 def test_braid_needs_an_interior_vertex(capsys):
     code, _, err = run_cli(capsys, "braid", "--group", "Z2", "--region", "free:2x2")
     assert code == EXIT_CONFIG

@@ -26,6 +26,7 @@ from qdouble.operators import (
     sparse_matrix,
 )
 from qdouble.spectral import ground_space
+import qdouble.operators as operators_mod
 import qdouble.states as states_mod
 
 import reference as ref
@@ -538,6 +539,63 @@ def test_sparse_matrix_refuses_above_the_dense_limit():
     model = QuantumDouble(make_group([2]), Region.free(3, 4))
     with pytest.raises(DimensionCapError):
         sparse_matrix(model.identity())
+
+
+def sparse_matrix_cases(model):
+    """Operators of every kind `sparse_matrix` builds, on one model."""
+    region, space = model.region, model.space
+    a, b = region.site((0, 0), (0, 0)), region.site((1, 1), (1, 1))
+    ribbon = model.ribbon_char(ribbon_between(region, a, b), 1, 1)
+    site = model.site_charge_projector(a, 1, 1)
+    cases = {
+        "H": model.hamiltonian(),
+        "ribbon": ribbon,
+        "site charge projector": site,
+        "empty": TermOp(space, []),
+        # unsimplified: each ribbon term meets its negative, the star stays
+        "cancelling terms": TermOp(space, ribbon.terms + ribbon.scaled(-1.0).terms
+                                   + model.star_shift((1, 0), 1).terms),
+        "sum": SumOp(space, [ribbon, site]),
+        "product": ProductOp(space, [ribbon, ScaledOp(space, 0.5j, site), ribbon.adjoint()]),
+        "scaled": ScaledOp(space, -2.0 + 1j, model.hamiltonian()),
+    }
+    if min(region.m, region.n) >= 3:  # the boundary loops exist
+        cases["H eps,mu"] = model.hamiltonian(boundary="eps_mu")
+    return cases
+
+
+@pytest.mark.parametrize("orders, region", [
+    ((2,), Region.free(3, 3)), ((3,), Region.free(2, 3)), ((2, 2), Region.free(2, 3)),
+], ids=["Z2-free3x3", "Z3-free2x3", "Z2xZ2-free2x3"])
+def test_sparse_matrix_matches_the_entry_per_term_oracle(orders, region):
+    model = QuantumDouble(make_group(orders), region)
+    dim = model.space.dim
+    for name, op in sparse_matrix_cases(model).items():
+        got, want = sparse_matrix(op, dim).tocsc(), ref.coo_sparse_matrix(op, dim).tocsc()
+        for m in (got, want):
+            m.sum_duplicates()
+            m.eliminate_zeros()
+        assert np.array_equal(got.indptr, want.indptr), name
+        assert np.array_equal(got.indices, want.indices), name
+        assert np.all(np.abs(got.data - want.data) <= 1e-15), name
+    assert sparse_matrix(TermOp(model.space, []), dim).nnz == 0
+
+
+def test_sparse_matrix_refuses_entries_larger_than_memory(monkeypatch):
+    # 28 bytes an entry, one entry per shift and column, plus 64 a column
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    h = model.hamiltonian()
+    need = model.space.dim * (28 * len({t.shift for t in h.terms}) + 64)
+    monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need)
+    assert sparse_matrix(h).nnz
+
+    def no_diagonal(*args):
+        raise AssertionError("a diagonal was built before refusing")
+
+    monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
+    monkeypatch.setattr(HilbertSpace, "term_diag", no_diagonal)
+    with pytest.raises(DimensionCapError, match="sparse matrix bytes"):
+        sparse_matrix(h)
 
 
 def test_to_dense_is_real_exactly_when_the_terms_are():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from qdouble.groups import make_group
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
-from qdouble.operators import DENSE_EIG_LIMIT, DimensionCapError, QuantumDouble
+from qdouble.operators import DENSE_EIG_LIMIT, DimensionCapError, HilbertSpace, QuantumDouble
 from qdouble.spectral import (
     ground_dimension_count,
     ground_space,
@@ -15,6 +17,7 @@ from qdouble.spectral import (
     subspace_iteration,
 )
 from qdouble.states import frustration_free_state
+from qdouble.verify import run_check
 
 import reference as ref
 
@@ -122,9 +125,47 @@ def test_subspace_iteration_matches_dense(rng):
     model = QuantumDouble(group, Region.torus(2, 2))
     h = model.hamiltonian()
     dense = np.linalg.eigvalsh(h.to_dense())
-    it = subspace_iteration(h, 6, rng, tol=1e-10)
-    assert np.allclose(it.values, dense[:6], atol=1e-8)
-    assert np.all(it.residuals < 1e-8)
+    # LOBPCG locks converged columns, whose residuals can end just above
+    # tol * sigma; it restarts from its own block instead of failing
+    for start in [rng] + [np.random.default_rng(seed) for seed in range(40)]:
+        it = subspace_iteration(h, 6, start, tol=1e-10)
+        assert np.allclose(it.values, dense[:6], atol=1e-8)
+        assert np.all(it.residuals < 1e-8)
+        assert it.meta["iterations"] <= 2000
+
+
+def test_iterative_solvers_apply_the_matrix_and_the_terms_only_for_residuals(monkeypatch):
+    events = []
+    inside = []
+    apply_terms = HilbertSpace.apply_terms
+
+    def spy_apply(self, terms, psi):
+        assert not inside, "the solver applied the terms"
+        events.append("apply")
+        return apply_terms(self, terms, psi)
+
+    def spy(solver):
+        def run(a, *args, **kwargs):
+            assert scipy.sparse.issparse(a)
+            events.append(solver.__name__)
+            inside.append(True)
+            try:
+                return solver(a, *args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(HilbertSpace, "apply_terms", spy_apply)
+    for name in ("lobpcg", "eigsh"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, spy(getattr(scipy.sparse.linalg, name)))
+    model = QuantumDouble(make_group([2]), Region.torus(2, 2))
+    # a start whose first solve ends just above the bound, so LOBPCG restarts
+    subspace_iteration(model.hamiltonian(), 6, np.random.default_rng(11), tol=1e-10)
+    assert events and events == ["lobpcg", "apply"] * (len(events) // 2)
+    events.clear()
+    result = run_check("boundary-hamiltonian.positive", make_group([3]), Region.free(3, 3))
+    assert result.passed and result.residual < 1e-15
+    assert events == ["eigsh"]
 
 
 def test_subspace_iteration_refuses_unconverged(rng):
