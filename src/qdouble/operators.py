@@ -54,10 +54,10 @@ BOUNDARY_FLAVORS = ("none", "eps", "mu", "eps_mu")  # boundary charges H may sub
 
 DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
-DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; dense checks and the H^{eps,mu} spectrum
+DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; spanning_matrix; the H^{eps,mu} spectrum
 DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
 EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
-MIXTURE_SUPPORT_LIMIT = 1 << 22  # configurations of the ground seed or uniform mixture
+MIXTURE_SUPPORT_LIMIT = 1 << 22  # rows of the ground seed, uniform mixture and rank families
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
 # measured, not set: no dense vector may outgrow the machine's physical memory
 PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -18,26 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import (
-    Region,
-    Site,
-    direct_ribbon,
-    dual_ribbon,
-    face_direct_loop,
-    ribbon_to_boundary,
-)
-from .operators import (
-    DENSE_MATRIX_LIMIT,
-    MIXTURE_SUPPORT_LIMIT,
-    Operator,
-    QuantumDouble,
-    Term,
-    TermOp,
-    is_real,
-    refuse_above,
-)
-from .sparse import (SparseState, grow, overlaps, row_keys, scale_parts, sparse_apply, split,
-                     squared_norms, stack, stack_rows, to_columns)
+from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_to_boundary
+from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble, Term,
+                        TermOp, is_real, refuse_above)
+from .sparse import (SparseState, grow, join, overlaps, row_keys, scale_parts, sparse_apply,
+                     split, squared_norms, stack, stack_rows, take_parts, to_columns)
 
 __all__ = [
     "StateFunctional",
@@ -54,6 +39,8 @@ __all__ = [
     "detector_energy_residual",
     "eventual_constancy_check",
     "indistinguishability_check",
+    "mixture_rows",
+    "spanning_family",
     "spanning_matrix",
 ]
 
@@ -96,21 +83,28 @@ class StateFunctional:
     def vector(self) -> SparseState:
         if len(self.weights) != 1:
             raise ValueError("mixture has no single state vector")
-        return self.parts[0][1]
+        n_edges = self.model.region.num_edges
+        return SparseState(self.model.group, n_edges, self.stack.digits[:, :n_edges],
+                           self.stack.amps, merged=True)  # every row is part 0
 
 
 def mix(functionals_and_weights) -> StateFunctional:
-    """Convex combination of StateFunctionals on the same model."""
+    """Convex combination of StateFunctionals on the same model: the parts
+    of positive weight, in order, relabelled into one stack."""
     items = list(functionals_and_weights)
     model = items[0][0].model
     if any(func.model is not model for func, _ in items):
         raise ValueError("cannot mix states of different models")
-    pairs = [(w * pw, s) for func, w in items for pw, s in func.parts if w * pw > 0]
-    total = sum(w for w, _ in pairs)
+    kept = [(func.stack, w * func.weights, np.flatnonzero(w * func.weights > 0))
+            for func, w in items]
+    weights = np.concatenate([pw[keep] for _, pw, keep in kept])
+    total = sum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights add to {total}, not 1")
-    return StateFunctional(model, stack([s for _, s in pairs]), np.array([w for w, _ in pairs]),
-                           {"kind": "mixture"})
+    n_edges = model.region.num_edges
+    st = join([take_parts(st, n_edges, keep) for st, _, keep in kept], n_edges,
+              [len(keep) for _, _, keep in kept])
+    return StateFunctional(model, st, weights, {"kind": "mixture"})
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +184,18 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
         return StateFunctional.pure(model, _seed_vector(model), {"kind": "vector-seed"})
     if choice != "uniform-mixture":
         raise ValueError(f"unknown ground state choice {choice!r}")
-    # the support is every flat configuration: the gradients of potentials up
-    # to a constant, times the q^2 winding pairs on a torus
-    region, q = model.region, model.group.size
-    n_flat = q ** (len(region.vertices()) - 1 + 2 * region.is_torus)
-    refuse_above(n_flat, MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
+    refuse_above(mixture_rows(model), MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
     rows, amps = _orbit_rows(model, _flat_orbit_representatives(model))
     return StateFunctional(model, stack_rows(model.group, rows, amps),
                            np.full(len(rows), 1.0 / len(rows)), {"kind": "uniform-mixture"})
+
+
+def mixture_rows(model: QuantumDouble) -> int:
+    """Configurations of the uniform ground mixture: every flat one, the
+    gradients of potentials up to a constant, times the q^2 winding pairs on
+    a torus."""
+    region = model.region
+    return model.group.size ** (len(region.vertices()) - 1 + 2 * region.is_torus)
 
 
 # ---------------------------------------------------------------------------
@@ -438,35 +436,47 @@ def indistinguishability_check(model: QuantumDouble) -> float:
 # spanning family
 
 
-def spanning_matrix(model: QuantumDouble) -> np.ndarray:
-    """Columns: products of single-edge ribbon operators applied to the
-    ground seed vector, one per basis dimension; full numerical rank means
-    ribbon operators generate everything from the ground space.
+def spanning_family(model: QuantumDouble) -> SparseState:
+    """Products of single-edge ribbon operators applied to the ground seed
+    vector, one stack part per basis dimension; full rank means ribbon
+    operators generate everything from the ground space.
 
     Shifting along a transversal of the gauge orbits reaches every orbit
     coset, and the character ribbons on one out-edge per interior vertex
-    separate the configurations inside each orbit.  Every strip it applies
-    is real, so the matrix is float64.
+    separate the configurations inside each orbit.
 
-    Column j = sum_a z_a q^(E-1-a) applies strip z_a on each axis a (the
-    other edges, then the gauge edges): the columns grow as one stack, one
-    `grow` per axis, (q-1)·E applications in all, then one scatter.
+    Part j = sum_a z_a q^(E-1-a) applies strip z_a on each axis a (the other
+    edges, then the gauge edges): the parts grow as one stack, one `grow` per
+    axis, (q-1)·E applications in all.  Each strip maps a row to one row, so
+    the stack has dim times the seed's rows, refused above
+    MIXTURE_SUPPORT_LIMIT before it grows.
     """
-    region, group = model.region, model.group
+    axes, seed = _spanning_axes(model), _seed_vector(model)
+    refuse_above(model.space.dim * seed.n_configs, MIXTURE_SUPPORT_LIMIT, "spanning family rows")
+    st = stack([seed])
+    for strips in axes:
+        st = grow(st, strips, model.region.num_edges)
+    return st
+
+
+def _spanning_axes(model: QuantumDouble) -> list[list[TermOp]]:
+    """The q-1 strips of every axis of the spanning family."""
+    region, q = model.region, model.group.size
     if region.is_torus:
         raise ValueError("the spanning family is built for free regions")
-    model.space.require_dense("spanning matrix")
-    refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
-    q, dim, n_edges = group.size, model.space.dim, region.num_edges
     gauge_edges = [region.edge_id(("h", v[0], v[1])) for v in region.interior_vertices()]
-    other_edges = [eid for eid in range(n_edges) if eid not in gauge_edges]
+    other_edges = [eid for eid in range(region.num_edges) if eid not in gauge_edges]
     axes = [[model.ribbon_char(dual_ribbon(region, region.edge_tuple(eid)), 0, g)
              for g in range(1, q)] for eid in other_edges]
-    axes += [[model.ribbon_char(direct_ribbon(region, region.edge_tuple(eid)), s, 0)
-              for s in range(1, q)] for eid in gauge_edges]
-    if not all(is_real(op) for strips in axes for op in strips):
+    return axes + [[model.ribbon_char(direct_ribbon(region, region.edge_tuple(eid)), s, 0)
+                    for s in range(1, q)] for eid in gauge_edges]
+
+
+def spanning_matrix(model: QuantumDouble) -> np.ndarray:
+    """The spanning family as a float64 (dim, dim) matrix, column j its part
+    j, refused unless every strip is real."""
+    model.space.require_dense("spanning matrix")
+    refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
+    if not all(is_real(op) for strips in _spanning_axes(model) for op in strips):
         raise ValueError("the spanning family needs real strips")
-    st = stack([_seed_vector(model)])
-    for strips in axes:
-        st = grow(st, strips, n_edges)
-    return to_columns(st, model.space, dim, np.float64)
+    return to_columns(spanning_family(model), model.space, model.space.dim, np.float64)

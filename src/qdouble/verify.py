@@ -4,8 +4,8 @@ Every identity the package relies on is a registered check with a stable
 id, a self-contained statement, a residual, and a threshold.  `run_suite`
 executes the whole battery on one (group, region) instance; `run_check`
 runs a single id.  Checks that need a boundary skip themselves on tori
-with an explicit reason, and checks that need a dense spectral solve skip
-above the dense cutoff instead of guessing.
+with an explicit reason, and checks that need a spectral solve or a stack
+too large for this machine skip before they build it instead of guessing.
 
 Operator identities are compared exactly, in the term algebra, at any
 support: every term reads a configuration only through its holonomy forms,
@@ -19,50 +19,23 @@ import itertools
 import json
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .groups import Group
-from .lattice import (
-    Region,
-    Ribbon,
-    RibbonError,
-    Site,
-    Triangle,
-    boundary_ribbon,
-    concat_ribbons,
-    crossing_pair,
-    direct_ribbon,
-    dual_ribbon,
-    face_direct_loop,
-    ribbon_between,
-    ribbon_to_boundary,
-    vertex_dual_loop,
-)
-from .operators import (
-    DEFAULT_DIM_CAP,
-    DENSE_MATRIX_LIMIT,
-    EIGSH_LIMIT,
-    QuantumDouble,
-    TermOp,
-    form_image,
-    sparse_matrix,
-    term_factor,
-)
+from .lattice import (Region, Ribbon, RibbonError, Site, Triangle, boundary_ribbon, concat_ribbons,
+                      crossing_pair, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_between,
+                      ribbon_to_boundary, vertex_dual_loop)
+from .operators import (DEFAULT_DIM_CAP, DENSE_MATRIX_LIMIT, EIGSH_LIMIT, MIXTURE_SUPPORT_LIMIT,
+                        DimensionCapError, QuantumDouble, TermOp, form_image, refuse_above,
+                        sparse_matrix, term_factor)
 from .spectral import blockwise_eigenvalues, sector_counts, spectrum_counts
-from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, take_parts,
-                     to_columns)
-from .states import (
-    StateFunctional,
-    frustration_free_state,
-    detector_energy_residual,
-    mix,
-    sector_weights,
-    single_excitation_state,
-    spanning_matrix,
-)
+from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, stack_rank,
+                     take_parts)
+from .states import (StateFunctional, detector_energy_residual, frustration_free_state, mix,
+                     mixture_rows, sector_weights, single_excitation_state, spanning_family)
 
 __all__ = [
     "CheckResult",
@@ -86,9 +59,7 @@ class CheckError(RuntimeError):
 
 
 class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A check does not apply to this instance; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -105,18 +76,7 @@ class CheckResult:
     wall_time: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "statement": self.statement,
-            "group": self.group,
-            "region": self.region,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -230,6 +190,17 @@ class _Ctx:
         """The uniform ground mixture."""
         return frustration_free_state(self.model, "uniform-mixture")
 
+    @cached_property
+    def kernel_family(self) -> tuple[SparseState, np.ndarray]:
+        """`_kernel_family` of the uniform mixture, refused before anything is
+        built above MIXTURE_SUPPORT_LIMIT rows: each strip maps a row to one
+        row, so it has the mixture's rows times (1 + charge strips) times
+        (1 + flux strips)."""
+        strips = len(_boundary_ribbons(self)) * (self.q - 1)
+        refuse_above(mixture_rows(self.model) * (1 + strips) ** 2, MIXTURE_SUPPORT_LIMIT,
+                     "kernel family rows")
+        return _kernel_family(self, self.mixture.stack, len(self.mixture.weights))
+
     # ---- gates ----
 
     def need_boundary(self):
@@ -245,10 +216,6 @@ class _Ctx:
     def need_interior_vertex(self):
         if not self.region.interior_vertices():
             raise _Skip("no vertex carries a full star in this region")
-
-    def need_dense(self, what: str):
-        if self.model.space.dim > DENSE_MATRIX_LIMIT:
-            raise _Skip(f"{what} needs dimension <= {DENSE_MATRIX_LIMIT}, have {self.model.space.dim}")
 
     # ---- shared geometry ----
 
@@ -602,40 +569,8 @@ def _ribbon_concatenate(ctx: _Ctx) -> float:
 )
 def _ribbon_span(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_dense("the spanning family rank")
-    return float(ctx.model.space.dim - _rank(spanning_matrix(ctx.model), 1e-8))
-
-
-def _rank(mat: np.ndarray, tol: float) -> int:
-    """Numerical rank: the singular values above tol times the largest."""
-    svals = _blockwise_singular_values(mat)
-    return int(np.sum(svals > tol * svals.max())) if svals.size else 0
-
-
-def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
-    """The nonzero-block singular values of a matrix, one small SVD per block.
-
-    Blocks are the connected components of the bipartite graph that joins
-    row i to column j when mat[i, j] != 0.  Permuting rows and columns keeps
-    the singular values, and a block-diagonal matrix has exactly the union
-    of its blocks' singular values, so the rank read off these equals the
-    rank of one SVD of the whole matrix (all-zero rows and columns only add
-    zero singular values).  The spanning family splits into one block per
-    gauge-orbit coset.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    m, n = mat.shape
-    rows, cols = np.nonzero(mat)
-    graph = csr_matrix((np.ones(rows.size), (rows, m + cols)), shape=(m + n, m + n))
-    _, label = connected_components(graph, directed=False)
-    row_label, col_label = label[:m], label[m:]
-    parts = [
-        np.linalg.svd(mat[np.ix_(row_label == b, col_label == b)], compute_uv=False)
-        for b in np.unique(label[rows])
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    dim = ctx.model.space.dim
+    return float(dim - stack_rank(spanning_family(ctx.model), ctx.region.num_edges, dim, 1e-8))
 
 
 @_check(
@@ -719,12 +654,16 @@ def _excitation_for_charge(ctx: _Ctx) -> tuple:
 )
 def _charge_ribbon_start(ctx: _Ctx) -> float:
     exc, rib, chi, c = _excitation_for_charge(ctx)
-    site = rib.start
+    return _site_label_residual(ctx, exc, rib.start, (chi, c))
+
+
+def _site_label_residual(ctx: _Ctx, vec: SparseState, site: Site, label: tuple) -> float:
+    """max over every label l of |D_site^l vec - [l = label] vec|."""
     worst = 0.0
     for sig, d in itertools.product(range(ctx.q), repeat=2):
-        out = exc.apply(ctx.model.site_charge_projector(site, sig, d))
-        if (sig, d) == (chi, c):
-            out = out.add(exc.scaled(-1.0))
+        out = vec.apply(ctx.model.site_charge_projector(site, sig, d))
+        if (sig, d) == label:
+            out = out.add(vec.scaled(-1.0))
         worst = max(worst, out.norm())
     return worst
 
@@ -736,20 +675,11 @@ def _charge_ribbon_start(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _charge_ribbon_end(ctx: _Ctx) -> float:
-    model, region = ctx.model, ctx.region
     rib = ctx.interior_pair_ribbon()
     chi, c = 1 % ctx.q, ctx.q - 1
-    exc = ctx.omega.apply(model.ribbon_char(rib, chi, c))
-    site = rib.end
+    exc = ctx.omega.apply(ctx.model.ribbon_char(rib, chi, c))
     chi_inv = ctx.group.character_from_index(chi).inverse().index
-    c_inv = int(ctx.group.inv_table()[c])
-    worst = 0.0
-    for sig, d in itertools.product(range(ctx.q), repeat=2):
-        out = exc.apply(model.site_charge_projector(site, sig, d))
-        if (sig, d) == (chi_inv, c_inv):
-            out = out.add(exc.scaled(-1.0))
-        worst = max(worst, out.norm())
-    return worst
+    return _site_label_residual(ctx, exc, rib.end, (chi_inv, int(ctx.group.inv_table()[c])))
 
 
 @_check(
@@ -894,22 +824,23 @@ def _boundary_hamiltonian_ground_zero(ctx: _Ctx) -> float:
     return float(np.sqrt(n2.max()))
 
 
+def _boundary_ribbons(ctx: _Ctx) -> list[Ribbon]:
+    """A ribbon to the boundary from every site at an interior vertex."""
+    region = ctx.region
+    return [ribbon_to_boundary(region, region.site(v, f))
+            for v in region.interior_vertices() for f in region.quadrant_faces(v).values()]
+
+
 def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[SparseState, np.ndarray]:
     """Each of the n_ground parts of the `ground` stack, then each
     boundary-routed charge strip or none, then each flux strip or none: one
     stack, the strips applied once each.  Also returns the (chi, c) sector of
     every part, read from its strips (0 where a part has none): ground
     vectors carry no total charge or flux."""
-    model, region = ctx.model, ctx.region
-    sites = [
-        region.site(v, f)
-        for v in region.interior_vertices()
-        for f in region.quadrant_faces(v).values()
-    ]
-    ribbons = [ribbon_to_boundary(region, s) for s in sites]
+    model, ribbons = ctx.model, _boundary_ribbons(ctx)
     charge_ops = [model.ribbon_char(r, chi, 0) for r in ribbons for chi in range(1, ctx.q)]
     flux_ops = [model.ribbon_char(r, 0, c) for r in ribbons for c in range(1, ctx.q)]
-    family = grow(grow(ground, charge_ops, region.num_edges), flux_ops, region.num_edges)
+    family = grow(grow(ground, charge_ops, ctx.region.num_edges), flux_ops, ctx.region.num_edges)
     # with S strips of each kind, grow numbers part (ground j, charge strip s,
     # flux strip t) as (j * (S + 1) + s) * (S + 1) + t, and strip k >= 1
     # carries the label (k - 1) % (q - 1) + 1
@@ -929,19 +860,12 @@ def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[Spars
 def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     ctx.need_interior_vertex()
-    model, mixture, num_edges = ctx.model, ctx.mixture, ctx.region.num_edges
-    ground, n_ground = mixture.stack, len(mixture.weights)
-    dense = model.space.dim <= DENSE_MATRIX_LIMIT
-    if not dense:  # kernel membership only, grown from a deterministic sample
-        picks = ctx.rng.choice(n_ground, size=min(8, n_ground), replace=False)
-        ground, n_ground = take_parts(ground, num_edges, picks), len(picks)
-    family, sectors = _kernel_family(ctx, ground, n_ground)
+    model, num_edges = ctx.model, ctx.region.num_edges
+    family, sectors = ctx.kernel_family
     n = len(sectors)
     h = model.hamiltonian(boundary="eps_mu")
     worst = float(np.sqrt(squared_norms(sparse_apply(h, family), num_edges, n).max()))
-    if not dense:
-        return worst
-    rank = _rank(to_columns(family, model.space, n, np.complex128), TOL_KERNEL)
+    rank = stack_rank(family, num_edges, n, TOL_KERNEL)
     return max(worst, float(abs(spectrum_counts(model, "eps_mu")[0] - rank)))
 
 
@@ -954,21 +878,23 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
 )
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    ctx.need_dense("the sector ranks")
-    model, mixture, num_edges = ctx.model, ctx.mixture, ctx.region.num_edges
-    family, sectors = _kernel_family(ctx, mixture.stack, len(mixture.weights))
-    counts = sector_counts(ctx.group, ctx.region, "eps_mu")
+    model, num_edges = ctx.model, ctx.region.num_edges
+    family, sectors = ctx.kernel_family
+    n = len(sectors)
     worst = 0.0
+    # P f - [f carries the label] f for every total charge and total flux
+    # projector P and every part f at once; a sector projector is the
+    # product of one of each
+    for axis, projector in enumerate((model.total_charge_projector, model.total_flux_projector)):
+        for label in range(ctx.q):
+            neg = -(sectors[:, axis] == label).astype(float)
+            moved = sparse_apply(projector(label), family).add(scale_parts(family, num_edges, neg))
+            worst = max(worst, float(np.sqrt(squared_norms(moved, num_edges, n).max())))
+    counts = sector_counts(ctx.group, ctx.region, "eps_mu")
     for chi, c in itertools.product(range(ctx.q), repeat=2):
-        inside = (sectors == (chi, c)).all(axis=1)
-        # P f - [f in the sector] f, for every part f at once
-        moved = sparse_apply(model.sector_projector(chi, c), family)
-        moved = moved.add(scale_parts(family, num_edges, -inside.astype(float)))
-        labels = np.flatnonzero(inside)
-        rank = _rank(to_columns(take_parts(family, num_edges, labels), model.space, len(labels),
-                                np.complex128), TOL_KERNEL)
-        worst = max(worst, float(np.sqrt(squared_norms(moved, num_edges, len(sectors)).max())),
-                    float(abs(rank - counts.get((0, chi, c), 0))))
+        labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
+        rank = stack_rank(take_parts(family, num_edges, labels), num_edges, len(labels), TOL_KERNEL)
+        worst = max(worst, float(abs(rank - counts.get((0, chi, c), 0))))
     return worst
 
 
@@ -1162,20 +1088,16 @@ def _run_one(check_id: str, ctx: _Ctx, overrides: dict | None) -> CheckResult:
     if overrides and check_id in overrides:
         tol = float(overrides[check_id])
     ctx.reseed(check_id)
-    start = time.perf_counter()
+    start, residual, reason = time.perf_counter(), None, ""
     try:
         residual = float(fn(ctx))
-    except _Skip as skip:
-        return CheckResult(
-            check_id, statement, ctx.group.spec, ctx.region.spec,
-            None, tol, None, skipped=True, reason=skip.reason,
-            wall_time=time.perf_counter() - start,
-        )
+    except (_Skip, DimensionCapError) as skip:  # a size refusal comes before any allocation
+        reason = str(skip)
     except Exception as err:
         raise CheckError(f"check {check_id} errored: {err}") from err
     return CheckResult(
-        check_id, statement, ctx.group.spec, ctx.region.spec,
-        residual, tol, residual < tol,
+        check_id, statement, ctx.group.spec, ctx.region.spec, residual, tol,
+        None if residual is None else residual < tol, skipped=residual is None, reason=reason,
         wall_time=time.perf_counter() - start,
     )
 

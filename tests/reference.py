@@ -21,7 +21,9 @@ of the one they check:
   by column, where `_Ctx.probe` works on the image of their holonomy forms;
 * `coo_sparse_matrix`, the exact-matrix oracle, writes one COO entry per
   term and column and lets scipy sum the duplicates, where `sparse_matrix`
-  sums each shift's diagonal first.
+  sums each shift's diagonal first;
+* `_rank`, the rank oracle, finds the blocks of a dense matrix from its
+  nonzero entries, where `sparse.stack_rank` reads them off the stack.
 """
 
 import cmath
@@ -362,3 +364,38 @@ def coo_sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     if isinstance(op, ScaledOp):
         return op.scalar * coo_sparse_matrix(op.op, max_dim)
     raise TypeError(f"no sparse matrix for {type(op).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the dense rank
+
+
+def _rank(mat: np.ndarray, tol: float) -> int:
+    """Numerical rank: the singular values above tol times the largest."""
+    svals = _blockwise_singular_values(mat)
+    return int(np.sum(svals > tol * svals.max())) if svals.size else 0
+
+
+def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
+    """The nonzero-block singular values of a matrix, one small SVD per block.
+
+    Blocks are the connected components of the bipartite graph that joins
+    row i to column j when mat[i, j] != 0.  Permuting rows and columns keeps
+    the singular values, and a block-diagonal matrix has exactly the union
+    of its blocks' singular values, so the rank read off these equals the
+    rank of one SVD of the whole matrix (all-zero rows and columns only add
+    zero singular values).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    m, n = mat.shape
+    rows, cols = np.nonzero(mat)
+    graph = csr_matrix((np.ones(rows.size), (rows, m + cols)), shape=(m + n, m + n))
+    _, label = connected_components(graph, directed=False)
+    row_label, col_label = label[:m], label[m:]
+    parts = [
+        np.linalg.svd(mat[np.ix_(row_label == b, col_label == b)], compute_uv=False)
+        for b in np.unique(label[rows])
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0)

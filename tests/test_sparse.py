@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
 import qdouble.verify as verify_mod
 from qdouble.lattice import Region, ribbon_between, ribbon_to_boundary
-from qdouble.operators import ProductOp, QuantumDouble, ScaledOp, SumOp, Term, TermOp
+from qdouble.operators import (DimensionCapError, ProductOp, QuantumDouble, ScaledOp, SumOp, Term,
+                               TermOp)
 from qdouble.sparse import (
     PRUNE_TOL,
     SparseState,
@@ -417,12 +419,29 @@ def test_kernel_family_matches_the_triple_loop(monkeypatch):
 
 
 def test_kernel_span_check_applies_each_strip_once(monkeypatch):
-    # Z3 free:3x3 is above the dense cutoff: 8 seeded parts, membership only
+    # Z3 free:3x3: every strip once to all 2,187 ground parts, then H once
     ctx = verify_mod._Ctx(QuantumDouble(make_group([3]), Region.free(3, 3)), seed=7)
     calls = count_applies(monkeypatch, sparse_mod, verify_mod)
     assert verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None).passed is True
     n_strips = 4 * (3 - 1)
     assert len(calls) == n_strips + n_strips + 1
+
+
+def test_sparse_apply_refuses_before_allocating(monkeypatch):
+    # the Z3 free:3x3 mixture has 6,561 rows: its image under the 7 terms of
+    # H^{eps,mu} is stated at about 5 MB before any term is applied
+    model = QuantumDouble(make_group([3]), Region.free(3, 3))
+    mixture = frustration_free_state(model, "uniform-mixture")
+    h = model.hamiltonian(boundary="eps_mu")
+    monkeypatch.setattr(sparse_mod, "PHYSICAL_MEMORY_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="sparse apply bytes"):
+            sparse_apply(h, mixture.stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def conditional_oracle(state, chi, c):

@@ -14,8 +14,9 @@ from qdouble.lattice import (
     ribbon_to_boundary,
 )
 from qdouble.operators import DimensionCapError, QuantumDouble
-from qdouble.sparse import SparseState, sparse_apply
+from qdouble.sparse import SparseState, sparse_apply, stack
 from qdouble.states import (
+    StateFunctional,
     charge_transport,
     conditional_sector_state,
     eventual_constancy_check,
@@ -438,6 +439,37 @@ def test_mixture_expect_matches_the_per_part_sum(monkeypatch, group, region):
         want = sum(w * s.dot(sparse_apply(op, s)) for w, s in state.parts)
         assert abs(state.expect(op) - want) < 1e-13
     assert len(calls) == len(ops)  # one application per operator
+
+
+def parts_mix(items):
+    """The stack and weights of `mix` through one state per part."""
+    pairs = [(w * pw, s) for func, w in items for pw, s in func.parts if w * pw > 0]
+    return stack([s for _, s in pairs]), np.array([w for w, _ in pairs])
+
+
+@pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 4)), (Z3, Region.free(3, 3))],
+                         ids=["Z2-free:3x4", "Z3-free:3x3"])
+def test_mix_relabels_the_stacks_as_the_parts_route(group, region):
+    # the conditional state's stack is sorted by row, not by part, and its
+    # excitation part has weight 0; the mixture has one more part of weight
+    # 0, and the seed enters with weight 0
+    model = QuantumDouble(group, region)
+    site = region.site((1, 1), (1, 1))
+    ground = frustration_free_state(model, "uniform-mixture")
+    excited = single_excitation_state(model, site, 1, 1)
+    conditional = conditional_sector_state(mix([(ground, 0.5), (excited, 0.5)]), 0, 0)
+    weights = np.full(len(ground.weights), 1.0 / (len(ground.weights) - 1))
+    weights[1] = 0.0
+    thinned = StateFunctional(model, ground.stack, weights)
+    items = [(conditional, 0.5), (thinned, 0.25), (frustration_free_state(model), 0.0),
+             (excited, 0.25)]
+    got = mix(items)
+    want, want_weights = parts_mix(items)
+    assert 0.0 in conditional.weights
+    assert got.stack.num_edges == want.num_edges
+    assert got.stack.digits.tobytes() == want.digits.tobytes()
+    assert got.stack.amps.tobytes() == want.amps.tobytes()
+    assert got.weights.tobytes() == want_weights.tobytes()
 
 
 def test_spanning_matrix_no_interior():

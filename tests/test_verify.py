@@ -2,14 +2,17 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
-from qdouble.operators import DENSE_MATRIX_LIMIT, Operator, QuantumDouble
-from qdouble.sparse import sparse_apply, squared_norms, take_parts, to_columns
+from qdouble.operators import DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble
+from qdouble.sparse import (grow, row_keys, sparse_apply, squared_norms, stack_labels, stack_rank,
+                            take_parts, to_columns)
+from qdouble.states import spanning_family
 from qdouble.spectral import sector_dimensions
 from qdouble.verify import (
     TOL_ALGEBRAIC,
@@ -336,9 +339,92 @@ def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundar
         labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
         part = take_parts(family, model.region.num_edges, labels)
         cols = to_columns(part, model.space, len(labels), np.complex128)
-        ranks[(chi, c)] = verify_mod._rank(cols, verify_mod.TOL_KERNEL)
+        ranks[(chi, c)] = ref._rank(cols, verify_mod.TOL_KERNEL)
     assert ranks == {(0, 0): 128, (0, 1): 512, (1, 0): 128, (1, 1): 512}
     assert sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
+
+
+# the checks that decide by a rank of a stack
+RANK_CHECKS = ("boundary-hamiltonian.kernel-span", "sectors.direct-sum", "ribbon.span-full-space")
+
+
+@pytest.mark.parametrize("group_spec, region_spec",
+                         [("Z2", "free:3x3"), ("Z3", "free:2x3"), ("Z2xZ2", "free:2x3")])
+def test_stack_rank_equals_the_dense_rank(group_spec, region_spec):
+    model = QuantumDouble(parse_group_spec(group_spec), parse_region_spec(region_spec))
+    ctx = verify_mod._Ctx(model, seed=7)
+    num_edges, dim, tol = model.region.num_edges, model.space.dim, verify_mod.TOL_KERNEL
+    family, sectors = ctx.kernel_family
+    ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
+    # every odd part is a ground part under a nontrivial total flux
+    # projector: it cancels to zero and leaves no row
+    cancelled = grow(ground, [model.total_flux_projector(1)], num_edges)
+    assert np.array_equal(np.unique(stack_labels(cancelled, num_edges)), 2 * np.arange(n_ground))
+    stacks = [(family, len(sectors)), (cancelled, 2 * n_ground),
+              (take_parts(family, num_edges, []), 0)]
+    span = spanning_family(model)
+    if dim <= DENSE_MATRIX_LIMIT:
+        stacks.append((span, dim))
+    else:
+        # no interior vertex: every part is one configuration, and the dim
+        # parts reach every configuration once, so the rank is dim
+        assert span.n_configs == len(np.unique(row_keys(span.digits[:, :num_edges]))) == dim
+        assert stack_rank(span, num_edges, dim, 1e-8) == dim
+    for st, n in stacks:
+        got = stack_rank(st, num_edges, n, tol)
+        cols = to_columns(st, model.space, n, np.complex128 if st.amps.imag.any() else np.float64)
+        assert got == ref._rank(cols, tol)
+        # zero rows leave the rank alone; the one larger matrix, the Z2
+        # free:3x3 spanning family, takes its full SVD in criterion 10
+        support = cols[np.any(cols != 0, axis=1)]
+        if support.size <= 1 << 23:
+            assert got == np.linalg.matrix_rank(support)
+    assert stack_rank(cancelled, num_edges, 2 * n_ground, tol) == n_ground
+    assert stack_rank(take_parts(family, num_edges, []), num_edges, 0, tol) == 0
+
+
+@pytest.mark.parametrize("group_spec, region_spec, n_parts",
+                         [("Z3", "free:3x3", 2187 * 9 * 9), ("Z2", "free:3x4", 512 * 9 * 9)])
+def test_rank_checks_pass_on_the_whole_family(monkeypatch, group_spec, region_spec, n_parts):
+    # both regions have more than 4096 dimensions; kernel-span dresses every
+    # ground part, 2,187 on Z3 and 512 on Z2, with 8 charge and 8 flux strips
+    sizes = []
+    original = verify_mod._kernel_family
+
+    def recorded(ctx, ground, n_ground):
+        family, sectors = original(ctx, ground, n_ground)
+        sizes.append(len(sectors))
+        return family, sectors
+
+    monkeypatch.setattr(verify_mod, "_kernel_family", recorded)
+    ctx = verify_mod._Ctx(QuantumDouble(parse_group_spec(group_spec),
+                                        parse_region_spec(region_spec)), seed=7)
+    for cid in RANK_CHECKS:
+        result = verify_mod._run_one(cid, ctx, None)
+        assert result.passed is True and result.residual == 0.0, cid
+    assert sizes == [n_parts]
+
+
+@pytest.mark.parametrize("orders", [[4], [2, 2]], ids=["Z4", "Z2xZ2"])
+def test_rank_checks_skip_by_rows_before_building(monkeypatch, orders):
+    # 4^8 mixture rows times (1 + 12)^2 strips, and 4^12 parts of 4 seed rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("a skipped rank check grew its family")
+
+    monkeypatch.setattr(verify_mod, "grow", refuse)
+    monkeypatch.setattr(states_mod, "grow", refuse)
+    ctx = verify_mod._Ctx(QuantumDouble(make_group(orders), Region.free(3, 3)), seed=7)
+    rows = dict(zip(RANK_CHECKS, (11_075_584, 11_075_584, 67_108_864)))
+    tracemalloc.start()
+    try:
+        results = [verify_mod._run_one(cid, ctx, None) for cid in RANK_CHECKS]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for result in results:
+        assert result.skipped, result.check_id
+        assert f"{rows[result.check_id]} exceeds the limit {MIXTURE_SUPPORT_LIMIT}" in result.reason
+    assert peak < 16 << 20
 
 
 # ---------------------------------------------------------------------------
