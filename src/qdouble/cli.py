@@ -17,8 +17,10 @@ Common flags: --group, --region, --boundary, --seed, --out, --json,
 Exit codes: 0 success, 1 failing check, 2 configuration error,
 3 a size-policy limit exceeded (DimensionCapError).
 
-Every command is deterministic given (config, seed): JSON output is
-byte-identical across reruns and CSV floats carry 17 significant digits.
+Every command is deterministic given (config, seed), and CSV floats carry 17
+significant digits.  JSON output is byte-identical across reruns except for
+`verify`, whose per-check `wall_time` is measured; its results do not depend
+on the seed either.
 """
 
 from __future__ import annotations

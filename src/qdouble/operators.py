@@ -54,9 +54,8 @@ BOUNDARY_FLAVORS = ("none", "eps", "mu", "eps_mu")  # boundary charges H may sub
 
 DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
-DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; spanning_matrix; the H^{eps,mu} spectrum
+DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; spanning_matrix
 DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
-EIGSH_LIMIT = 1 << 20  # iterative bottom-of-spectrum solves
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # rows of the ground seed, uniform mixture and rank families
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly
 # measured, not set: no dense vector may outgrow the machine's physical memory
@@ -119,29 +118,36 @@ def _form_on_shift(group: Group, form: tuple, shift: tuple) -> int:
     return acc
 
 
+def generated_subgroup(group: Group, generators, width: int) -> np.ndarray:
+    """The subgroup of G^width that the (width,) uint8 rows `generators`
+    generate, as its distinct rows in ascending order: the closure of {e}
+    under every power of one generator at a time."""
+    mul, power = group.mul_table(), group.pow_table()
+    image = np.zeros((1, width), dtype=np.uint8)
+    for h in generators:
+        if not (image == h).all(axis=1).any():
+            # the image times every power of h
+            image = np.unique(mul[image[:, None, :], power[:, h][None]].reshape(-1, width), axis=0)
+    return image
+
+
 def form_image(group: Group, forms, cap: int) -> np.ndarray:
     """Every distinct tuple of values the holonomy `forms` take on
     configurations: one row per tuple of an (n, len(forms)) uint8 array of
-    packed group indices.
+    packed group indices, in ascending order.
 
     Together the k forms are a homomorphism from G^E to G^k, so the tuples
-    are its image, a subgroup: the closure of the images of one generator of
-    G placed on one edge at a time.  Refused when the bound q^min(k, edges)
-    on its size exceeds `cap`.
+    are its image, a subgroup: the one generated by the images of one
+    generator of G placed on one edge at a time.  Refused when the bound
+    q^min(k, edges) on its size exceeds `cap`.
     """
     edges = sorted({e for form in forms for e, _ in form})
     refuse_above(group.size ** min(len(forms), len(edges)), cap, "holonomy form image")
-    mul, power = group.mul_table(), group.pow_table()
-    image = np.zeros((1, len(forms)), dtype=np.uint8)
-    for edge in edges:
-        for g in np.cumprod((1,) + group.orders[:-1]):  # one generator per cyclic factor
-            h = np.array([_form_on_shift(group, form, ((edge, int(g)),)) for form in forms],
-                         dtype=np.uint8)
-            if not (image == h).all(axis=1).any():
-                # the image times every power of h
-                image = np.unique(mul[image[:, None, :], power[:, h][None]].reshape(-1, len(forms)),
-                                  axis=0)
-    return image
+    generators = (np.array([_form_on_shift(group, form, ((edge, int(g)),)) for form in forms],
+                           dtype=np.uint8)
+                  for edge in edges
+                  for g in np.cumprod((1,) + group.orders[:-1]))  # one per cyclic factor
+    return generated_subgroup(group, generators, len(forms))
 
 
 def _neg_shift(group: Group, shift: tuple) -> tuple:

@@ -3,7 +3,9 @@
 The spectrum is counted exactly: every term of H and of H^{eps,mu} is a
 commuting projector, so each joint eigenspace is labeled by a charge on every
 full-star vertex and a flux on every face, and its energy and dimension follow
-from those labels (`sector_counts`, `spectrum_counts`).
+from those labels (`sector_counts`, `spectrum_counts`).  Any Hermitian term
+operator's eigenvalues and their exact multiplicities come from its blocks on
+the image of its holonomy forms, with no vector of the space (`form_spectrum`).
 
 Vectors come from two routes:
 
@@ -25,24 +27,15 @@ from math import comb
 import numpy as np
 
 from .lattice import boundary_ribbon
-from .operators import (
-    BOUNDARY_FLAVORS,
-    DENSE_EIG_LIMIT,
-    DENSE_MATRIX_LIMIT,
-    PHYSICAL_MEMORY_BYTES,
-    Operator,
-    QuantumDouble,
-    TermOp,
-    is_real,
-    refuse_above,
-    sparse_matrix,
-)
+from .operators import (BOUNDARY_FLAVORS, DENSE_EIG_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
+                        QuantumDouble, TermOp, form_image, generated_subgroup, holonomy_values,
+                        is_real, refuse_above, sparse_matrix, term_factor)
 from .sparse import sparse_apply, squared_norms, to_columns
 from .states import frustration_free_state
 
 __all__ = [
     "EigenBasis",
-    "blockwise_eigenvalues",
+    "form_spectrum",
     "ground_dimension_count",
     "ground_space",
     "sector_counts",
@@ -242,11 +235,60 @@ def _blocks(op: Operator, max_dim: int):
         start += count
 
 
-def blockwise_eigenvalues(op: Operator) -> np.ndarray:
-    """Every eigenvalue of a Hermitian operator of at most DENSE_MATRIX_LIMIT
-    dimensions, ascending: one batched `eigvalsh` per block size."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel()
-                                   for _, b in _blocks(op, DENSE_MATRIX_LIMIT)]))
+def form_spectrum(op: TermOp) -> dict[float, int]:
+    """Every eigenvalue of a Hermitian TermOp, rounded to 9 decimals, with its
+    exact multiplicity (a Python int), ascending; no space array is built.
+
+    Grouped by shift, A = sum_s shift_s D_s(F(x)) with F the holonomy forms.
+    On each coset x + S of the group S the shifts generate, A acts as the
+    block M_y[sigma + s, sigma] = D_s(y + F(sigma)), y = F(x), up to order;
+    each y in the image Y of F stands for q^E / (|Y| |S|) cosets.  Blocks
+    with equal diagonals are diagonalized once, float64 when `is_real(op)`.
+    Refused before the closure of S when its bound q^min(shifts, edges)
+    exceeds the cap, and before any (|Y|, |S|) array by bytes.
+    """
+    space, group, mul = op.space, op.space.group, op.space.group.mul_table()
+    terms = [t for t in op.terms if t.coeff != 0]
+    if not terms:
+        return {0.0: space.dim}
+    slot = {s: i for i, s in enumerate(dict.fromkeys(t.shift for t in terms))}
+    edges = sorted({e for s in slot for e, _ in s})
+    rows = np.array([[dict(s).get(e, 0) for e in edges] for s in slot],
+                    dtype=np.uint8).reshape(len(slot), len(edges))
+    refuse_above(group.size ** min(len(slot), len(edges)), space.cap, "shift subgroup")
+    sub = generated_subgroup(group, rows, len(edges))
+    forms = tuple(sorted({f for t in terms for f, _ in t.phases + t.indicators}))
+    image = form_image(group, forms, space.cap)
+    n_y, n_s = len(image), len(sub)
+    dtype = np.float64 if is_real(op) else np.complex128
+    # the blocks, and under 32 bytes a point for each shift's diagonal and its
+    # sorted copy and for one term's complex factor
+    refuse_above(n_y * n_s * (n_s * np.dtype(dtype).itemsize + 32 * (len(slot) + 1)),
+                 PHYSICAL_MEMORY_BYTES, "form spectrum bytes")
+    zero = np.zeros(n_s, dtype=np.uint8)
+    values = {f: mul[image[:, i, None], holonomy_values(  # y + F(sigma), y-major
+        group, lambda e: sub[:, edges.index(e)] if e in edges else zero, n_s, f)].ravel()
+        for i, f in enumerate(forms)}
+    diags = np.zeros((n_y, len(slot), n_s), dtype=dtype)
+    for t in terms:
+        factor = term_factor(group, t, values.__getitem__)
+        d = t.coeff * (1.0 if factor is None else factor.reshape(n_y, n_s))
+        diags[:, slot[t.shift]] += d.real if dtype is np.float64 else d
+    # sub is sorted and sub + s permutes it, so unique indexes sub + s in sub
+    moved = mul[sub[None], rows[:, None]].reshape(len(slot) * n_s, len(edges))
+    target = np.unique(moved, axis=0, return_inverse=True)[1].reshape(len(slot), n_s)
+    keys = diags.reshape(n_y, -1).view(np.dtype((np.void, diags[0].nbytes)))[:, 0]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)  # by bytes
+    blocks = np.zeros((len(first), n_s, n_s), dtype=dtype)
+    for i in range(len(slot)):
+        blocks[:, target[i], np.arange(n_s)] = diags[first, i]
+    vals = np.round(np.linalg.eigvalsh(blocks), 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+    levels, where = np.unique(vals, return_inverse=True)
+    totals = np.bincount(where.ravel(), np.repeat(counts, n_s)).astype(np.int64).tolist()
+    spectrum = {v: n * space.dim // (n_y * n_s) for v, n in zip(levels.tolist(), totals)}
+    if sum(spectrum.values()) != space.dim:  # a count was no multiple of |Y| |S|
+        raise RuntimeError(f"block counts {totals} do not scale to {space.dim} dimensions")
+    return spectrum
 
 
 def spectrum_lowest(

@@ -4,8 +4,9 @@ Every identity the package relies on is a registered check with a stable
 id, a self-contained statement, a residual, and a threshold.  `run_suite`
 executes the whole battery on one (group, region) instance; `run_check`
 runs a single id.  Checks that need a boundary skip themselves on tori
-with an explicit reason, and checks that need a spectral solve or a stack
-too large for this machine skip before they build it instead of guessing.
+with an explicit reason, and checks whose blocks or stacks are too large for
+this machine skip before they build them instead of guessing.  Nothing is
+drawn at random: a run depends only on (group, region).
 
 Operator identities are compared exactly, in the term algebra, at any
 support: every term reads a configuration only through its holonomy forms,
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-import zlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -28,10 +28,9 @@ from .groups import Group
 from .lattice import (Region, Ribbon, RibbonError, Site, Triangle, boundary_ribbon, concat_ribbons,
                       crossing_pair, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_between,
                       ribbon_to_boundary, vertex_dual_loop)
-from .operators import (DEFAULT_DIM_CAP, DENSE_MATRIX_LIMIT, EIGSH_LIMIT, MIXTURE_SUPPORT_LIMIT,
-                        DimensionCapError, QuantumDouble, TermOp, form_image, refuse_above,
-                        sparse_matrix, term_factor)
-from .spectral import blockwise_eigenvalues, sector_counts, spectrum_counts
+from .operators import (DEFAULT_DIM_CAP, MIXTURE_SUPPORT_LIMIT, DimensionCapError, QuantumDouble,
+                        TermOp, form_image, refuse_above, term_factor)
+from .spectral import form_spectrum, sector_counts, spectrum_counts
 from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, stack_rank,
                      take_parts)
 from .states import (StateFunctional, detector_energy_residual, frustration_free_state, mix,
@@ -133,19 +132,14 @@ class VerificationReport:
 
 
 class _Ctx:
-    """Shared per-run state: the model, a per-check RNG, cached states."""
+    """Shared per-run state: the model, imaged forms, cached states."""
 
-    def __init__(self, model: QuantumDouble, seed: int):
+    def __init__(self, model: QuantumDouble):
         self.model = model
         self.group = model.group
         self.region = model.region
-        self.seed = seed
         self.q = model.group.size
-        self.rng = None  # reseeded per check
         self.images: dict[tuple, dict] = {}  # sorted forms -> their values on form_image
-
-    def reseed(self, check_id: str):
-        self.rng = np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
     # ---- probes ----
 
@@ -158,8 +152,8 @@ class _Ctx:
         |(A - B) e_x|^2 = sum_s |D^A_s(x) - D^B_s(x)|^2.  Every D_s reads x
         only through the holonomy forms of the two operators' terms, so the
         residual is taken over the image of those forms (`form_image`),
-        never over configurations; it does not depend on the seed.  The
-        model is fixed, so each distinct tuple of forms is imaged once a run.
+        never over configurations.  The model is fixed, so each distinct
+        tuple of forms is imaged once a run.
         """
         group = self.group
         terms = op_a.terms + op_b.terms
@@ -224,15 +218,9 @@ class _Ctx:
         v = self.region.interior_vertices()[0]
         return self.region.site(v, v)
 
-    def label_pairs(self, limit: int = 8) -> list[tuple[int, int]]:
-        """(chi, c) label pairs; all of them when |G| <= 4, else a sample."""
-        pairs = list(itertools.product(range(self.q), repeat=2))
-        if len(pairs) <= limit * 2:
-            return pairs
-        picks = self.rng.choice(len(pairs), size=limit, replace=False)
-        chosen = {pairs[i] for i in picks}
-        chosen.update({(0, 0), (1, 0), (0, 1), (1, 1)})
-        return sorted(chosen)
+    def label_pairs(self) -> list[tuple[int, int]]:
+        """Every (chi, c) label pair, |G|^2 of them."""
+        return list(itertools.product(range(self.q), repeat=2))
 
     def interior_pair_ribbon(self) -> Ribbon:
         """An open ribbon whose two end sites both carry a star and a
@@ -247,6 +235,12 @@ class _Ctx:
         else:
             raise _Skip("no ribbon with both end sites fully inside this region")
         return ribbon_between(region, s0, s1)
+
+    def excitation_ribbon(self) -> Ribbon:
+        """An interior pair ribbon on a torus, else one from an interior site out."""
+        if self.region.is_torus:
+            return self.interior_pair_ribbon()
+        return ribbon_to_boundary(self.region, self.an_interior_site())
 
     def boundary_collar_ribbon(self) -> Ribbon:
         """An open ribbon hugging the west boundary: both end vertices sit on
@@ -351,12 +345,8 @@ def _plaquette_orthogonal(ctx: _Ctx) -> float:
         lhs = model.plaquette_indicator(f, g).compose(model.plaquette_indicator(f, h))
         rhs = model.plaquette_indicator(f, g) if g == h else TermOp(model.space, [])
         worst = max(worst, ctx.probe(lhs, rhs))
-    total = TermOp(
-        model.space,
-        [t for g in range(ctx.q) for t in model.plaquette_indicator(f, g).terms],
-    ).simplify()
-    worst = max(worst, ctx.probe(total, model.identity()))
-    return worst
+    terms = [t for g in range(ctx.q) for t in model.plaquette_indicator(f, g).terms]
+    return max(worst, ctx.probe(TermOp(model.space, terms).simplify(), model.identity()))
 
 
 @_check(
@@ -501,12 +491,7 @@ def _ribbon_endpoint_exchange(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _ribbon_excitation_energy(ctx: _Ctx) -> float:
-    if ctx.region.is_torus:
-        rib = ctx.interior_pair_ribbon()
-    else:
-        site = ctx.an_interior_site()
-        rib = ribbon_to_boundary(ctx.region, site)
-    return ctx.excitation_energy_residual(rib)
+    return ctx.excitation_energy_residual(ctx.excitation_ribbon())
 
 
 @_check(
@@ -540,11 +525,10 @@ def _ribbon_closed_trivial(ctx: _Ctx) -> float:
 )
 def _ribbon_concatenate(ctx: _Ctx) -> float:
     region = ctx.region
+    mid = region.site((1, 1), (1, 1))
     if region.is_torus:
-        mid = region.site((1, 1), (1, 1))
         ends = region.site((0, 0), (0, 0)), region.site((2, 2), (2, 2))
     else:
-        mid = region.site((1, 1), (1, 1))
         ends = region.site((0, 0), (0, 0)), region.site((region.m - 1, region.n - 1), (region.m - 2, region.n - 2))
     try:
         r1 = ribbon_between(region, ends[0], mid)
@@ -638,10 +622,7 @@ def _charge_vanish_ground(ctx: _Ctx) -> float:
 def _excitation_for_charge(ctx: _Ctx) -> tuple:
     """An excited vector with a designated start site, plus its labels."""
     chi, c = 1 % ctx.q, ctx.q - 1
-    if ctx.region.is_torus:
-        rib = ctx.interior_pair_ribbon()
-    else:
-        rib = ribbon_to_boundary(ctx.region, ctx.an_interior_site())
+    rib = ctx.excitation_ribbon()
     exc = ctx.omega.apply(ctx.model.ribbon_char(rib, chi, c))
     return exc, rib, chi, c
 
@@ -660,7 +641,7 @@ def _charge_ribbon_start(ctx: _Ctx) -> float:
 def _site_label_residual(ctx: _Ctx, vec: SparseState, site: Site, label: tuple) -> float:
     """max over every label l of |D_site^l vec - [l = label] vec|."""
     worst = 0.0
-    for sig, d in itertools.product(range(ctx.q), repeat=2):
+    for sig, d in ctx.label_pairs():
         out = vec.apply(ctx.model.site_charge_projector(site, sig, d))
         if (sig, d) == label:
             out = out.add(vec.scaled(-1.0))
@@ -691,9 +672,8 @@ def _charge_ribbon_end(ctx: _Ctx) -> float:
 def _charge_orthogonality(ctx: _Ctx) -> float:
     site = ctx.an_interior_site()
     model = ctx.model
-    labels = ctx.label_pairs(limit=4)
     worst = 0.0
-    for a, b in itertools.product(labels[:4], repeat=2):
+    for a, b in itertools.product(ctx.label_pairs(), repeat=2):
         lhs = model.site_charge_projector(site, *a).compose(model.site_charge_projector(site, *b))
         rhs = model.site_charge_projector(site, *a) if a == b else TermOp(model.space, [])
         worst = max(worst, ctx.probe(lhs, rhs))
@@ -708,11 +688,8 @@ def _charge_orthogonality(ctx: _Ctx) -> float:
 def _charge_completeness(ctx: _Ctx) -> float:
     site = ctx.an_interior_site()
     model = ctx.model
-    terms = []
-    for chi, c in itertools.product(range(ctx.q), repeat=2):
-        terms.extend(model.site_charge_projector(site, chi, c).terms)
-    total = TermOp(model.space, terms).simplify()
-    return ctx.probe(total, model.identity())
+    terms = [t for a in ctx.label_pairs() for t in model.site_charge_projector(site, *a).terms]
+    return ctx.probe(TermOp(model.space, terms).simplify(), model.identity())
 
 
 @_check(
@@ -790,25 +767,15 @@ def _boundary_equality_mu(ctx: _Ctx) -> float:
 @_check(
     "boundary-hamiltonian.positive",
     "The fully charged boundary Hamiltonian H - V^eps - V^mu has no negative "
-    "spectrum; where it is diagonalized, its kernel has the counted dimension.",
+    "spectrum, and its kernel has the counted dimension.",
     TOL_EIG,
 )
 def _boundary_hamiltonian_positive(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    dim = ctx.model.space.dim
-    if dim > EIGSH_LIMIT:
-        raise _Skip(f"bottom-of-spectrum solve too large (dim {dim} > {EIGSH_LIMIT})")
-    h = ctx.model.hamiltonian(boundary="eps_mu")
-    if dim <= DENSE_MATRIX_LIMIT:  # every eigenvalue, so the kernel is counted too
-        vals = blockwise_eigenvalues(h)
-        miscount = abs(int(np.sum(vals < TOL_KERNEL)) - spectrum_counts(ctx.model, "eps_mu")[0])
-        return max(0.0, -float(vals.min()), float(miscount))
-    from scipy.sparse.linalg import eigsh
-
-    v0 = ctx.rng.standard_normal(dim)
-    vals = eigsh(sparse_matrix(h, EIGSH_LIMIT), k=1, which="SA", tol=1e-9, v0=v0,
-                 return_eigenvectors=False)
-    return max(0.0, -float(vals[0]))
+    levels = form_spectrum(ctx.model.hamiltonian(boundary="eps_mu"))
+    kernel = sum(n for v, n in levels.items() if abs(v) < TOL_KERNEL)
+    miscount = abs(kernel - spectrum_counts(ctx.model, "eps_mu")[0])
+    return max(0.0, -min(levels), float(miscount))
 
 
 @_check(
@@ -891,7 +858,7 @@ def _sectors_direct_sum(ctx: _Ctx) -> float:
             moved = sparse_apply(projector(label), family).add(scale_parts(family, num_edges, neg))
             worst = max(worst, float(np.sqrt(squared_norms(moved, num_edges, n).max())))
     counts = sector_counts(ctx.group, ctx.region, "eps_mu")
-    for chi, c in itertools.product(range(ctx.q), repeat=2):
+    for chi, c in ctx.label_pairs():
         labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
         rank = stack_rank(take_parts(family, num_edges, labels), num_edges, len(labels), TOL_KERNEL)
         worst = max(worst, float(abs(rank - counts.get((0, chi, c), 0))))
@@ -908,8 +875,7 @@ def _sectors_direct_sum(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _energy_interior_pair(ctx: _Ctx) -> float:
-    rib = ctx.interior_pair_ribbon()
-    return ctx.excitation_energy_residual(rib)
+    return ctx.excitation_energy_residual(ctx.interior_pair_ribbon())
 
 
 @_check(
@@ -920,9 +886,7 @@ def _energy_interior_pair(ctx: _Ctx) -> float:
 )
 def _energy_interior_boundary(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    site = ctx.an_interior_site()
-    rib = ribbon_to_boundary(ctx.region, site)
-    return ctx.excitation_energy_residual(rib)
+    return ctx.excitation_energy_residual(ribbon_to_boundary(ctx.region, ctx.an_interior_site()))
 
 
 @_check(
@@ -932,8 +896,7 @@ def _energy_interior_boundary(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _energy_boundary_pair(ctx: _Ctx) -> float:
-    rib = ctx.boundary_collar_ribbon()
-    return ctx.excitation_energy_residual(rib)
+    return ctx.excitation_energy_residual(ctx.boundary_collar_ribbon())
 
 
 @_check(
@@ -1087,7 +1050,6 @@ def _run_one(check_id: str, ctx: _Ctx, overrides: dict | None) -> CheckResult:
     statement, tol, fn = _REGISTRY[check_id]
     if overrides and check_id in overrides:
         tol = float(overrides[check_id])
-    ctx.reseed(check_id)
     start, residual, reason = time.perf_counter(), None, ""
     try:
         residual = float(fn(ctx))
@@ -1105,10 +1067,12 @@ def _run_one(check_id: str, ctx: _Ctx, overrides: dict | None) -> CheckResult:
 def run_check(
     check_id: str, group: Group, region: Region, seed: int = 7, cap: int = DEFAULT_DIM_CAP
 ) -> CheckResult:
-    """Run a single named check on a fresh model."""
+    """Run a single named check on a fresh model.  Every check is exact and
+    draws nothing at random, so the result does not depend on `seed`; it is
+    kept for callers that record it."""
     if check_id not in _REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}; known ids: {', '.join(check_ids())}")
-    ctx = _Ctx(QuantumDouble(group, region, cap=cap), seed)
+    ctx = _Ctx(QuantumDouble(group, region, cap=cap))
     return _run_one(check_id, ctx, None)
 
 
@@ -1119,8 +1083,9 @@ def run_suite(
     threshold_overrides: dict | None = None,
     cap: int = DEFAULT_DIM_CAP,
 ) -> VerificationReport:
-    """Run every registered check, ordered by check id."""
-    ctx = _Ctx(QuantumDouble(group, region, cap=cap), seed)
+    """Run every registered check, ordered by check id.  The results do not
+    depend on `seed`, which the report only records."""
+    ctx = _Ctx(QuantumDouble(group, region, cap=cap))
     results = tuple(_run_one(cid, ctx, threshold_overrides) for cid in check_ids())
     config = {
         "group": group.spec,

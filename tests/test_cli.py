@@ -397,6 +397,22 @@ def test_json_reruns_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_json_is_seed_free_up_to_timing(capsys):
+    # the per-check wall_time differs between runs and the seed is only
+    # recorded; every other field is the same at any seed
+    blobs = []
+    for seed in ("7", "11"):
+        code, out, _ = run_cli(capsys, "verify", "--group", "Z2", "--region", "free:3x3",
+                               "--seed", seed, "--json")
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        del blob["seed"], blob["config"]["seed"]
+        for row in blob["results"]:
+            del row["wall_time"]
+        blobs.append(blob)
+    assert blobs[0] == blobs[1]
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--group", "Z2",
                            "--region", "free:2x3", "--json")

@@ -404,7 +404,7 @@ def kernel_family_oracle(model):
 
 def test_kernel_family_matches_the_triple_loop(monkeypatch):
     model = QuantumDouble(make_group([2]), Region.free(3, 3))
-    ctx = verify_mod._Ctx(model, seed=7)
+    ctx = verify_mod._Ctx(model)
     mixture = ctx.mixture
     calls = count_applies(monkeypatch, sparse_mod)
     family, sectors = verify_mod._kernel_family(ctx, mixture.stack, len(mixture.weights))
@@ -420,7 +420,7 @@ def test_kernel_family_matches_the_triple_loop(monkeypatch):
 
 def test_kernel_span_check_applies_each_strip_once(monkeypatch):
     # Z3 free:3x3: every strip once to all 2,187 ground parts, then H once
-    ctx = verify_mod._Ctx(QuantumDouble(make_group([3]), Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(make_group([3]), Region.free(3, 3)))
     calls = count_applies(monkeypatch, sparse_mod, verify_mod)
     assert verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None).passed is True
     n_strips = 4 * (3 - 1)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from qdouble.groups import make_group
+from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import DENSE_EIG_LIMIT, DimensionCapError, HilbertSpace, QuantumDouble
+import qdouble.spectral as spectral_mod
 from qdouble.spectral import (
+    form_spectrum,
     ground_dimension_count,
     ground_space,
     rayleigh,
@@ -164,8 +168,8 @@ def test_iterative_solvers_apply_the_matrix_and_the_terms_only_for_residuals(mon
     assert events and events == ["lobpcg", "apply"] * (len(events) // 2)
     events.clear()
     result = run_check("boundary-hamiltonian.positive", make_group([3]), Region.free(3, 3))
-    assert result.passed and result.residual < 1e-15
-    assert events == ["eigsh"]
+    assert result.passed and result.residual == 0.0
+    assert events == []
 
 
 def test_subspace_iteration_refuses_unconverged(rng):
@@ -261,7 +265,42 @@ def _dense_levels(model, boundary):
 )
 def test_spectrum_counts_equal_dense_multiplicities(orders, spec, boundary):
     model = QuantumDouble(make_group(orders), parse_region_spec(spec))
-    assert spectrum_counts(model, boundary) == _dense_levels(model, boundary)
+    levels = _dense_levels(model, boundary)
+    assert spectrum_counts(model, boundary) == levels
+    assert form_spectrum(model.hamiltonian(boundary=boundary)) == levels
+
+
+@pytest.mark.parametrize(
+    "group_spec, spec, boundary",
+    [
+        ("Z2", "free:3x4", "none"),
+        ("Z2", "free:3x4", "eps_mu"),
+        ("Z4", "free:3x3", "eps_mu"),
+        ("Z2xZ2", "free:3x3", "eps_mu"),
+        ("Z2xZ4", "free:3x3", "eps_mu"),
+        ("Z2", "free:4x4", "eps_mu"),
+        ("Z3", "torus:2x2", "none"),
+    ],
+)
+def test_form_spectrum_equals_the_counts_beyond_the_dense_route(group_spec, spec, boundary):
+    # two independent exact routes: blocks on the form image, and counting
+    # charge and flux labels; 2^17 to 8^12 dimensions
+    model = QuantumDouble(parse_group_spec(group_spec), parse_region_spec(spec))
+    assert form_spectrum(model.hamiltonian(boundary=boundary)) == spectrum_counts(model, boundary)
+
+
+def test_form_spectrum_refuses_by_bytes_before_building_blocks(monkeypatch):
+    # Z2 torus:3x3: 256 blocks of 256 rows, 128 MiB as float64
+    h = QuantumDouble(make_group([2]), Region.torus(3, 3)).hamiltonian()
+    monkeypatch.setattr(spectral_mod, "PHYSICAL_MEMORY_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="form spectrum bytes"):
+            form_spectrum(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sector_counts_resolve_the_dense_spectrum_by_sector():

@@ -213,7 +213,7 @@ def test_suite_deterministic_residuals():
     b = run_suite(Z2, Region.torus(2, 2), seed=7)
     for ra, rb in zip(a.results, b.results):
         assert ra.check_id == rb.check_id
-        assert ra.residual == rb.residual  # bit-identical, same seed stream
+        assert ra.residual == rb.residual  # bit-identical
         assert ra.passed == rb.passed
 
 
@@ -278,17 +278,17 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_suite_builds_uniform_mixture_once(monkeypatch):
     builds = _count_calls(monkeypatch, states_mod, "_flat_orbit_representatives")
-    ctx = verify_mod._Ctx(QuantumDouble(Z3, Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(Z3, Region.free(3, 3)))
     for cid in ("boundary-hamiltonian.ground-zero", "boundary-hamiltonian.kernel-span"):
         assert verify_mod._run_one(cid, ctx, None).passed is True
     assert len(builds) == 1
 
 
 def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
-    # Z2 free:3x3 is the one boundary instance below the dense cutoff: the
-    # three kernel checks decide exactly without densifying the whole matrix
+    # on Z2 free:3x3 the three kernel checks decide exactly without
+    # densifying the whole matrix
     densified = _count_calls(monkeypatch, Operator, "to_dense")
-    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)))
     for cid in ("boundary-hamiltonian.positive", "boundary-hamiltonian.kernel-span",
                 "sectors.direct-sum"):
         result = verify_mod._run_one(cid, ctx, None)
@@ -307,7 +307,7 @@ def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
         return take_parts(family, ctx.region.num_edges, keep), sectors[keep]
 
     monkeypatch.setattr(verify_mod, "_kernel_family", no_flux)
-    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)))
     span = verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None)
     assert span.passed is False and span.residual == 1280 - 256
     direct = verify_mod._run_one("sectors.direct-sum", ctx, None)
@@ -317,7 +317,7 @@ def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
 @pytest.mark.parametrize("orders", [[2], [3], [2, 2]], ids=["Z2", "Z3", "Z2xZ2"])
 def test_kernel_family_sectors_match_the_sector_projectors(orders):
     model = QuantumDouble(make_group(orders), Region.free(3, 3))
-    ctx = verify_mod._Ctx(model, seed=7)
+    ctx = verify_mod._Ctx(model)
     num_edges, q = model.region.num_edges, model.group.size
     ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
     if model.space.dim > DENSE_MATRIX_LIMIT:  # a sample of ground parts
@@ -332,7 +332,7 @@ def test_kernel_family_sectors_match_the_sector_projectors(orders):
 
 def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundary_eigh):
     model, vals, vecs = z2_boundary_eigh
-    ctx = verify_mod._Ctx(model, seed=7)
+    ctx = verify_mod._Ctx(model)
     family, sectors = verify_mod._kernel_family(ctx, ctx.mixture.stack, len(ctx.mixture.weights))
     ranks = {}
     for chi, c in itertools.product(range(2), repeat=2):
@@ -352,7 +352,7 @@ RANK_CHECKS = ("boundary-hamiltonian.kernel-span", "sectors.direct-sum", "ribbon
                          [("Z2", "free:3x3"), ("Z3", "free:2x3"), ("Z2xZ2", "free:2x3")])
 def test_stack_rank_equals_the_dense_rank(group_spec, region_spec):
     model = QuantumDouble(parse_group_spec(group_spec), parse_region_spec(region_spec))
-    ctx = verify_mod._Ctx(model, seed=7)
+    ctx = verify_mod._Ctx(model)
     num_edges, dim, tol = model.region.num_edges, model.space.dim, verify_mod.TOL_KERNEL
     family, sectors = ctx.kernel_family
     ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
@@ -398,7 +398,7 @@ def test_rank_checks_pass_on_the_whole_family(monkeypatch, group_spec, region_sp
 
     monkeypatch.setattr(verify_mod, "_kernel_family", recorded)
     ctx = verify_mod._Ctx(QuantumDouble(parse_group_spec(group_spec),
-                                        parse_region_spec(region_spec)), seed=7)
+                                        parse_region_spec(region_spec)))
     for cid in RANK_CHECKS:
         result = verify_mod._run_one(cid, ctx, None)
         assert result.passed is True and result.residual == 0.0, cid
@@ -413,7 +413,7 @@ def test_rank_checks_skip_by_rows_before_building(monkeypatch, orders):
 
     monkeypatch.setattr(verify_mod, "grow", refuse)
     monkeypatch.setattr(states_mod, "grow", refuse)
-    ctx = verify_mod._Ctx(QuantumDouble(make_group(orders), Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(make_group(orders), Region.free(3, 3)))
     rows = dict(zip(RANK_CHECKS, (11_075_584, 11_075_584, 67_108_864)))
     tracemalloc.start()
     try:
@@ -434,8 +434,7 @@ def test_rank_checks_skip_by_rows_before_building(monkeypatch, orders):
 def test_probe_separates_unequal_operators():
     for group, region in ((Z3, Region.free(3, 3)), (Z4, Region.free(3, 3))):
         model = QuantumDouble(group, region)
-        ctx = verify_mod._Ctx(model, seed=7)
-        ctx.reseed("probe-test")
+        ctx = verify_mod._Ctx(model)
         v = region.interior_vertices()[0]
         f = region.faces()[0]
         rib = ribbon_to_boundary(region, region.site(v, v))
@@ -461,15 +460,28 @@ def test_probe_separates_unequal_operators():
 
 
 def test_local_checks_stay_off_the_full_space(monkeypatch):
-    ctx = verify_mod._Ctx(QuantumDouble(Z4, Region.free(3, 3)), seed=7)
+    ctx = verify_mod._Ctx(QuantumDouble(Z4, Region.free(3, 3)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a local check touched the 4^12-dim space")
 
     for name in ("random_vectors", "shift_perm", "form_values", "apply_terms"):
         monkeypatch.setattr(ctx.model.space, name, refuse)
-    for cid in LOCAL_PROBE_CHECKS + WIDE_PROBE_CHECKS:
+    for cid in LOCAL_PROBE_CHECKS + WIDE_PROBE_CHECKS + ("boundary-hamiltonian.positive",):
         assert verify_mod._run_one(cid, ctx, None).passed is True, cid
+
+
+def test_positive_is_exact_and_seed_free():
+    # every eigenvalue of H^{eps,mu} with its multiplicity, from its blocks on
+    # the image of its holonomy forms: no iterative solve and no start vector
+    for seed in (7, 11):
+        result = run_check("boundary-hamiltonian.positive", Z3, Region.free(3, 3), seed=seed)
+        assert result.passed is True and result.residual == 0.0, seed
+
+
+def test_label_pairs_are_every_pair():
+    ctx = verify_mod._Ctx(QuantumDouble(make_group([5]), Region.free(3, 3)))
+    assert ctx.label_pairs() == list(itertools.product(range(5), repeat=2))
 
 
 def test_local_check_residuals_do_not_depend_on_the_seed():
@@ -495,7 +507,7 @@ def test_crossing_check_builds_no_space(monkeypatch):
 
     model = QuantumDouble(Z4, Region.free(3, 3))
     monkeypatch.setattr(operators_mod.HilbertSpace, "__init__", counting_init)
-    ctx = verify_mod._Ctx(model, seed=7)
+    ctx = verify_mod._Ctx(model)
     assert verify_mod._run_one("ribbon.crossing-phase", ctx, None).passed is True
     assert built == []
 
