@@ -4,7 +4,8 @@ Tasks
 -----
 verify    run the named check battery and exit 0 iff every check passes
 spectrum  lowest k Hamiltonian eigenvalues as CSV/JSON (index, eigenvalue, residual);
-          JSON adds the exact counted levels (energy, multiplicity)
+          JSON adds the exact counted levels (energy, multiplicity) and the
+          solver's meta (LOBPCG's iterations and sigma; {} when dense)
 sectors   (charge, flux) sector dimensions of the charged-boundary kernel,
           counted from charge and flux labels, plus ground-state sector weights
 braid     exact crossing-phase exponents read off two crossing strips in the
@@ -243,7 +244,7 @@ def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
         payload = {
             "task": "spectrum", "group": cfg.group, "region": cfg.region,
             "boundary": cfg.boundary, "seed": cfg.seed, "method": basis.method,
-            "rows": rows, "levels": levels,
+            "meta": basis.meta, "rows": rows, "levels": levels,
         }
         _emit(_json_payload(payload), cfg)
     else:

@@ -341,9 +341,12 @@ class HilbertSpace:
                 out += buf
         return out[:, 0] if single else out
 
-    def random_vectors(self, rng: np.random.Generator, k: int = 1) -> np.ndarray:
+    def random_vectors(self, rng: np.random.Generator, k: int = 1,
+                       real: bool = False) -> np.ndarray:
         self.require_dense("random probe")
-        v = rng.standard_normal((self.dim, k)) + 1j * rng.standard_normal((self.dim, k))
+        v = rng.standard_normal((self.dim, k))
+        if not real:
+            v = v + 1j * rng.standard_normal((self.dim, k))
         v /= np.linalg.norm(v, axis=0, keepdims=True)
         return v
 

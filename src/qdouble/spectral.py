@@ -14,7 +14,8 @@ Vectors come from two routes:
   cross-checks against dense diagonalization and the projector product;
 * the lowest k eigenpairs come from one dense `eigh` per block of the
   Hamiltonian's sparsity graph on small spaces and from scipy's LOBPCG on
-  mid-size ones; the residuals ||H v - lambda v|| are recomputed and checked
+  mid-size ones, Jacobi-preconditioned and in float64 when the operator is
+  real; the residuals ||H v - lambda v|| are recomputed and checked
   against tol * sigma, so unconverged data is never returned.
 """
 
@@ -170,29 +171,36 @@ def subspace_iteration(
     """Lowest k eigenpairs of a nonnegative operator by scipy's LOBPCG.
 
     LOBPCG starts from k seeded random columns and multiplies by the exact
-    sparse matrix, built once.  The residuals ||H v - lambda v|| are
-    recomputed with `op.apply` and must all be below tol * sigma, sigma =
-    1 + sum |coeff| bounding the spectrum (every term is scalar x
-    unit-modulus diagonals x permutation).  A column LOBPCG locked can end
-    just above that, so it restarts from its own block until they pass, and
-    raises once `max_iter` iterations are used in all: unconverged output
-    is never returned.
+    sparse matrix A, built once; both are float64 when `is_real(op)`, as
+    for H and H^{eps,mu}, and complex otherwise.  It is preconditioned by
+    Jacobi, M = diag(1 / (diag(A) + 1)): diag(A) >= 0 for a nonnegative
+    operator, so M is positive with no tuning.  The residuals
+    ||H v - lambda v|| are recomputed with `op.apply` and must all be below
+    tol * sigma, sigma = 1 + sum |coeff| bounding the spectrum (every term
+    is scalar x unit-modulus diagonals x permutation).  A column LOBPCG
+    locked can end just above that, so it restarts from its own block until
+    they pass, and raises once `max_iter` iterations are used in all:
+    unconverged output is never returned.
     """
     # imported here: it adds about 10 MB of RSS to every other route
+    from scipy.sparse import diags_array
     from scipy.sparse.linalg import lobpcg
 
     space = op.space
     # below 5k rows LOBPCG densifies the operator as A(eye(dim)), dim x dim
     refuse_above(5 * k, space.dim, "LOBPCG rows needed (5 per eigenpair)")
     sigma = 1.0 + float(sum(abs(t.coeff) for t in op.terms))
-    vecs = space.random_vectors(rng, k)  # refuses a space too large for one vector
+    real = is_real(op)
+    vecs = space.random_vectors(rng, k, real=real)  # refuses a space too large for one vector
     a = sparse_matrix(op, space.cap)
+    a = a.real if real else a
+    jacobi = diags_array(1.0 / (a.diagonal().real + 1.0))
     iterations = 0
     while True:
         with warnings.catch_warnings():
             # LOBPCG warns when it stops short; the residual check below decides
             warnings.simplefilter("ignore", UserWarning)
-            vals, vecs, history = lobpcg(a, vecs, tol=tol * sigma, largest=False,
+            vals, vecs, history = lobpcg(a, vecs, M=jacobi, tol=tol * sigma, largest=False,
                                          maxiter=max_iter - iterations,
                                          retResidualNormsHistory=True)
         iterations += len(history)

@@ -672,11 +672,11 @@ def _charge_ribbon_end(ctx: _Ctx) -> float:
 def _charge_orthogonality(ctx: _Ctx) -> float:
     site = ctx.an_interior_site()
     model = ctx.model
+    projectors = {a: model.site_charge_projector(site, *a) for a in ctx.label_pairs()}
     worst = 0.0
-    for a, b in itertools.product(ctx.label_pairs(), repeat=2):
-        lhs = model.site_charge_projector(site, *a).compose(model.site_charge_projector(site, *b))
-        rhs = model.site_charge_projector(site, *a) if a == b else TermOp(model.space, [])
-        worst = max(worst, ctx.probe(lhs, rhs))
+    for (a, pa), (b, pb) in itertools.product(projectors.items(), repeat=2):
+        rhs = pa if a == b else TermOp(model.space, [])
+        worst = max(worst, ctx.probe(pa.compose(pb), rhs))
     return worst
 
 

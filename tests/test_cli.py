@@ -130,6 +130,19 @@ def test_spectrum_json_fields(capsys):
     assert blob["group"] == "Z2"
     assert len(blob["rows"]) == 2
     assert abs(blob["rows"][0]["eigenvalue"]) < 1e-8
+    assert blob["method"] == "dense" and blob["meta"] == {}
+
+
+def test_spectrum_json_reports_the_iterations(capsys):
+    # 2^16 dimensions, above DENSE_EIG_LIMIT: LOBPCG reports its work
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "Z2", "--region", "free:2x6",
+                           "-k", "2", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert blob["method"] == "iterative"
+    assert blob["meta"]["sigma"] == 11.0
+    assert 0 < blob["meta"]["iterations"] <= 2000
+    assert all(r["residual"] < 1e-9 * blob["meta"]["sigma"] for r in blob["rows"])
 
 
 @pytest.mark.parametrize("group, region, boundary", [

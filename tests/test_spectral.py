@@ -7,7 +7,8 @@ import scipy.sparse.linalg
 
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
-from qdouble.operators import DENSE_EIG_LIMIT, DimensionCapError, HilbertSpace, QuantumDouble
+from qdouble.operators import (DENSE_EIG_LIMIT, DimensionCapError, HilbertSpace, QuantumDouble,
+                               TermOp, is_real, sparse_matrix)
 import qdouble.spectral as spectral_mod
 from qdouble.spectral import (
     form_spectrum,
@@ -164,12 +165,58 @@ def test_iterative_solvers_apply_the_matrix_and_the_terms_only_for_residuals(mon
         monkeypatch.setattr(scipy.sparse.linalg, name, spy(getattr(scipy.sparse.linalg, name)))
     model = QuantumDouble(make_group([2]), Region.torus(2, 2))
     # a start whose first solve ends just above the bound, so LOBPCG restarts
-    subspace_iteration(model.hamiltonian(), 6, np.random.default_rng(11), tol=1e-10)
-    assert events and events == ["lobpcg", "apply"] * (len(events) // 2)
+    subspace_iteration(model.hamiltonian(), 6, np.random.default_rng(12), tol=1e-10)
+    assert events.count("lobpcg") >= 2
+    assert events == ["lobpcg", "apply"] * (len(events) // 2)
     events.clear()
     result = run_check("boundary-hamiltonian.positive", make_group([3]), Region.free(3, 3))
     assert result.passed and result.residual == 0.0
     assert events == []
+
+
+def _spy_lobpcg(monkeypatch):
+    """Record the matrix dtype and the preconditioner's diagonal of each call."""
+    calls = []
+    lobpcg = scipy.sparse.linalg.lobpcg
+
+    def run(a, x, *args, **kwargs):
+        calls.append((a.dtype, x.dtype, kwargs["M"].diagonal()))
+        return lobpcg(a, x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", run)
+    return calls
+
+
+def test_subspace_iteration_stays_real_on_a_real_hamiltonian(monkeypatch):
+    calls = _spy_lobpcg(monkeypatch)
+    model = QuantumDouble(make_group([2]), Region.free(3, 4))
+    h = model.hamiltonian()
+    it = subspace_iteration(h, 2, np.random.default_rng(7))
+    assert it.vectors.dtype == np.float64
+    assert np.all(np.abs(it.values) < 1e-8)
+    assert np.all(it.residuals < 1e-9 * it.meta["sigma"])
+    jacobi = 1.0 / (sparse_matrix(h, model.space.cap).diagonal().real + 1.0)
+    assert calls and all(a == x == np.float64 and np.array_equal(m, jacobi) for a, x, m in calls)
+
+
+def test_subspace_iteration_keeps_a_complex_operator_complex(monkeypatch):
+    # H plus a nontrivial Z3 charge demand on every vertex: nonnegative and
+    # Hermitian, but its characters are not closed under conjugation
+    model = QuantumDouble(make_group([3]), Region.free(2, 3))
+    terms = list(model.hamiltonian().terms)
+    for v in model.region.vertices():
+        terms += model.identity().terms + model.vertex_charge(v, 1).scaled(-1.0).terms
+    op = TermOp(model.space, terms).simplify()
+    assert not is_real(op)
+    dense = np.linalg.eigvalsh(op.to_dense())
+    calls = _spy_lobpcg(monkeypatch)
+    it = subspace_iteration(op, 6, np.random.default_rng(7), tol=1e-10)
+    assert it.vectors.dtype == np.complex128
+    assert np.allclose(it.values, dense[:6], atol=1e-8)
+    assert len(set(np.round(dense[:6]))) == 3  # levels 0, 1 and 2
+    assert np.all(it.residuals < 1e-10 * it.meta["sigma"])
+    jacobi = 1.0 / (sparse_matrix(op).diagonal().real + 1.0)
+    assert calls and all(a == x == np.complex128 and np.array_equal(m, jacobi) for a, x, m in calls)
 
 
 def test_subspace_iteration_refuses_unconverged(rng):
