@@ -43,6 +43,7 @@ __all__ = [
     "QuantumDouble",
     "form_image",
     "sparse_matrix",
+    "shift_diagonals",
     "is_real",
 ]
 
@@ -239,6 +240,22 @@ def term_factor(group: Group, term: Term, values) -> np.ndarray | None:
     return diag
 
 
+def shift_diagonals(group: Group, terms, values, real: bool = False) -> dict:
+    """Grouped by shift, a sum of terms is sum_s shift_s D_s with D_s
+    diagonal: {s: D_s} in order of first appearance, where `values(form)`
+    gives the (n,) packed group values of each holonomy form on n points.
+    D_s sums coeff * term_factor over its terms in term order, a scalar
+    where none of them has a diagonal factor; float64, with each term's
+    real part, when `real`."""
+    diags: dict[tuple, object] = {}
+    for t in terms:
+        if t.coeff != 0:
+            d = term_factor(group, t, values)  # a fresh array, scaled in place
+            d = t.coeff if d is None else np.multiply(t.coeff, d, out=d)
+            diags[t.shift] = diags.get(t.shift, 0) + (d.real if real else d)
+    return diags
+
+
 # ---------------------------------------------------------------------------
 # the Hilbert space and dense application
 
@@ -394,8 +411,7 @@ class Operator:
 
     def to_dense(self, max_dim: int = DENSE_MATRIX_LIMIT) -> np.ndarray:
         """The dense matrix: float64 when `is_real(self)`, else complex."""
-        m = sparse_matrix(self, max_dim)
-        return (m.real if is_real(self) else m).toarray()
+        return sparse_matrix(self, max_dim).toarray()
 
 
 class TermOp(Operator):
@@ -488,13 +504,15 @@ class ScaledOp(Operator):
 
 
 def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
-    """The exact matrix of an operator as a scipy CSC matrix.
+    """The exact matrix of an operator as a scipy CSC matrix, float64 when
+    `is_real(op)` and complex otherwise.
 
-    Grouped by shift, a TermOp is A = sum_s shift_s D_s: column j holds
-    D_s[j] at row shift_perm(s)[j], and distinct shifts send j to distinct
-    rows, so nothing needs summing.  That costs O(terms x dim) and no dense
-    (dim, dim) product; sums add and products multiply these matrices.
-    Refused above `max_dim` and when the entries outgrow physical memory.
+    Grouped by shift, a TermOp is A = sum_s shift_s D_s (`shift_diagonals`):
+    column j holds D_s[j] at row shift_perm(s)[j], and distinct shifts send
+    j to distinct rows, so nothing needs summing.  That costs O(terms x dim)
+    and no dense (dim, dim) product; sums add and products multiply these
+    matrices.  Refused above `max_dim` and when the entries outgrow physical
+    memory.
     """
     from scipy.sparse import csc_matrix
 
@@ -502,18 +520,17 @@ def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     dim = space.dim
     refuse_above(dim, max_dim, "matrix dimension")
     if isinstance(op, TermOp):
-        terms = [t for t in op.terms if t.coeff != 0]
-        slot = {s: i for i, s in enumerate(dict.fromkeys(t.shift for t in terms))}
-        n = len(slot)
-        # 28 bytes an entry (its value, its row and scipy's int32 copy of the
-        # rows), and under 64 a column for one term's diagonal or permutation
-        refuse_above(dim * (28 * n + 64), PHYSICAL_MEMORY_BYTES, "sparse matrix bytes")
-        vals = np.zeros((dim, n), dtype=np.complex128)
-        rows = np.empty((dim, n), dtype=np.intp)
-        for t in terms:
-            diag = space.term_diag(t)
-            vals[:, slot[t.shift]] += t.coeff if diag is None else t.coeff * diag
-        for s, i in slot.items():
+        n, real = len({t.shift for t in op.terms if t.coeff != 0}), is_real(op)
+        dtype = np.dtype(np.float64 if real else np.complex128)
+        # each entry's value twice (its shift's diagonal, then the matrix), its
+        # row and scipy's int32 copy of the rows: 28 bytes real, 44 complex;
+        # and under 64 a column for one term's diagonal or permutation
+        refuse_above(dim * ((2 * dtype.itemsize + 12) * n + 64), PHYSICAL_MEMORY_BYTES,
+                     "sparse matrix bytes")
+        vals, rows = np.empty((dim, n), dtype=dtype), np.empty((dim, n), dtype=np.intp)
+        diags = shift_diagonals(space.group, op.terms, space.form_values, real)
+        for i, (s, diag) in enumerate(diags.items()):
+            vals[:, i] = diag
             rows[:, i] = space.shift_perm(s)
         return csc_matrix((vals.ravel(), rows.ravel(), n * np.arange(dim + 1)), shape=(dim, dim))
     if isinstance(op, SumOp):
@@ -527,7 +544,8 @@ def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
             out = out @ sparse_matrix(f, max_dim)
         return out
     if isinstance(op, ScaledOp):
-        return op.scalar * sparse_matrix(op.op, max_dim)
+        scalar = complex(op.scalar)
+        return (scalar.real if scalar.imag == 0 else scalar) * sparse_matrix(op.op, max_dim)
     raise TypeError(f"no sparse matrix for {type(op).__name__}")
 
 
@@ -681,29 +699,42 @@ class QuantumDouble:
 
     # ---- global charge detectors ----
 
-    def total_charge_projector(self, chi) -> TermOp:
-        """Projector onto total gauge charge chi over the full-star vertices."""
-        q = self.group.size
+    def gauge_shift(self, g) -> tuple:
+        """The shift of T_g, the star shift A_v^g at every full-star vertex at
+        once."""
+        gi = self._g_idx(g)
         inv = self.group.inv_table()
-        conj = self.group.char_values(self._chibar_idx(chi))
         edges = [e for v in self.region.interior_vertices() for e in self.region.star_edges(v)]
-        terms = []
-        for g in range(q):
-            items = [(eid, g if sign > 0 else int(inv[g])) for eid, sign in edges]
-            terms.append(Term(complex(conj[g]) / q, _canon_shift(self.group, items)))
+        return _canon_shift(self.group, [(eid, gi if sign > 0 else int(inv[gi]))
+                                         for eid, sign in edges])
+
+    def total_charge_projector(self, chi) -> TermOp:
+        """Projector onto total gauge charge chi over the full-star vertices:
+        (1/|G|) sum_g conj(chi)(g) T_g."""
+        q = self.group.size
+        conj = self.group.char_values(self._chibar_idx(chi))
+        terms = [Term(complex(conj[g]) / q, self.gauge_shift(g)) for g in range(q)]
         return TermOp(self.space, terms).simplify()
 
+    def total_flux_form(self) -> tuple:
+        """The holonomy form of the total flux, the product of every face's
+        holonomy: on a free patch the boundary holonomy, on a torus empty."""
+        return _canon_form(self.group, [item for f in self.region.faces()
+                                        for item in self.region.face_boundary_ids(f)])
+
     def total_flux_projector(self, c) -> TermOp:
-        """Projector onto total flux c through the region's plaquettes."""
+        """Projector onto total flux c through the region's plaquettes,
+        (1/|G|) sum_chi chi(c) conj(chi)(total flux); exactly [c = e] I where
+        the total flux form is empty."""
         q = self.group.size
         ci = self._g_idx(c)
-        faces = self.region.faces()
+        form = self.total_flux_form()
+        if not form:
+            return self.identity() if ci == 0 else TermOp(self.space, [])
         inv = self.group.inv_table()
-        terms = []
-        for chi in range(q):
-            coeff = complex(self.group.char_values(chi)[ci]) / q
-            phases = _merge_phases(self.group, [(self._face_form(f), int(inv[chi])) for f in faces])
-            terms.append(Term(coeff, (), phases, ()))
+        terms = [Term(complex(self.group.char_values(chi)[ci]) / q, (),
+                      ((form, int(inv[chi])),) if chi else ())
+                 for chi in range(q)]
         return TermOp(self.space, terms).simplify()
 
     def sector_projector(self, chi, c) -> TermOp:

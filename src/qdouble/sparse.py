@@ -14,10 +14,12 @@ as trailing big-endian bytes after the last edge, a layout only this module
 reads or writes.  Terms never address those columns, so one application to
 a stack acts on every part at once, and the merge, keyed on whole rows, only
 combines rows of the same part.  `grow` applies each of a list of operators
-once to a whole stack; `split`, `take_parts`, `join`, `overlaps`,
-`squared_norms`, `scale_parts` and `to_columns` read, select, join or rescale
-it part by part.  `stack_rank` takes the rank of the matrix whose columns are
-the parts from the blocks the stack already encodes, with no dense column.
+once to a whole stack; `split`, `take_parts`, `join`, `squared_norms`,
+`scale_parts` and `to_columns` read, select, join or rescale it part by
+part, and `matrix_elements` reads <bra_l|A|ket_l> for every part without
+building A's image.  `stack_rank` takes the rank of the matrix whose
+columns are the parts from the blocks the stack already encodes, with no
+dense column.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from .operators import (
     TermOp,
     holonomy_values,
     refuse_above,
+    shift_diagonals,
     term_factor,
 )
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow", "split",
-           "take_parts", "join", "overlaps", "squared_norms", "scale_parts", "to_columns",
-           "stack_rank"]
+           "take_parts", "join", "shift_matches", "matrix_elements", "squared_norms",
+           "scale_parts", "to_columns", "stack_rank"]
 
 PRUNE_TOL = 1e-14
 
@@ -123,10 +126,7 @@ class SparseState:
         else:
             keep = diag != 0
             digits, amps = self.digits[keep], term.coeff * self.amps[keep] * diag[keep]
-        mul = group.mul_table()
-        for edge, g in term.shift:
-            digits[:, edge] = mul[digits[:, edge], g]
-        return digits, amps
+        return _shift_rows(group, digits, term.shift), amps
 
     def apply_terms(self, terms) -> "SparseState":
         terms = [t for t in terms if t.coeff != 0]
@@ -162,6 +162,14 @@ class SparseState:
         idx = np.nonzero(np.abs(psi) > PRUNE_TOL)[0]
         digits = (idx[:, None] // space.radix) % space.q
         return cls(space.group, space.num_edges, digits, psi[idx])
+
+
+def _shift_rows(group: Group, digits: np.ndarray, shift: tuple) -> np.ndarray:
+    """The rows `digits` moved by `shift`, in place."""
+    mul = group.mul_table()
+    for edge, g in shift:
+        digits[:, edge] = mul[digits[:, edge], g]
+    return digits
 
 
 def row_keys(digits: np.ndarray) -> np.ndarray:
@@ -205,13 +213,9 @@ def _labelled(group: Group, digits: np.ndarray, amps: np.ndarray, labels: np.nda
 
 
 def stack_labels(state: SparseState, num_edges: int) -> np.ndarray:
-    """The part label of every row of a stack over num_edges edges."""
-    return _decode(state.digits[:, num_edges:])
-
-
-def _decode(tail: np.ndarray) -> np.ndarray:
-    """The labels held by rows of big-endian label bytes."""
-    tail = tail.astype(np.int64)
+    """The part label of every row of a stack over num_edges edges, read from
+    its big-endian label bytes."""
+    tail = state.digits[:, num_edges:].astype(np.int64)
     return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
@@ -257,13 +261,52 @@ def join(stacks, num_edges: int, n_parts) -> SparseState:
     return _labelled(stacks[0].group, digits, amps, labels[order])
 
 
-def overlaps(a: SparseState, b: SparseState, num_edges: int, n_parts: int) -> np.ndarray:
-    """<a_l|b_l> for every label l < n_parts of two stacks of one width."""
-    _, i, j = np.intersect1d(
-        row_keys(a.digits), row_keys(b.digits), assume_unique=True, return_indices=True
-    )
-    terms, labels = a.amps[i].conj() * b.amps[j], _decode(a.digits[i, num_edges:])
-    return np.bincount(labels, terms.real, n_parts) + 1j * np.bincount(labels, terms.imag, n_parts)
+def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
+    """Indices (i, j) of every pair of ket row i and bra row j = ket row i +
+    shift, matched on whole rows, label bytes included; all rows of both,
+    as slices, when the bra is the ket and the shift is empty."""
+    if not shift and bra is ket:
+        return slice(None), slice(None)
+    moved = _shift_rows(ket.group, ket.digits.copy(), shift)
+    _, i, j = np.intersect1d(row_keys(moved), row_keys(bra.digits), assume_unique=True,
+                             return_indices=True)
+    return i, j
+
+
+def matrix_elements(op: Operator, bra: SparseState, ket: SparseState, num_edges: int,
+                    n_parts: int) -> np.ndarray:
+    """<bra_l|A|ket_l> for every label l < n_parts of two stacks of one width.
+
+    A TermOp is A = sum_s shift_s D_s (`shift_diagonals`), so <bra|A|ket> =
+    sum_s sum_x conj(bra(x + s)) D_s(x) ket(x) over the ket's rows x: each
+    D_s is summed on those rows and each shift matches them against the
+    bra's once (`shift_matches`); nothing is merged.  A sum adds its parts,
+    a scalar scales, and a product applies its inner factors to the ket
+    with `sparse_apply` and evaluates its outermost factor.
+    """
+    if isinstance(op, TermOp):
+        group, n = ket.group, ket.n_configs
+        n_shifts = len({t.shift for t in op.terms if t.coeff != 0})
+        # 16 bytes a row for each diagonal, the accumulator and a term's two
+        # factors, and 5 row widths and 16 bytes a row to match one shift
+        refuse_above(n * (16 * (n_shifts + 4) + 5 * ket.num_edges), PHYSICAL_MEMORY_BYTES,
+                     "matrix element bytes")
+        acc = np.zeros(n, dtype=np.complex128)
+        for shift, diag in shift_diagonals(group, op.terms, lambda form: holonomy_values(
+                group, lambda edge: ket.digits[:, edge], n, form)).items():
+            i, j = shift_matches(bra, ket, shift)
+            acc[i] += bra.amps[j].conj() * np.broadcast_to(diag, n)[i] * ket.amps[i]
+        labels = stack_labels(ket, num_edges)
+        return np.bincount(labels, acc.real, n_parts) + 1j * np.bincount(labels, acc.imag, n_parts)
+    if isinstance(op, SumOp):
+        return sum(matrix_elements(p, bra, ket, num_edges, n_parts) for p in op.parts)
+    if isinstance(op, ProductOp):
+        for f in reversed(op.factors[1:]):
+            ket = sparse_apply(f, ket)
+        return matrix_elements(op.factors[0], bra, ket, num_edges, n_parts)
+    if isinstance(op, ScaledOp):
+        return op.scalar * matrix_elements(op.op, bra, ket, num_edges, n_parts)
+    raise TypeError(f"no matrix elements for {type(op).__name__}")
 
 
 def squared_norms(st: SparseState, num_edges: int, n_parts: int) -> np.ndarray:

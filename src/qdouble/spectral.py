@@ -30,7 +30,7 @@ import numpy as np
 from .lattice import boundary_ribbon
 from .operators import (BOUNDARY_FLAVORS, DENSE_EIG_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, TermOp, form_image, generated_subgroup, holonomy_values,
-                        is_real, refuse_above, sparse_matrix, term_factor)
+                        is_real, refuse_above, shift_diagonals, sparse_matrix)
 from .sparse import sparse_apply, squared_norms, to_columns
 from .states import frustration_free_state
 
@@ -193,7 +193,6 @@ def subspace_iteration(
     real = is_real(op)
     vecs = space.random_vectors(rng, k, real=real)  # refuses a space too large for one vector
     a = sparse_matrix(op, space.cap)
-    a = a.real if real else a
     jacobi = diags_array(1.0 / (a.diagonal().real + 1.0))
     iterations = 0
     while True:
@@ -227,7 +226,6 @@ def _blocks(op: Operator, max_dim: int):
     from scipy.sparse.csgraph import connected_components
 
     m = sparse_matrix(op, max_dim)
-    m = m.real if is_real(op) else m
     m.eliminate_zeros()  # entries that cancelled exactly join no blocks
     _, label = connected_components(m, directed=False)
     size_of = np.bincount(label)[label]
@@ -268,20 +266,21 @@ def form_spectrum(op: TermOp) -> dict[float, int]:
     forms = tuple(sorted({f for t in terms for f, _ in t.phases + t.indicators}))
     image = form_image(group, forms, space.cap)
     n_y, n_s = len(image), len(sub)
-    dtype = np.float64 if is_real(op) else np.complex128
-    # the blocks, and under 32 bytes a point for each shift's diagonal and its
-    # sorted copy and for one term's complex factor
+    real = is_real(op)
+    dtype = np.float64 if real else np.complex128
+    # the blocks, and under 32 bytes a point for each shift's diagonal twice
+    # (grouped, then stacked; later stacked and sorted) and for one term's
+    # complex factor
     refuse_above(n_y * n_s * (n_s * np.dtype(dtype).itemsize + 32 * (len(slot) + 1)),
                  PHYSICAL_MEMORY_BYTES, "form spectrum bytes")
     zero = np.zeros(n_s, dtype=np.uint8)
     values = {f: mul[image[:, i, None], holonomy_values(  # y + F(sigma), y-major
         group, lambda e: sub[:, edges.index(e)] if e in edges else zero, n_s, f)].ravel()
         for i, f in enumerate(forms)}
-    diags = np.zeros((n_y, len(slot), n_s), dtype=dtype)
-    for t in terms:
-        factor = term_factor(group, t, values.__getitem__)
-        d = t.coeff * (1.0 if factor is None else factor.reshape(n_y, n_s))
-        diags[:, slot[t.shift]] += d.real if dtype is np.float64 else d
+    diags = np.empty((n_y * n_s, len(slot)), dtype=dtype)
+    for i, diag in enumerate(shift_diagonals(group, terms, values.__getitem__, real).values()):
+        diags[:, i] = diag
+    diags = diags.reshape(n_y, n_s, len(slot))
     # sub is sorted and sub + s permutes it, so unique indexes sub + s in sub
     moved = mul[sub[None], rows[:, None]].reshape(len(slot) * n_s, len(edges))
     target = np.unique(moved, axis=0, return_inverse=True)[1].reshape(len(slot), n_s)
@@ -289,7 +288,7 @@ def form_spectrum(op: TermOp) -> dict[float, int]:
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)  # by bytes
     blocks = np.zeros((len(first), n_s, n_s), dtype=dtype)
     for i in range(len(slot)):
-        blocks[:, target[i], np.arange(n_s)] = diags[first, i]
+        blocks[:, target[i], np.arange(n_s)] = diags[first, :, i]
     vals = np.round(np.linalg.eigvalsh(blocks), 9) + 0.0  # + 0.0 turns -0.0 into 0.0
     levels, where = np.unique(vals, return_inverse=True)
     totals = np.bincount(where.ravel(), np.repeat(counts, n_s)).astype(np.int64).tolist()

@@ -1,11 +1,11 @@
 """Finite-volume states of the model and their charge decompositions.
 
 States are convex mixtures of normalized sparse vectors, held as one
-stack with a weight per part, so every expectation value is one
-application of the operator, evaluated exactly on the configurations that
-actually carry amplitude.  Ground states are gauge orbits, uniform
-superpositions over the gauge transformations of one flat configuration:
-the frustration-free vector is the orbit of the identity configuration, and
+stack with a weight per part, so every expectation value is read exactly
+on the configurations that actually carry amplitude, with no image of the
+operator built.  Ground states are gauge orbits, uniform superpositions
+over the gauge transformations of one flat configuration: the
+frustration-free vector is the orbit of the identity configuration, and
 the uniform ground mixture averages the orbits of one representative per
 flat sector.  Excited states attach a ribbon operator routed to the boundary.
 """
@@ -19,10 +19,11 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_to_boundary
-from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble, Term,
-                        TermOp, is_real, refuse_above)
-from .sparse import (SparseState, grow, join, overlaps, row_keys, scale_parts, sparse_apply,
-                     split, squared_norms, stack, stack_rows, take_parts, to_columns)
+from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
+                        QuantumDouble, Term, TermOp, holonomy_values, is_real, refuse_above)
+from .sparse import (SparseState, grow, join, matrix_elements, row_keys, scale_parts,
+                     shift_matches, sparse_apply, split, squared_norms, stack, stack_labels,
+                     stack_rows, take_parts, to_columns)
 
 __all__ = [
     "StateFunctional",
@@ -62,9 +63,10 @@ class StateFunctional:
         return cls(model, stack([state.normalized()]), np.ones(1), info or {})
 
     def expect(self, op: Operator) -> complex:
-        """sum_p w_p <s_p|A s_p>: A applied once, to the whole stack."""
-        out = sparse_apply(op, self.stack)
-        per_part = overlaps(self.stack, out, self.model.region.num_edges, len(self.weights))
+        """sum_p w_p <s_p|A s_p>, read on the stack's own rows
+        (`sparse.matrix_elements`)."""
+        per_part = matrix_elements(op, self.stack, self.stack, self.model.region.num_edges,
+                                   len(self.weights))
         return complex(np.dot(self.weights, per_part))
 
     @cached_property
@@ -270,21 +272,40 @@ class SectorWeights:
 
 
 def sector_weights(state: StateFunctional) -> SectorWeights:
-    """lambda_{chi,c} = omega(global sector projector); sums to one."""
-    model = state.model
-    q = model.group.size
-    entries = []
-    total = 0.0
-    for chi in range(q):
-        for c in range(q):
-            lam = state.expect_real(model.sector_projector(chi, c))
-            if lam < -1e-12:
-                raise ValueError(f"negative sector weight {lam} at {(chi, c)}")
-            entries.append((chi, c, lam))
-            total += lam
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"sector weights add to {total}, not 1")
-    return SectorWeights(model.group.spec, model.region.spec, tuple(entries))
+    """lambda_{chi,c} = omega(P_chi P_c), all from one pass; sums to one.
+
+    P_chi = (1/q) sum_g conj(chi)(g) T_g, T_g the global gauge shift, and
+    P_c = [total flux = c] is diagonal and commutes with every T_g.  So
+    lambda_{chi,c} = (1/q) sum_g conj(chi)(g) M[g, c], where M[g, c] sums
+    w conj(s(x + T_g)) s(x) over the rows x of total flux c: one row
+    matching per g, and the flux read once from the summed holonomy form.
+    """
+    model, group = state.model, state.model.group
+    q, st, n = group.size, state.stack, len(state.weights)
+    # per row: its flux, bin and product (25 bytes), and a row matching's
+    # moved copy, concatenated keys, sorted copy and sort order
+    refuse_above(st.n_configs * (5 * st.num_edges + 41), PHYSICAL_MEMORY_BYTES,
+                 "sector weight bytes")
+    flux = holonomy_values(group, lambda edge: st.digits[:, edge], st.n_configs,
+                           model.total_flux_form())
+    bins = stack_labels(st, model.region.num_edges) * q + flux  # (part, flux) of every row
+    m = np.zeros((q, q), dtype=np.complex128)
+    for g in range(q):
+        i, j = shift_matches(st, st, model.gauge_shift(g))
+        terms = st.amps[j].conj() * st.amps[i]
+        per_part = (np.bincount(bins[i], terms.real, n * q)
+                    + 1j * np.bincount(bins[i], terms.imag, n * q)).reshape(n, q)
+        m[g] = state.weights @ per_part
+    lam = group.char_values(group.inv_table()) @ m / q  # row chi of the table is conj(chi)
+    if np.abs(lam.imag).max() > 1e-9:
+        raise ValueError(f"sector weights {lam} have a non-negligible imaginary part")
+    lam = lam.real
+    if lam.min() < -1e-12:
+        raise ValueError(f"negative sector weight {lam.min()} at {divmod(int(lam.argmin()), q)}")
+    if abs(lam.sum() - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"sector weights add to {lam.sum()}, not 1")
+    entries = tuple((chi, c, float(lam[chi, c])) for chi in range(q) for c in range(q))
+    return SectorWeights(model.group.spec, model.region.spec, entries)
 
 
 def conditional_sector_state(state: StateFunctional, chi, c) -> StateFunctional:

@@ -29,7 +29,7 @@ from .lattice import (Region, Ribbon, RibbonError, Site, Triangle, boundary_ribb
                       crossing_pair, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_between,
                       ribbon_to_boundary, vertex_dual_loop)
 from .operators import (DEFAULT_DIM_CAP, MIXTURE_SUPPORT_LIMIT, DimensionCapError, QuantumDouble,
-                        TermOp, form_image, refuse_above, term_factor)
+                        TermOp, form_image, refuse_above, shift_diagonals)
 from .spectral import form_spectrum, sector_counts, spectrum_counts
 from .sparse import (SparseState, grow, scale_parts, sparse_apply, squared_norms, stack_rank,
                      take_parts)
@@ -161,11 +161,8 @@ class _Ctx:
         if forms not in self.images:
             self.images[forms] = dict(zip(forms, form_image(group, forms, op_a.space.cap).T))
         values = self.images[forms]
-        diag_a, diag_b = {}, {}  # shift -> its diagonal on the image
-        for op, diag in ((op_a, diag_a), (op_b, diag_b)):
-            for t in op.terms:
-                factor = term_factor(group, t, values.__getitem__)
-                diag[t.shift] = diag.get(t.shift, 0) + t.coeff * (1.0 if factor is None else factor)
+        diag_a = shift_diagonals(group, op_a.terms, values.__getitem__)  # shift -> diagonal
+        diag_b = shift_diagonals(group, op_b.terms, values.__getitem__)
         shifts = sorted(diag_a.keys() | diag_b.keys())
         a, b = [diag_a.get(s, 0) for s in shifts], [diag_b.get(s, 0) for s in shifts]
         num = sum(np.abs(x - y) ** 2 for x, y in zip(a, b))

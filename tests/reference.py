@@ -23,7 +23,15 @@ of the one they check:
   term and column and lets scipy sum the duplicates, where `sparse_matrix`
   sums each shift's diagonal first;
 * `_rank`, the rank oracle, finds the blocks of a dense matrix from its
-  nonzero entries, where `sparse.stack_rank` reads them off the stack.
+  nonzero entries, where `sparse.stack_rank` reads them off the stack;
+* `image_expect`, the expectation oracle, applies the operator to the
+  state's stack and matches the merged image against it, where
+  `StateFunctional.expect` reads the operator's diagonals on the stack's
+  own rows;
+* `per_face_flux_projector` builds the total flux projector from one phase
+  per face, where `total_flux_projector` uses the summed holonomy form, and
+  `per_projector_sector_weights` takes one `image_expect` per sector
+  projector, where `sector_weights` takes every weight from one pass.
 """
 
 import cmath
@@ -32,8 +40,9 @@ from math import prod
 import numpy as np
 
 from qdouble.operators import (DENSE_MATRIX_LIMIT, HilbertSpace, Operator, ProductOp,
-                               QuantumDouble, ScaledOp, SumOp, Term, TermOp, refuse_above,
-                               sparse_matrix)
+                               QuantumDouble, ScaledOp, SumOp, Term, TermOp, _canon_form,
+                               _merge_phases, refuse_above, sparse_matrix)
+from qdouble.sparse import row_keys, sparse_apply, stack_labels
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -399,3 +408,45 @@ def _blockwise_singular_values(mat: np.ndarray) -> np.ndarray:
         for b in np.unique(label[rows])
     ]
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+# ---------------------------------------------------------------------------
+# expectations through the operator's image
+
+
+def image_expect(state, op: Operator) -> complex:
+    """sum_p w_p <s_p|A s_p> by the image route: A applied to the whole stack
+    with `sparse_apply`, which merges the image, and the image matched
+    against the stack row by row, where `StateFunctional.expect` reads A's
+    diagonals on the stack's own rows."""
+    st, n_edges, n = state.stack, state.model.region.num_edges, len(state.weights)
+    out = sparse_apply(op, st)
+    _, i, j = np.intersect1d(row_keys(st.digits), row_keys(out.digits), assume_unique=True,
+                             return_indices=True)
+    terms, labels = st.amps[i].conj() * out.amps[j], stack_labels(st, n_edges)[i]
+    per_part = np.bincount(labels, terms.real, n) + 1j * np.bincount(labels, terms.imag, n)
+    return complex(np.dot(state.weights, per_part))
+
+
+def per_face_flux_projector(model: QuantumDouble, c) -> TermOp:
+    """Projector onto total flux c with one phase per face: term chi carries
+    conj(chi) of every face's holonomy, where `total_flux_projector` carries
+    one phase of the summed holonomy form."""
+    group, q = model.group, model.group.size
+    inv = group.inv_table()
+    terms = []
+    for chi in range(q):
+        coeff = complex(group.char_values(chi)[c]) / q
+        phases = [(_canon_form(group, model.region.face_boundary_ids(f)), int(inv[chi]))
+                  for f in model.region.faces()]
+        terms.append(Term(coeff, (), _merge_phases(group, phases), ()))
+    return TermOp(model.space, terms).simplify()
+
+
+def per_projector_sector_weights(state) -> dict:
+    """{(chi, c): omega(P_chi P_c)}, one `image_expect` of each of the q^2
+    sector projectors, the flux projector built face by face."""
+    model, q = state.model, state.model.group.size
+    return {(chi, c): image_expect(state, model.total_charge_projector(chi)
+                                   .compose(per_face_flux_projector(model, c))).real
+            for chi in range(q) for c in range(q)}

@@ -28,6 +28,7 @@ from qdouble.operators import (
 from qdouble.spectral import ground_space
 import qdouble.operators as operators_mod
 import qdouble.states as states_mod
+import qdouble.verify as verify_mod
 
 import reference as ref
 
@@ -594,6 +595,50 @@ def test_sparse_matrix_refuses_entries_larger_than_memory(monkeypatch):
 
     monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
     monkeypatch.setattr(HilbertSpace, "term_diag", no_diagonal)
+    with pytest.raises(DimensionCapError, match="sparse matrix bytes"):
+        sparse_matrix(h)
+
+
+def test_sparse_matrix_is_float64_exactly_for_real_operators():
+    # the same entries as the complex term-by-term matrix, real part kept
+    z2 = QuantumDouble(make_group([2]), Region.free(3, 3))
+    h = z2.hamiltonian()
+    m = sparse_matrix(h)
+    assert m.dtype == np.float64
+    oracle = ref.coo_sparse_matrix(h)
+    assert oracle.dtype == np.complex128 and not np.any(oracle.imag.toarray())
+    assert np.array_equal(m.toarray(), oracle.real.toarray())
+    z3 = QuantumDouble(make_group([3]), Region.free(3, 3))
+    p = z3.total_charge_projector(1)
+    m = sparse_matrix(p, z3.space.dim)
+    assert m.dtype == np.complex128
+    assert (m != ref.coo_sparse_matrix(p, z3.space.dim)).nnz == 0
+
+
+@pytest.mark.parametrize("orders, region", [
+    ([2], Region.free(3, 3)), ([3], Region.free(3, 3)), ([4], Region.free(3, 3)),
+    ([2, 2], Region.free(3, 3)), ([3], Region.free(4, 4)), ([4], Region.torus(2, 2)),
+], ids=["Z2-free:3x3", "Z3-free:3x3", "Z4-free:3x3", "Z2xZ2-free:3x3", "Z3-free:4x4",
+        "Z4-torus:2x2"])
+def test_total_flux_projector_equals_the_per_face_product(orders, region):
+    model = QuantumDouble(make_group(orders), region)
+    ctx = verify_mod._Ctx(model)
+    for c in range(model.group.size):
+        op = model.total_flux_projector(c)
+        assert all(len(t.phases) <= 1 for t in op.terms)  # one summed form, not one per face
+        assert ctx.probe(op, ref.per_face_flux_projector(model, c)) < 1e-14
+
+
+def test_sparse_matrix_refuses_before_grouping_the_diagonals(monkeypatch):
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    h = model.hamiltonian()
+    need = model.space.dim * (28 * len({t.shift for t in h.terms}) + 64)
+
+    def no_diagonal(*args):
+        raise AssertionError("the diagonals were grouped before refusing")
+
+    monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
+    monkeypatch.setattr(operators_mod, "shift_diagonals", no_diagonal)
     with pytest.raises(DimensionCapError, match="sparse matrix bytes"):
         sparse_matrix(h)
 

@@ -15,7 +15,7 @@ from qdouble.sparse import (
     PRUNE_TOL,
     SparseState,
     grow,
-    overlaps,
+    matrix_elements,
     sparse_apply,
     split,
     squared_norms,
@@ -377,11 +377,14 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     # taking parts relabels them in the order asked, an empty part included
     for got, j in zip(split(take_parts(grown, n_edges, [299, 22, 4]), n_edges, 3), [299, 22, 4]):
         assert np.array_equal(got.digits, out[j].digits) and np.array_equal(got.amps, out[j].amps)
-    # per-label overlaps and squared norms
+    # per-label matrix elements, on the stack's own rows and against the
+    # applied stack, and squared norms
     h = model.hamiltonian()
-    applied = sparse_apply(h, grown)
     want = [p.dot(sparse_apply(h, p)) for p in out]
-    assert np.allclose(overlaps(grown, applied, n_edges, 300), want, rtol=0, atol=1e-13)
+    got = matrix_elements(h, grown, grown, n_edges, 300)
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+    applied = matrix_elements(model.identity(), grown, sparse_apply(h, grown), n_edges, 300)
+    assert np.allclose(applied, want, rtol=0, atol=1e-13)
     norms = [p.norm() ** 2 for p in out]
     assert np.allclose(squared_norms(grown, n_edges, 300), norms, rtol=0, atol=1e-13)
 
@@ -477,3 +480,21 @@ def test_conditional_state_matches_the_per_part_loop(monkeypatch, sector):
         assert abs(w - w0) < 1e-13
         assert np.array_equal(s.digits, s0.digits)
         assert np.max(np.abs(s.amps - s0.amps)) < 1e-13
+
+
+def test_matrix_elements_refuse_before_any_diagonal(monkeypatch):
+    # 16 bytes a row per shift plus 64, and five row widths
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    state, h = frustration_free_state(model, "uniform-mixture"), model.hamiltonian()
+    n_shifts = len({t.shift for t in h.terms})
+    need = state.stack.n_configs * (16 * (n_shifts + 4) + 5 * state.stack.num_edges)
+    monkeypatch.setattr(sparse_mod, "PHYSICAL_MEMORY_BYTES", need)
+    assert abs(state.expect(h)) < 1e-12
+
+    def no_diagonal(*args):
+        raise AssertionError("a diagonal was built before refusing")
+
+    monkeypatch.setattr(sparse_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
+    monkeypatch.setattr(sparse_mod, "shift_diagonals", no_diagonal)
+    with pytest.raises(DimensionCapError, match="matrix element bytes"):
+        state.expect(h)

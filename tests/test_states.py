@@ -13,7 +13,9 @@ from qdouble.lattice import (
     ribbon_between,
     ribbon_to_boundary,
 )
-from qdouble.operators import DimensionCapError, QuantumDouble
+from qdouble.operators import (COMPOSE_TERM_LIMIT, DimensionCapError, ProductOp, QuantumDouble,
+                               ScaledOp, SumOp, Term, TermOp)
+from qdouble.spectral import ground_space, sector_dimensions
 from qdouble.sparse import SparseState, sparse_apply, stack
 from qdouble.states import (
     StateFunctional,
@@ -317,6 +319,38 @@ def test_sector_weights_mixture_linearity(model33, omega33):
     assert w[(1, 1)] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("group", [Z2, Z3, Z4, Z2xZ2], ids=["Z2", "Z3", "Z4", "Z2xZ2"])
+def test_sector_weights_match_the_per_projector_loop(group):
+    # every (chi, c) excitation, the uniform mixture, and a conditional state,
+    # whose stack is sorted by row rather than by part
+    model = QuantumDouble(group, Region.free(3, 3))
+    q, site = group.size, model.region.site((1, 1), (1, 1))
+    excited = [single_excitation_state(model, site, chi, c) for chi in range(q) for c in range(q)]
+    blend = mix([(frustration_free_state(model), 0.5)] + [(e, 0.5 / q**2) for e in excited])
+    states = excited + [frustration_free_state(model, "uniform-mixture"),
+                        conditional_sector_state(blend, 1, q - 1)]
+    for state in states:
+        got, want = sector_weights(state).as_dict(), ref.per_projector_sector_weights(state)
+        assert got.keys() == want.keys()
+        assert max(abs(got[key] - want[key]) for key in want) < 1e-12
+
+
+def test_sector_weights_refuse_before_matching(monkeypatch, model33):
+    # five row widths and 41 bytes a row
+    state = frustration_free_state(model33, "uniform-mixture")
+    need = state.stack.n_configs * (5 * state.stack.num_edges + 41)
+    monkeypatch.setattr(states_mod, "PHYSICAL_MEMORY_BYTES", need)
+    assert sector_weights(state)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+
+    def no_matching(*args):
+        raise AssertionError("rows were matched before refusing")
+
+    monkeypatch.setattr(states_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
+    monkeypatch.setattr(states_mod, "shift_matches", no_matching)
+    with pytest.raises(DimensionCapError, match="sector weight bytes"):
+        sector_weights(state)
+
+
 def test_sector_weights_json(model33, omega33):
     w = sector_weights(omega33)
     d = w.to_json_dict(model33.group)
@@ -438,7 +472,53 @@ def test_mixture_expect_matches_the_per_part_sum(monkeypatch, group, region):
     for op in ops:
         want = sum(w * s.dot(sparse_apply(op, s)) for w, s in state.parts)
         assert abs(state.expect(op) - want) < 1e-13
-    assert len(calls) == len(ops)  # one application per operator
+    assert calls == []  # no sparse_apply for a TermOp
+
+
+@pytest.mark.parametrize("group, region", [(Z2, Region.free(3, 4)), (Z3, Region.free(3, 3))],
+                         ids=["Z2-free:3x4", "Z3-free:3x3"])
+def test_sum_and_product_expectations_match_the_per_part_sum(monkeypatch, group, region):
+    model, q, n_edges = QuantumDouble(group, region), group.size, region.num_edges
+    space, site = model.space, region.site((1, 1), (1, 1))
+    state = mix([(frustration_free_state(model, "vector-seed"), 0.5),
+                 (single_excitation_state(model, site, 1, 1), 0.5)])
+    edge_pairs = list(itertools.combinations(range(n_edges), 2))
+    marks = TermOp(space, [Term(0.5 + 0.25j * g, (), ((((e, 1), (f, 1)), g),))
+                           for e, f in edge_pairs for g in range(1, q)])
+    moves = TermOp(space, [Term(1.0, ((e, g), (f, h))) for e, f in edge_pairs
+                           for g in range(1, q) for h in range(1, q)])
+    wide = marks @ moves  # past COMPOSE_TERM_LIMIT, so never expanded
+    assert isinstance(wide, ProductOp) and len(marks) * len(moves) > COMPOSE_TERM_LIMIT
+    ops = [(SumOp(space, [model.star((1, 1)), model.plaquette((1, 1))]), 0),
+           (ScaledOp(space, 2.5j, model.hamiltonian()), 0),
+           (wide, 1),
+           (SumOp(space, [ScaledOp(space, -0.5, wide), model.star_shift((1, 1), 1)]), 1)]
+    wants = [sum(w * s.dot(sparse_apply(op, s)) for w, s in state.parts) for op, _ in ops]
+    for (op, n_inner), want in zip(ops, wants):
+        calls = []
+        monkeypatch.setattr(sparse_mod, "sparse_apply",
+                            lambda factor, st: calls.append(factor) or sparse_apply(factor, st))
+        assert abs(state.expect(op) - want) < 1e-13
+        assert len(calls) == n_inner  # only a product's inner factor is applied
+        monkeypatch.undo()
+
+
+def test_a_term_free_flux_projector_serves_every_consumer():
+    # on a torus the total flux form is empty: the projector is I or nothing
+    model = QuantumDouble(Z3, Region.torus(2, 2))
+    assert model.total_flux_form() == ()
+    assert [(t.coeff, t.key) for t in model.total_flux_projector(0).terms] == [(1.0, ((), (), ()))]
+    assert all(len(model.total_flux_projector(c)) == 0 for c in (1, 2))
+    dims = sector_dimensions(model, ground_space(model).vectors)
+    assert dims == {(chi, c): 9 * (chi == c == 0) for chi in range(3) for c in range(3)}
+    mixture = frustration_free_state(model, "uniform-mixture")
+    weights = sector_weights(mixture).as_dict()
+    assert weights[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+    assert sum(abs(v) for k, v in weights.items() if k != (0, 0)) < 1e-12
+    same = conditional_sector_state(mixture, 0, 0)
+    assert np.array_equal(same.weights, mixture.weights)
+    with pytest.raises(ValueError, match="vanishing weight"):
+        conditional_sector_state(mixture, 0, 1)
 
 
 def parts_mix(items):
