@@ -16,8 +16,9 @@ and are evaluated only through its character table (`Group.char_values`),
 so the term algebra, the dense and the sparse engine build no character
 objects.
 
-Dense application gathers through index permutations built on each call;
-the space dimension |G|^edges is capped (override deliberately for big instances).
+Dense application rolls the tensor view of a vector and multiplies it by
+diagonals that broadcast over the edges they do not read; the space
+dimension |G|^edges is capped (override deliberately for big instances).
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _canon_form(group: Group, items) -> tuple:
 
 def holonomy_values(group: Group, column, n: int, form: tuple) -> np.ndarray:
     """Packed group value of a holonomy form on n configurations, where
-    `column(edge)` gives the (n,) uint8 digits of one edge."""
+    `column(edge)` gives the (n,) uint8 digits of one edge; with n = 1 the
+    digits may be tensors that broadcast against each other instead."""
     mul, power = group.mul_table(), group.pow_table()
     acc = np.zeros(n, dtype=np.uint8)
     for edge, c in form:
@@ -261,7 +263,14 @@ def shift_diagonals(group: Group, terms, values, real: bool = False) -> dict:
 
 
 class HilbertSpace:
-    """Group-valued configurations of `num_edges` edges and dense application."""
+    """Group-valued configurations of `num_edges` edges and dense application.
+
+    A dense vector is read through its C-order tensor view `shape`, one axis
+    per (edge, cyclic factor): edge e factor i is axis (E-1-e)*r + (r-1-i),
+    where the packed index puts that digit; a batch adds a trailing axis.
+    Shifts roll the sub-axes of their edges, and diagonals are small tensors
+    that broadcast over the axes their forms do not read.
+    """
 
     def __init__(self, group: Group, num_edges: int, cap: int = DEFAULT_DIM_CAP):
         self.group = group
@@ -269,6 +278,11 @@ class HilbertSpace:
         self.q = group.size
         self.num_edges = num_edges
         self.dim = self.q ** self.num_edges
+        # every axis has size >= 2, so a vector the byte refusal admits has at
+        # most log2(PHYSICAL_MEMORY_BYTES / 16) axes, plus one for a batch: 29
+        # on an 8 GB machine, under numpy's limit of 64 (32 before numpy 2);
+        # no edges make one configuration on one axis, which np.roll needs
+        self.shape = group.orders[::-1] * num_edges or (1,)
 
     def require_dense(self, what: str = "dense computation"):
         refuse_above(self.dim, self.cap, f"{what} dimension")
@@ -290,73 +304,73 @@ class HilbertSpace:
         return tuple(((index // self.radix) % self.q).tolist())
 
     def digit_array(self, edge: int) -> np.ndarray:
-        """Digit of every basis index at one edge (uint8, built on demand)."""
+        """Packed digit of one edge on the tensor view: a uint8 tensor of
+        size 1 on every axis of `shape` but the edge's own sub-axes."""
         self.require_dense("digit array")
-        stride = self.q ** edge
-        reps = self.dim // (stride * self.q)
-        return np.tile(np.repeat(np.arange(self.q, dtype=np.uint8), stride), reps)
+        r = self.group.rank
+        axes = [1] * len(self.shape)
+        axes[(self.num_edges - 1 - edge) * r:(self.num_edges - edge) * r] = self.group.orders[::-1]
+        return np.arange(self.q, dtype=np.uint8).reshape(axes)
+
+    def _roll(self, shift: tuple) -> tuple[tuple, tuple]:
+        """The (steps, axes) of `np.roll` that move the tensor view by a shift."""
+        r = self.group.rank
+        steps, axes = [], []
+        for edge, g in shift:
+            for i, n in enumerate(self.group.orders):
+                g, d = divmod(g, n)
+                if d:
+                    steps.append(d)
+                    axes.append((self.num_edges - 1 - edge) * r + r - 1 - i)
+        return tuple(steps), tuple(axes)
 
     def form_values(self, form: tuple) -> np.ndarray:
         """Packed group value of a holonomy form on every basis index."""
         self.require_dense("holonomy table")
-        return holonomy_values(self.group, self.digit_array, self.dim, form)
+        values = holonomy_values(self.group, self.digit_array, 1, form)
+        return np.broadcast_to(values, self.shape).ravel()
 
     def shift_perm(self, shift: tuple) -> np.ndarray:
-        """Index permutation P with P[i] = index(config(i) + shift)."""
+        """Index permutation P with P[i] = index(config(i) + shift), in intp,
+        the index type scipy and np.take work in."""
         self.require_dense("shift permutation")
-        mul = self.group.mul_table()
-        # intp, the index type np.take works in: an int32 table would be
-        # converted to a fresh intp copy on every gather
-        perm = np.arange(self.dim, dtype=np.intp)
-        for edge, g in shift:
-            d = self.digit_array(edge)
-            nd = mul[d, g]
-            perm += (nd.astype(np.intp) - d) * (self.q ** edge)
-        return perm
-
-    def term_diag(self, term: Term) -> np.ndarray | None:
-        """The diagonal factor of a term on every basis index, or None."""
-        return term_factor(self.group, term, self.form_values)
+        steps, axes = self._roll(_neg_shift(self.group, shift))
+        return np.roll(np.arange(self.dim, dtype=np.intp).reshape(self.shape), steps, axes).ravel()
 
     def apply_terms(self, terms, psi: np.ndarray) -> np.ndarray:
-        """Apply a sum of terms to a vector or a (dim, k) batch of columns."""
+        """Apply a sum of terms to a vector or a (dim, k) batch of columns.
+
+        A term sends psi to out[z + t] = a(z) psi(z): psi rolled by t, times
+        the diagonal a read on the digits of z - t.  Each term rolls psi into
+        one fresh array and scales it in place, so a sum of terms holds the
+        output and one term besides its input.
+        """
         self.require_dense("operator application")
         psi = np.asarray(psi, dtype=np.complex128)
-        single = psi.ndim == 1
-        if single:
-            psi = psi[:, None]
         if psi.shape[0] != self.dim:
             raise ValueError(f"vector length {psi.shape[0]} != dim {self.dim}")
-        out = np.zeros(psi.shape, dtype=np.complex128)
-        # two work buffers reused across terms: at 2^24 dimensions a fresh
-        # temporary per term costs more in page faults than the arithmetic
-        work = gathered = None
+        view = psi.reshape(self.shape + psi.shape[1:])
+        mul, out = self.group.mul_table(), None
         for term in terms:
             if term.coeff == 0:
                 continue
-            diag = self.term_diag(term)
-            if diag is None and term.coeff == 1:
-                buf = psi
-            else:
-                if work is None:
-                    work = np.empty(psi.shape, dtype=np.complex128)
-                if diag is None:
-                    buf = np.multiply(psi, term.coeff, out=work)
-                else:
-                    diag *= term.coeff  # term_diag returns a fresh array
-                    buf = np.multiply(diag[:, None], psi, out=work)
-            if term.shift:
-                # out[z + t] += a(z) psi(z), i.e. gather through the
-                # permutation of the negated shift
-                perm = self.shift_perm(_neg_shift(self.group, term.shift))
-                if gathered is None:
-                    gathered = np.empty(psi.shape, dtype=np.complex128)
-                # the permutation holds valid indices, so "clip" never
-                # clips; it only skips the buffered bounds check of "raise"
-                out += np.take(buf, perm, axis=0, out=gathered, mode="clip")
+            back = dict(_neg_shift(self.group, term.shift))
+            diag = term_factor(self.group, term, lambda form: holonomy_values(
+                self.group, lambda e: mul[self.digit_array(e), back.get(e, 0)], 1, form))
+            buf = np.roll(view, *self._roll(term.shift))
+            if diag is not None:
+                diag *= term.coeff  # term_factor returns a fresh array
+                buf *= diag[..., None] if psi.ndim > 1 else diag
+            elif term.coeff != 1:
+                buf *= term.coeff
+            if out is None:
+                out = buf
             else:
                 out += buf
-        return out[:, 0] if single else out
+            del buf  # freed before the next term rolls psi
+        if out is None:
+            return np.zeros(psi.shape, dtype=np.complex128)
+        return out.reshape(psi.shape)
 
     def random_vectors(self, rng: np.random.Generator, k: int = 1,
                        real: bool = False) -> np.ndarray:
@@ -710,10 +724,14 @@ class QuantumDouble:
 
     def total_charge_projector(self, chi) -> TermOp:
         """Projector onto total gauge charge chi over the full-star vertices:
-        (1/|G|) sum_g conj(chi)(g) T_g."""
+        (1/|G|) sum_g conj(chi)(g) T_g; exactly [chi = 1] I where every T_g
+        is the empty shift."""
         q = self.group.size
+        shifts = [self.gauge_shift(g) for g in range(q)]
+        if not any(shifts):
+            return self.identity() if self._chi_idx(chi) == 0 else TermOp(self.space, [])
         conj = self.group.char_values(self._chibar_idx(chi))
-        terms = [Term(complex(conj[g]) / q, self.gauge_shift(g)) for g in range(q)]
+        terms = [Term(complex(conj[g]) / q, shifts[g]) for g in range(q)]
         return TermOp(self.space, terms).simplify()
 
     def total_flux_form(self) -> tuple:

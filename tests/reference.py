@@ -20,8 +20,9 @@ of the one they check:
   both operators restricted to their joint `support` (`restrict`), column
   by column, where `_Ctx.probe` works on the image of their holonomy forms;
 * `coo_sparse_matrix`, the exact-matrix oracle, writes one COO entry per
-  term and column and lets scipy sum the duplicates, where `sparse_matrix`
-  sums each shift's diagonal first;
+  term and column (`term_diag`) and lets scipy sum the duplicates, where
+  `sparse_matrix` sums each shift's diagonal first and `apply_terms` rolls
+  the vector's tensor view;
 * `_rank`, the rank oracle, finds the blocks of a dense matrix from its
   nonzero entries, where `sparse.stack_rank` reads them off the stack;
 * `image_expect`, the expectation oracle, applies the operator to the
@@ -41,7 +42,7 @@ import numpy as np
 
 from qdouble.operators import (DENSE_MATRIX_LIMIT, HilbertSpace, Operator, ProductOp,
                                QuantumDouble, ScaledOp, SumOp, Term, TermOp, _canon_form,
-                               _merge_phases, refuse_above, sparse_matrix)
+                               _merge_phases, refuse_above, sparse_matrix, term_factor)
 from qdouble.sparse import row_keys, sparse_apply, stack_labels
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
@@ -336,6 +337,12 @@ def exact_probe(op_a: Operator, op_b: Operator) -> float:
 # the exact matrix, one entry per term
 
 
+def term_diag(space: HilbertSpace, term: Term) -> np.ndarray | None:
+    """The diagonal factor of a term on every basis index, as one table of
+    length dim, or None."""
+    return term_factor(space.group, term, space.form_values)
+
+
 def coo_sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     """The exact matrix of an operator as a scipy CSC matrix, term by term.
 
@@ -354,7 +361,7 @@ def coo_sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
         for t in op.terms:
             if t.coeff == 0:
                 continue
-            diag = space.term_diag(t)
+            diag = term_diag(space, t)
             vals.append(t.coeff * (np.ones(dim) if diag is None else diag))
             rows.append(space.shift_perm(t.shift))
         cols = np.tile(np.arange(dim), len(rows) - 1)

@@ -20,6 +20,7 @@ from qdouble.operators import (
     QuantumDouble,
     ScaledOp,
     SumOp,
+    Term,
     TermOp,
     form_image,
     is_real,
@@ -590,11 +591,12 @@ def test_sparse_matrix_refuses_entries_larger_than_memory(monkeypatch):
     monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need)
     assert sparse_matrix(h).nnz
 
-    def no_diagonal(*args):
-        raise AssertionError("a diagonal was built before refusing")
+    def no_table(*args):
+        raise AssertionError("a table was built before refusing")
 
     monkeypatch.setattr(operators_mod, "PHYSICAL_MEMORY_BYTES", need - 1)
-    monkeypatch.setattr(HilbertSpace, "term_diag", no_diagonal)
+    monkeypatch.setattr(HilbertSpace, "form_values", no_table)
+    monkeypatch.setattr(HilbertSpace, "shift_perm", no_table)
     with pytest.raises(DimensionCapError, match="sparse matrix bytes"):
         sparse_matrix(h)
 
@@ -668,6 +670,128 @@ def test_to_dense_is_real_exactly_when_the_terms_are():
         assert np.max(np.abs(full.imag)) < 1e-15
         assert is_real(ProductOp(z3.space, [pair, z3.hamiltonian()]))
         assert not is_real(SumOp(z3.space, [pair, op]))
-    # Z3 vertex charge projectors are Hermitian but complex
-    assert not is_real(z3.total_charge_projector(1))
+    # Z3 vertex charge projectors are Hermitian but complex; free:2x3 has no
+    # full star, so its total charge projector for chi != 1 is exactly 0
+    assert not is_real(QuantumDouble(z3.group, Region.free(3, 3)).total_charge_projector(1))
+    assert z3.total_charge_projector(1).terms == ()
     assert is_real(z3.hamiltonian())
+
+
+# ---------------------------------------------------------------------------
+# the dense engine on the tensor view
+
+
+def dense_engine_cases(model):
+    """Operators of every kind the dense engine applies, on one model."""
+    region = model.region
+    a, b = region.site((0, 0), (0, 0)), region.site((1, 1), (1, 1) if (1, 1) in region.faces() else (0, 0))
+    vertex = (region.interior_vertices() or [(1, 0)])[0]
+    cases = {
+        "H": model.hamiltonian(),
+        "star shift": model.star_shift(vertex, model.group.size - 1),
+        "ribbon": model.ribbon_char(ribbon_between(region, a, b), 1, 1),
+        "ribbon element": model.ribbon_element(ribbon_between(region, a, b), 1, 1),
+        "site charge": model.site_charge_projector(a, 1, 1),
+        # a shift times a phase of an end face's flux, which the shift moves
+        "ribbon after flux": (model.ribbon_char(ribbon_between(region, a, b), 1, 1)
+                              @ model.face_flux_phase(a.face, 1)),
+    }
+    for k in (0, 1):
+        cases[f"total charge {k}"] = model.total_charge_projector(k)
+        cases[f"total flux {k}"] = model.total_flux_projector(k)
+    if not region.is_torus and min(region.m, region.n) >= 3:  # the boundary loops exist
+        cases["H eps,mu"] = model.hamiltonian(boundary="eps_mu")
+    return cases
+
+
+DENSE_ENGINE_INSTANCES = [
+    ((2,), Region.free(3, 3)), ((2,), Region.torus(2, 3)), ((3,), Region.free(2, 3)),
+    ((3,), Region.torus(2, 2)), ((4,), Region.free(2, 3)), ((2, 2), Region.free(2, 3)),
+    ((2, 2), Region.torus(2, 2)), ((2, 4), Region.free(2, 2)),
+]
+DENSE_ENGINE_IDS = ["Z2-free:3x3", "Z2-torus:2x3", "Z3-free:2x3", "Z3-torus:2x2",
+                    "Z4-free:2x3", "Z2xZ2-free:2x3", "Z2xZ2-torus:2x2", "Z2xZ4-free:2x2"]
+
+
+@pytest.mark.parametrize("orders, region", DENSE_ENGINE_INSTANCES, ids=DENSE_ENGINE_IDS)
+def test_apply_equals_the_entry_per_term_matrix(orders, region):
+    model = QuantumDouble(make_group(orders), region)
+    space = model.space
+    rng = np.random.default_rng(7)
+    batch = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
+    batch /= np.linalg.norm(batch, axis=0)
+    for name, op in dense_engine_cases(model).items():
+        want = ref.coo_sparse_matrix(op, space.dim) @ batch
+        got = op.apply(batch)
+        assert got.shape == batch.shape and got.dtype == np.complex128, name
+        assert np.max(np.abs(got - want)) <= 1e-13, name
+        single = op.apply(batch[:, 1])
+        assert single.shape == (space.dim,), name
+        assert np.max(np.abs(single - want[:, 1])) <= 1e-13, name
+
+
+@pytest.mark.parametrize("orders, region", [
+    ((2,), Region.free(3, 3)), ((3,), Region.free(2, 3)), ((2, 2), Region.free(2, 3)),
+    ((2, 4), Region.free(2, 2)), ((3,), Region.torus(2, 2)),
+], ids=["Z2-free:3x3", "Z3-free:2x3", "Z2xZ2-free:2x3", "Z2xZ4-free:2x2", "Z3-torus:2x2"])
+def test_shift_perm_and_form_values_equal_the_digit_loop(orders, region):
+    model = QuantumDouble(make_group(orders), region)
+    space, q = model.space, model.group.size
+    els = ref.group_elements(orders)
+    ops = list(dense_engine_cases(model).values())
+    shifts = {t.shift for op in ops for t in op.terms}
+    forms = {f for op in ops for t in op.terms for f, _ in t.phases + t.indicators}
+    shifts.add(((0, 1), (region.num_edges - 1, q - 1)))
+    forms |= {((0, 2), (region.num_edges - 1, 3)), ()}  # weights past +-1; the empty form
+    configs = [ref.config_of(orders, region, i) for i in range(space.dim)]
+    for shift in shifts:
+        want = []
+        for config in configs:
+            moved = list(config)
+            for e, g in shift:
+                moved[e] = ref.add(orders, moved[e], els[g])
+            want.append(ref.config_index(orders, moved))
+        got = space.shift_perm(shift)
+        assert got.dtype == np.intp and got.tolist() == want, shift
+    for form in forms:
+        want = []
+        for config in configs:
+            value = (0,) * len(orders)
+            for e, c in form:
+                value = ref.add(orders, value, ref.scal(orders, c, config[e]))
+            want.append(ref.elem_index(orders, value))
+        got = space.form_values(form)
+        assert got.dtype == np.uint8 and got.tolist() == want, form
+    assert len(shifts) > 2 and len(forms) > 3
+
+
+def test_apply_holds_the_output_and_one_term_besides_its_input():
+    import tracemalloc
+
+    model = QuantumDouble(make_group([3]), Region.free(3, 3))
+    region = model.region
+    psi = np.random.default_rng(7).standard_normal(model.space.dim).astype(np.complex128)
+    a, b = region.site((0, 0), (0, 0)), region.site((1, 1), (1, 1))
+    ops = {
+        "star shift": (model.star_shift(region.interior_vertices()[0], 1), 1.1),
+        "ribbon": (model.ribbon_char(ribbon_between(region, a, b), 1, 2), 1.1),
+        "H": (model.hamiltonian(), 2.1),
+    }
+    for name, (op, vectors) in ops.items():
+        assert (len(op.terms) == 1) == (name != "H"), name
+        tracemalloc.start()
+        try:
+            op.apply(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * psi.nbytes, (name, peak / psi.nbytes)
+
+
+@pytest.mark.parametrize("orders", [(3,), (4,), (5,), (2, 2)], ids=["Z3", "Z4", "Z5", "Z2xZ2"])
+def test_total_charge_projector_is_exact_where_every_gauge_shift_is_empty(orders):
+    model = QuantumDouble(make_group(orders), Region.torus(2, 2))
+    assert not any(model.gauge_shift(g) for g in range(model.group.size))
+    assert model.total_charge_projector(0).terms == (Term(1.0),)
+    for chi in range(1, model.group.size):
+        assert model.total_charge_projector(chi).terms == (), chi
