@@ -26,7 +26,6 @@ from .spectral import (
     ground_dimension_count,
     ground_space,
     sector_counts,
-    sector_dimensions,
     spectrum_counts,
     spectrum_lowest,
 )
@@ -35,7 +34,6 @@ from .states import (
     StateFunctional,
     eventual_constancy_check,
     frustration_free_state,
-    detector_energy_check,
     detector_energy_residual,
     sector_weights,
     single_excitation_state,
@@ -67,14 +65,12 @@ __all__ = [
     "ground_dimension_count",
     "ground_space",
     "sector_counts",
-    "sector_dimensions",
     "spectrum_counts",
     "spectrum_lowest",
     "SectorWeights",
     "StateFunctional",
     "eventual_constancy_check",
     "frustration_free_state",
-    "detector_energy_check",
     "detector_energy_residual",
     "sector_weights",
     "single_excitation_state",

@@ -13,7 +13,8 @@ braid     exact crossing-phase exponents read off two crossing strips in the
 excite    diagnostics for one single-excitation state
 
 Common flags: --group, --region, --boundary, --seed, --out, --json,
---config (JSON file mirroring the flags; explicit flags win), --unsafe-cap.
+--config (JSON file mirroring the flags, each value of its RunConfig field's
+type; explicit flags win), --unsafe-cap.
 
 Exit codes: 0 success, 1 failing check, 2 configuration error,
 3 a size-policy limit exceeded (DimensionCapError).
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +73,7 @@ class RunConfig:
     boundary: str = "none"
     seed: int = 7
     out: str | None = None
-    fmt: str = "csv"  # csv | json (verify prints its text report in csv mode)
+    json: bool = False  # JSON instead of CSV (verify: instead of its text report)
     k: int = 6
     vertex: str = "1,1"
     face: str = "1,1"
@@ -102,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--boundary", choices=BOUNDARY_FLAVORS)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the emission to this path")
-        p.add_argument("--json", dest="json_fmt", action="store_const", const=True,
+        p.add_argument("--json", action="store_const", const=True,
                        help="emit JSON instead of CSV/text")
         p.add_argument("--config", help="JSON file with the same keys; flags win")
         p.add_argument("--unsafe-cap", dest="unsafe_cap", action="store_const",
@@ -117,6 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config file's keys and their types are RunConfig's fields, less the task
+_FILE_TYPES = {name: typing.get_args(hint) or (hint,)
+               for name, hint in typing.get_type_hints(RunConfig).items() if name != "task"}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
@@ -127,35 +134,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - {
-            "group", "region", "boundary", "seed", "out", "json",
-            "k", "vertex", "face", "chi", "c", "unsafe_cap",
-        }
+        unknown = set(file_cfg) - set(_FILE_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_name, file_name, default):
-        val = getattr(args, flag_name, None)
-        if val is not None:
-            return val
-        return file_cfg.get(file_name, default)
-
-    fmt = "json" if pick("json_fmt", "json", False) else "csv"
-    cfg = RunConfig(
-        task=args.task,
-        group=str(pick("group", "group", "Z2")),
-        region=str(pick("region", "region", "free:3x3")),
-        boundary=str(pick("boundary", "boundary", "none")),
-        seed=int(pick("seed", "seed", 7)),
-        out=pick("out", "out", None),
-        fmt=fmt,
-        k=int(pick("k", "k", 6)),
-        vertex=str(pick("vertex", "vertex", "1,1")),
-        face=str(pick("face", "face", "1,1")),
-        chi=int(pick("chi", "chi", 1)),
-        c=int(pick("c", "c", 1)),
-        unsafe_cap=bool(pick("unsafe_cap", "unsafe_cap", False)),
-    )
+    values = {}
+    for name, types in _FILE_TYPES.items():
+        flag = getattr(args, name, None)
+        if flag is not None:
+            values[name] = flag
+        elif name in file_cfg:
+            # exact types: JSON true is no int, 7.9 no int and "false" no bool
+            if type(file_cfg[name]) not in types:
+                raise ConfigError(f"config key {name!r} must be "
+                                  f"{' or '.join(t.__name__ for t in types)}, "
+                                  f"got {file_cfg[name]!r}")
+            values[name] = file_cfg[name]
+    cfg = RunConfig(task=args.task, **values)
     if cfg.boundary not in BOUNDARY_FLAVORS:
         raise ConfigError(f"unknown boundary kind {cfg.boundary!r}")
     return cfg
@@ -214,7 +208,7 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 def cmd_verify(cfg: RunConfig, group: Group, region: Region) -> int:
     report = run_suite(group, region, seed=cfg.seed, cap=cfg.cap)
-    if cfg.fmt == "json":
+    if cfg.json:
         _emit(_json_payload(report.to_json_dict()), cfg)
     else:
         _emit(report.to_text() + "\n", cfg)
@@ -238,7 +232,7 @@ def cmd_spectrum(cfg: RunConfig, group: Group, region: Region) -> int:
         {"index": i, "eigenvalue": float(basis.values[i]), "residual": float(basis.residuals[i])}
         for i in range(len(basis.values))
     ]
-    if cfg.fmt == "json":
+    if cfg.json:
         levels = [{"energy": e, "multiplicity": n}
                   for e, n in spectrum_counts(model, cfg.boundary).items()]
         payload = {
@@ -274,7 +268,7 @@ def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
                 "dim": counts.get((0, chi, c), 0),
                 "weight": float(weights[(chi, c)]),
             })
-    if cfg.fmt == "json":
+    if cfg.json:
         payload = {
             "task": "sectors", "group": cfg.group, "region": cfg.region,
             "seed": cfg.seed, "method": "counting",
@@ -313,7 +307,7 @@ def cmd_braid(cfg: RunConfig, group: Group, region: Region) -> int:
         f"{_digits_str(chars[chi].digits)};{_digits_str(els[c].digits)}"
         for chi, c in labels
     ]
-    if cfg.fmt == "json":
+    if cfg.json:
         payload = {
             "task": "braid", "group": cfg.group,
             "labels": label_strs,
@@ -371,7 +365,7 @@ def cmd_excite(cfg: RunConfig, group: Group, region: Region) -> int:
          "weight": float(weights[(chi, c)])}
         for chi in range(group.size) for c in range(group.size)
     ]
-    if cfg.fmt == "json":
+    if cfg.json:
         payload = {
             "task": "excite", "group": cfg.group, "region": cfg.region,
             "seed": cfg.seed, "vertex": list(site.vertex), "face": list(site.face),

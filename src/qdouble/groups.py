@@ -222,17 +222,6 @@ class Group:
         """All characters, in packed-index order (first factor fastest)."""
         return [self.character_from_index(i) for i in range(self.size)]
 
-    def char_inner(self, chi: Character, sigma: Character) -> complex:
-        """Normalized inner product (1/|G|) sum_g conj(chi(g)) sigma(g).
-
-        Character values at a fixed chi != sigma sweep a nontrivial cyclic
-        subgroup of the unit circle uniformly, so the sum telescopes to zero
-        exactly; the inner product is the exact Kronecker delta.
-        """
-        self.require_same(chi.group)
-        self.require_same(sigma.group)
-        return complex(1.0) if chi.digits == sigma.digits else complex(0.0)
-
     # ---- integer tables used by the vectorized operator engine ----
 
     def mul_table(self) -> np.ndarray:

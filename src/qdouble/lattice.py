@@ -212,16 +212,6 @@ class Region:
             return [(i, j) for j in range(self.n) for i in range(self.m)]
         return [(i, j) for j in range(self.n - 1) for i in range(self.m - 1)]
 
-    def outside_faces(self) -> list[tuple[int, int]]:
-        if self.is_torus:
-            return []
-        ring = []
-        for j in range(-1, self.n):
-            for i in range(-1, self.m):
-                if not self.face_in_region((i, j)):
-                    ring.append((i, j))
-        return ring
-
     def face_boundary(self, f) -> list[tuple[tuple[str, int, int], int]]:
         """CCW boundary of f as (edge, sign) pairs; edges may be fictitious
         on free regions when f is an outside face."""

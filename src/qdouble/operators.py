@@ -300,9 +300,6 @@ class HilbertSpace:
     def basis_index(self, digits) -> int:
         return int(np.asarray(digits, dtype=np.int64) @ self.radix)
 
-    def config_of(self, index: int) -> tuple[int, ...]:
-        return tuple(((index // self.radix) % self.q).tolist())
-
     def digit_array(self, edge: int) -> np.ndarray:
         """Packed digit of one edge on the tensor view: a uint8 tensor of
         size 1 on every axis of `shape` but the edge's own sub-axes."""
@@ -819,9 +816,3 @@ class QuantumDouble:
         if boundary in ("mu", "eps_mu"):
             terms.extend(self.boundary_charge_mu().scaled(-1.0).terms)
         return TermOp(self.space, terms).simplify()
-
-    def ground_projector_factors(self) -> list[TermOp]:
-        """The commuting projectors whose product maps onto the ground space."""
-        ops = [self.star(v) for v in self.region.interior_vertices()]
-        ops.extend(self.plaquette(f) for f in self.region.faces())
-        return ops

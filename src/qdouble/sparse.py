@@ -14,12 +14,11 @@ as trailing big-endian bytes after the last edge, a layout only this module
 reads or writes.  Terms never address those columns, so one application to
 a stack acts on every part at once, and the merge, keyed on whole rows, only
 combines rows of the same part.  `grow` applies each of a list of operators
-once to a whole stack; `split`, `take_parts`, `join`, `squared_norms`,
-`scale_parts` and `to_columns` read, select, join or rescale it part by
-part, and `matrix_elements` reads <bra_l|A|ket_l> for every part without
-building A's image.  `stack_rank` takes the rank of the matrix whose
-columns are the parts from the blocks the stack already encodes, with no
-dense column.
+once to a whole stack; `take_parts`, `join`, `squared_norms`, `scale_parts`
+and `to_columns` read, select, join or rescale it part by part, and
+`matrix_elements` reads <bra_l|A|ket_l> for every part without building
+A's image.  `stack_rank` takes the rank of the matrix whose columns are the
+parts from the blocks the stack already encodes, with no dense column.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .operators import (
     term_factor,
 )
 
-__all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow", "split",
+__all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow",
            "take_parts", "join", "shift_matches", "matrix_elements", "squared_norms",
            "scale_parts", "to_columns", "stack_rank"]
 
@@ -227,16 +226,6 @@ def grow(st: SparseState, ops, num_edges: int) -> SparseState:
     labels = [stack_labels(p, num_edges) * len(pieces) + s for s, p in enumerate(pieces)]
     return _labelled(st.group, np.concatenate([p.digits[:, :num_edges] for p in pieces]),
                      np.concatenate([p.amps for p in pieces]), np.concatenate(labels))
-
-
-def split(st: SparseState, num_edges: int, n_parts: int) -> list[SparseState]:
-    """The parts 0 .. n_parts-1 of a stack as states, rows in stack order."""
-    labels = stack_labels(st, num_edges)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(1, n_parts))
-    digits = np.split(st.digits[order, :num_edges], bounds)
-    amps = np.split(st.amps[order], bounds)
-    return [SparseState(st.group, num_edges, d, a, merged=True) for d, a in zip(digits, amps)]
 
 
 def take_parts(st: SparseState, num_edges: int, labels) -> SparseState:

@@ -6,6 +6,8 @@ full-star vertex and a flux on every face, and its energy and dimension follow
 from those labels (`sector_counts`, `spectrum_counts`).  Any Hermitian term
 operator's eigenvalues and their exact multiplicities come from its blocks on
 the image of its holonomy forms, with no vector of the space (`form_spectrum`).
+Sector dimensions are these counts too; their dense cross-check, traces of
+the sector projectors over a basis, lives in the tests' reference module.
 
 Vectors come from two routes:
 
@@ -43,8 +45,6 @@ __all__ = [
     "spectrum_counts",
     "spectrum_lowest",
     "subspace_iteration",
-    "sector_dimensions",
-    "rayleigh",
 ]
 
 @dataclass
@@ -131,14 +131,6 @@ def ground_dimension_count(group, region) -> int:
     """Ground-space dimension of H: the energy-0 multiplicity of `sector_counts`
     (q^(V - 1 - I) on a free patch, q^2 on a torus)."""
     return sum(n for (energy, _, _), n in sector_counts(group, region).items() if energy == 0)
-
-
-def rayleigh(op: Operator, psi: np.ndarray) -> tuple[float, float]:
-    """(<psi|H|psi>, ||(H - <H>) psi||) for a normalized vector."""
-    hpsi = op.apply(psi)
-    val = np.vdot(psi, hpsi)
-    res = np.linalg.norm(hpsi - val * psi)
-    return float(val.real), float(res)
 
 
 def ground_space(model: QuantumDouble) -> EigenBasis:
@@ -325,38 +317,3 @@ def spectrum_lowest(
         offset += w.size
     resid = np.linalg.norm(h.apply(basis) - basis * vals[lowest][None, :], axis=0)
     return EigenBasis(basis, vals[lowest], resid, "dense")
-
-
-def sector_dimensions(model: QuantumDouble, basis: np.ndarray) -> dict[tuple[int, int], int]:
-    """Dimension of each (charge, flux) sector inside span(basis).
-
-    Computes tr(K* P_{chi,c} K) for the orthonormal columns K, checks that
-    each compressed projector has eigenvalues 0/1 and that the sector
-    dimensions resolve the whole span.
-    """
-    q = model.group.size
-    out: dict[tuple[int, int], int] = {}
-    total = 0
-    for chi in range(q):
-        charge = model.total_charge_projector(chi)
-        kc = charge.apply(basis)
-        for c in range(q):
-            flux = model.total_flux_projector(c)
-            m = basis.conj().T @ flux.apply(kc)
-            tr = float(np.trace(m).real)
-            d = int(round(tr))
-            if abs(tr - d) > 1e-6:
-                raise RuntimeError(f"sector trace {tr} for {(chi, c)} is not integral")
-            if d:
-                evs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-                if not np.all((np.abs(evs) < 1e-7) | (np.abs(evs - 1) < 1e-7)):
-                    raise RuntimeError(
-                        f"sector projector for {(chi, c)} is not 0/1 on the span"
-                    )
-            out[(chi, c)] = d
-            total += d
-    if total != basis.shape[1]:
-        raise RuntimeError(
-            f"sector dimensions add to {total}, expected {basis.shape[1]}"
-        )
-    return out

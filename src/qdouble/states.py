@@ -12,7 +12,6 @@ flat sector.  Excited states attach a ribbon operator routed to the boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,7 @@ from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop,
 from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, Term, TermOp, holonomy_values, is_real, refuse_above)
 from .sparse import (SparseState, grow, join, matrix_elements, row_keys, scale_parts,
-                     shift_matches, sparse_apply, split, squared_norms, stack, stack_labels,
+                     shift_matches, sparse_apply, squared_norms, stack, stack_labels,
                      stack_rows, take_parts, to_columns)
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "conditional_sector_state",
     "one_sided_sector_expectation",
     "charge_transport",
-    "detector_energy_check",
     "detector_energy_residual",
     "eventual_constancy_check",
     "indistinguishability_check",
@@ -71,9 +69,16 @@ class StateFunctional:
 
     @cached_property
     def parts(self) -> tuple:
-        """((weight, state), ...) of the parts of positive weight."""
-        states = split(self.stack, self.model.region.num_edges, len(self.weights))
-        return tuple((float(w), s) for w, s in zip(self.weights, states) if w > 0)
+        """((weight, state), ...) of the parts of positive weight, rows in
+        stack order."""
+        st, n_edges = self.stack, self.model.region.num_edges
+        labels = stack_labels(st, n_edges)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(1, len(self.weights)))
+        rows, amps = np.split(st.digits[order, :n_edges], bounds), np.split(st.amps[order], bounds)
+        del labels, order  # two int64s a row, freed before the states are built
+        return tuple((float(w), SparseState(st.group, n_edges, d, a, merged=True))
+                     for w, d, a in zip(self.weights, rows, amps) if w > 0)
 
     def expect_real(self, op: Operator, tol: float = 1e-9) -> float:
         val = self.expect(op)
@@ -215,15 +220,15 @@ def single_excitation_state(
     if site.vertex not in region.interior_vertices():
         raise ValueError(f"site vertex {site.vertex} is not interior")
     ribbon = ribbon_to_boundary(region, site, direction)
-    omega = _seed_vector(model)
-    excited = sparse_apply(model.ribbon_char(ribbon, chi, c), omega)
-    info = {
+    info = {  # the labels' range is checked before any operator is built
         "kind": "single-excitation",
         "site": site,
-        "chi": model.group.character_from_index(chi).index if isinstance(chi, int) else chi.index,
-        "c": model.group.element_from_index(c).index if isinstance(c, int) else c.index,
+        "chi": model.group.character_from_index(model._chi_idx(chi)).index,
+        "c": model.group.element_from_index(model._g_idx(c)).index,
         "ribbon": ribbon,
     }
+    omega = _seed_vector(model)
+    excited = sparse_apply(model.ribbon_char(ribbon, chi, c), omega)
     return StateFunctional.pure(model, excited, info)
 
 
@@ -254,21 +259,6 @@ class SectorWeights:
 
     def as_dict(self) -> dict:
         return {(ci, gi): v for ci, gi, v in self.entries}
-
-    def to_json_dict(self, group) -> dict:
-        weights = []
-        for ci, gi, v in self.entries:
-            weights.append(
-                {
-                    "chi": list(group.character_from_index(ci).digits),
-                    "c": list(group.element_from_index(gi).digits),
-                    "lambda": v,
-                }
-            )
-        return {"group": self.group_spec, "region": self.region_spec, "weights": weights}
-
-    def to_json(self, group) -> str:
-        return json.dumps(self.to_json_dict(group), indent=2, sort_keys=True)
 
 
 def sector_weights(state: StateFunctional) -> SectorWeights:
@@ -336,16 +326,6 @@ def one_sided_sector_expectation(state: StateFunctional, chi, c, op: Operator) -
 
 # ---------------------------------------------------------------------------
 # ground-state identities
-
-
-def detector_energy_check(model: QuantumDouble, basis: np.ndarray) -> float:
-    """max_k |<psi_k, (H - D^eps - D^mu) psi_k>| over dense basis columns."""
-    h = model.hamiltonian()
-    de = model.detector_eps()
-    dm = model.detector_mu()
-    gap = h.apply(basis) - de.apply(basis) - dm.apply(basis)
-    vals = np.einsum("ik,ik->k", basis.conj(), gap)
-    return float(np.max(np.abs(vals)))
 
 
 def detector_energy_residual(state: StateFunctional) -> float:

@@ -17,7 +17,6 @@ values those forms can take together (`_Ctx.probe`).
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -122,9 +121,6 @@ class VerificationReport:
             "results": [r.as_dict() for r in self.results],
             "summary": dict(zip(("passed", "failed", "skipped"), self.counts)),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1039,8 @@ def _weights_mixture_linear(ctx: _Ctx) -> float:
 # runners
 
 
-def _run_one(check_id: str, ctx: _Ctx, overrides: dict | None) -> CheckResult:
+def _run_one(check_id: str, ctx: _Ctx) -> CheckResult:
     statement, tol, fn = _REGISTRY[check_id]
-    if overrides and check_id in overrides:
-        tol = float(overrides[check_id])
     start, residual, reason = time.perf_counter(), None, ""
     try:
         residual = float(fn(ctx))
@@ -1070,24 +1064,15 @@ def run_check(
     if check_id not in _REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}; known ids: {', '.join(check_ids())}")
     ctx = _Ctx(QuantumDouble(group, region, cap=cap))
-    return _run_one(check_id, ctx, None)
+    return _run_one(check_id, ctx)
 
 
 def run_suite(
-    group: Group,
-    region: Region,
-    seed: int = 7,
-    threshold_overrides: dict | None = None,
-    cap: int = DEFAULT_DIM_CAP,
+    group: Group, region: Region, seed: int = 7, cap: int = DEFAULT_DIM_CAP
 ) -> VerificationReport:
     """Run every registered check, ordered by check id.  The results do not
     depend on `seed`, which the report only records."""
     ctx = _Ctx(QuantumDouble(group, region, cap=cap))
-    results = tuple(_run_one(cid, ctx, threshold_overrides) for cid in check_ids())
-    config = {
-        "group": group.spec,
-        "region": region.spec,
-        "seed": seed,
-        "threshold_overrides": dict(threshold_overrides or {}),
-    }
+    results = tuple(_run_one(cid, ctx) for cid in check_ids())
+    config = {"group": group.spec, "region": region.spec, "seed": seed}
     return VerificationReport(results, group.spec, region.spec, seed, config)

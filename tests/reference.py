@@ -13,6 +13,10 @@ Operators are represented as column functions: colfn(j) returns a dict
 The exceptions use the package's own operators through a route independent
 of the one they check:
 
+* `sector_dimensions` traces the total charge and flux projectors over a
+  dense basis, where `sector_counts` counts charge and flux labels;
+  `detector_energy_check` applies H and the detectors to dense columns,
+  where `detector_energy_residual` reads them on a sparse state;
 * `_projector_ground_basis`, the ground-space oracle, applies the commuting
   projector factors to seed vectors, where `ground_space` builds gauge
   orbits;
@@ -94,6 +98,14 @@ def config_of(orders, region, index):
         out.append(els[index % q])
         index //= q
     return out
+
+
+def packed_config(space, index):
+    """The packed element index on every edge of basis configuration `index`
+    of a HilbertSpace, read through `config_of` (which takes only
+    `num_edges` of its region, and a space has that too)."""
+    orders = space.group.orders
+    return tuple(elem_index(orders, dig) for dig in config_of(orders, space, index))
 
 
 def config_index(orders, config):
@@ -206,6 +218,13 @@ def to_matrix(colfn, dim):
     return m
 
 
+def ground_projector_factors(model: QuantumDouble) -> list[TermOp]:
+    """The commuting projectors whose product maps onto the ground space."""
+    ops = [model.star(v) for v in model.region.interior_vertices()]
+    ops.extend(model.plaquette(f) for f in model.region.faces())
+    return ops
+
+
 def _projector_ground_basis(
     model: QuantumDouble, rng: np.random.Generator, tol: float
 ) -> EigenBasis:
@@ -222,7 +241,7 @@ def _projector_ground_basis(
             winding[space.basis_index(digs), k] = 1.0
         cols.append(winding)
     y = np.concatenate(cols, axis=1)
-    for p in model.ground_projector_factors():
+    for p in ground_projector_factors(model):
         y = p.apply(y)
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     rank = int(np.sum(s > tol * max(s[0], 1.0)))
@@ -237,6 +256,55 @@ def _projector_ground_basis(
         method="projector",
         meta={"expected_dimension": expected, "singular_values": s[: rank + 3]},
     )
+
+
+# ---------------------------------------------------------------------------
+# dense cross-checks of the counted sectors and the detector identity
+
+
+def sector_dimensions(model: QuantumDouble, basis: np.ndarray) -> dict[tuple[int, int], int]:
+    """Dimension of each (charge, flux) sector inside span(basis).
+
+    Computes tr(K* P_{chi,c} K) for the orthonormal columns K, checks that
+    each compressed projector has eigenvalues 0/1 and that the sector
+    dimensions resolve the whole span.
+    """
+    q = model.group.size
+    out: dict[tuple[int, int], int] = {}
+    total = 0
+    for chi in range(q):
+        charge = model.total_charge_projector(chi)
+        kc = charge.apply(basis)
+        for c in range(q):
+            flux = model.total_flux_projector(c)
+            m = basis.conj().T @ flux.apply(kc)
+            tr = float(np.trace(m).real)
+            d = int(round(tr))
+            if abs(tr - d) > 1e-6:
+                raise RuntimeError(f"sector trace {tr} for {(chi, c)} is not integral")
+            if d:
+                evs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+                if not np.all((np.abs(evs) < 1e-7) | (np.abs(evs - 1) < 1e-7)):
+                    raise RuntimeError(
+                        f"sector projector for {(chi, c)} is not 0/1 on the span"
+                    )
+            out[(chi, c)] = d
+            total += d
+    if total != basis.shape[1]:
+        raise RuntimeError(
+            f"sector dimensions add to {total}, expected {basis.shape[1]}"
+        )
+    return out
+
+
+def detector_energy_check(model: QuantumDouble, basis: np.ndarray) -> float:
+    """max_k |<psi_k, (H - D^eps - D^mu) psi_k>| over dense basis columns."""
+    h = model.hamiltonian()
+    de = model.detector_eps()
+    dm = model.detector_mu()
+    gap = h.apply(basis) - de.apply(basis) - dm.apply(basis)
+    vals = np.einsum("ik,ik->k", basis.conj(), gap)
+    return float(np.max(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize("key, value", [("unsafe_cap", "false"), ("json", "no"), ("seed", 7.9),
+                                        ("seed", True), ("k", "2"), ("group", 2)])
+def test_config_value_of_the_wrong_type_rejected(tmp_path, capsys, key, value):
+    # a string "false" must not lift the cap, "no" must not turn JSON on,
+    # and 7.9 must not be truncated to seed 7
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"region": "free:5x5", key: value}))
+    code, out, err = run_cli(capsys, "sectors", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert f"config key {key!r}" in err and repr(value) in err
+    assert out == ""
+
+
+def test_config_values_of_the_field_types_apply(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"unsafe_cap": False, "region": "free:5x5"}))
+    assert run_cli(capsys, "sectors", "--config", str(cfg))[0] == EXIT_CAP
+    cfg.write_text(json.dumps({"unsafe_cap": True, "json": True, "seed": 11, "out": None,
+                               "group": "Z3", "region": "free:2x2", "k": 2}))
+    code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["group"], blob["seed"], len(blob["rows"])) == ("Z3", 11, 2)
+
+
 def test_missing_config_file_rejected(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "--config", "/no/such/file.json")
     assert code == EXIT_CONFIG

@@ -12,3 +12,27 @@ def test_demo_02_torus_degeneracy(capsys):
     assert "Z3 on torus:2x2: dim 6561" in out
     assert "gauge-orbit kernel basis: 9 vectors, worst H-residual 0.00e+00" in out
     assert "every torus instance shows the |G|^2-fold topological degeneracy" in out
+
+
+def test_demo_03_anyons_and_braiding(capsys):
+    runpy.run_path(str(DEMOS / "03_anyons_and_braiding.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "Z3 on free:3x3; excitation site (1, 1)/(1, 1)" in out
+    assert "(chi, c) = (1, 1):  <H> = 2.000000   predicted 2" in out
+    assert "lambda[1,2] = +1.000e+00 <--" in out
+    assert "  (1,1)     0    1/3    2/3    1/3    2/3      0    2/3      0    1/3" in out
+    assert "(entries are exponents k/n of exp(2 pi i k/n); 0 means the strips commute)" in out
+
+
+def test_demo_05_verification_battery(capsys):
+    runpy.run_path(str(DEMOS / "05_verification_battery.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "verification: group Z2, region torus:2x2, seed 7" in out
+    assert "summary: 21 passed, 0 failed, 17 skipped" in out
+    selected = out.split("selected boundary checks on Z2 free:3x3:\n")[1].splitlines()
+    assert [line.split()[0] for line in selected] == [
+        "boundary.charge-equality-eps", "boundary-loop.projection-mu",
+        "energy.interior-boundary", "weights.single-excitation"]
+    for line in selected:  # "<id> residual <r> < <threshold> [<time>]"
+        _, _, residual, _, threshold, _ = line.split()
+        assert float(residual) < float(threshold)

@@ -23,8 +23,6 @@ def test_free_region_counts():
     assert len(r.vertices()) == 9
     assert r.interior_vertices() == [(1, 1)]
     assert len(r.faces()) == 4
-    # circumscribing ring: faces of the 4x4 face grid minus the real 2x2 block
-    assert len(r.outside_faces()) == 16 - 4
 
 
 def test_free_region_counts_rectangular():
@@ -40,7 +38,6 @@ def test_torus_region_counts():
     assert len(r.vertices()) == 4
     assert r.interior_vertices() == r.vertices()
     assert len(r.faces()) == 4
-    assert r.outside_faces() == []
 
 
 def test_edge_ids_roundtrip():

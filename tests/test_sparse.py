@@ -17,7 +17,6 @@ from qdouble.sparse import (
     grow,
     matrix_elements,
     sparse_apply,
-    split,
     squared_norms,
     stack,
     stack_labels,
@@ -25,12 +24,15 @@ from qdouble.sparse import (
     to_columns,
 )
 from qdouble.states import (
+    StateFunctional,
     conditional_sector_state,
     frustration_free_state,
     mix,
     single_excitation_state,
     spanning_matrix,
 )
+
+import reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +42,7 @@ def rng():
 
 def random_sparse(space, rng, k=6):
     idx = rng.choice(space.dim, size=k, replace=False)
-    digits = np.array([space.config_of(int(i)) for i in idx], dtype=np.uint8)
+    digits = np.array([ref.packed_config(space, int(i)) for i in idx], dtype=np.uint8)
     amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return SparseState(space.group, space.num_edges, digits, amps)
 
@@ -168,7 +170,8 @@ def test_dense_conversions_match_the_digit_loop(rng):
         dense = s.to_dense(space)
         assert np.array_equal(dense, want)
         back = SparseState.from_dense(space, dense)
-        loop = np.array([space.config_of(int(i)) for i in np.nonzero(dense)[0]], dtype=np.uint8)
+        loop = np.array([ref.packed_config(space, int(i)) for i in np.nonzero(dense)[0]],
+                        dtype=np.uint8)
         assert np.array_equal(np.sort(back.digits, axis=0), np.sort(loop, axis=0))
         assert np.array_equal(back.to_dense(space), dense)
     assert SparseState.from_dense(space, np.zeros(space.dim)).n_configs == 0
@@ -261,7 +264,6 @@ def test_basis_indexing_matches_the_digit_loop():
         for _ in range(space.num_edges):
             digits.append(rest % space.q)
             rest //= space.q
-        assert space.config_of(idx) == tuple(digits)
         loop = 0
         for d in reversed(digits):
             loop = loop * space.q + d
@@ -347,6 +349,11 @@ def grow_parts(model, rng):
     return parts
 
 
+def split(model, st, n_parts):
+    """The parts of a stack as states, through `StateFunctional.parts`."""
+    return [s for _, s in StateFunctional(model, st, np.ones(n_parts)).parts]
+
+
 @pytest.mark.parametrize("orders", [[2], [3]], ids=["Z2", "Z3"])
 def test_grow_and_split_match_the_per_part_apply(orders):
     # 100 parts grown by two ops become 300: the labels go from 1 byte to 2
@@ -356,7 +363,7 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     parts = grow_parts(model, np.random.default_rng(11))
     st = stack(parts)
     assert st.num_edges == n_edges + 1
-    for part, alone in zip(split(st, n_edges, 100), parts):
+    for part, alone in zip(split(model, st, 100), parts):
         assert np.array_equal(part.digits, alone.digits) and np.array_equal(part.amps, alone.amps)
     # the indicator keeps edge 0 at 0, so the product cancels every row of part 7
     at_zero = TermOp(space, [Term(1.0, (), (), ((((0, 1),), 0),))])
@@ -367,7 +374,7 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     grown = grow(st, ops, n_edges)
     assert grown.num_edges == n_edges + 2
     assert stack_labels(grown, n_edges).max() == 299
-    out = split(grown, n_edges, 300)
+    out = split(model, grown, 300)
     for j, part in enumerate(parts):
         for s, want in enumerate([part] + [sparse_apply(op, part) for op in ops]):
             got = out[3 * j + s]
@@ -375,7 +382,7 @@ def test_grow_and_split_match_the_per_part_apply(orders):
             assert np.array_equal(got.amps, want.amps)
     assert out[3 * 7 + 1].n_configs == 0 < out[3 * 8 + 1].n_configs
     # taking parts relabels them in the order asked, an empty part included
-    for got, j in zip(split(take_parts(grown, n_edges, [299, 22, 4]), n_edges, 3), [299, 22, 4]):
+    for got, j in zip(split(model, take_parts(grown, n_edges, [299, 22, 4]), 3), [299, 22, 4]):
         assert np.array_equal(got.digits, out[j].digits) and np.array_equal(got.amps, out[j].amps)
     # per-label matrix elements, on the stack's own rows and against the
     # applied stack, and squared norms
@@ -425,7 +432,7 @@ def test_kernel_span_check_applies_each_strip_once(monkeypatch):
     # Z3 free:3x3: every strip once to all 2,187 ground parts, then H once
     ctx = verify_mod._Ctx(QuantumDouble(make_group([3]), Region.free(3, 3)))
     calls = count_applies(monkeypatch, sparse_mod, verify_mod)
-    assert verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None).passed is True
+    assert verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx).passed is True
     n_strips = 4 * (3 - 1)
     assert len(calls) == n_strips + n_strips + 1
 

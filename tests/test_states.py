@@ -5,7 +5,7 @@ import pytest
 
 import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
-from qdouble.groups import make_group
+from qdouble.groups import GroupError, make_group
 from qdouble.lattice import (
     Region,
     direct_ribbon,
@@ -15,7 +15,7 @@ from qdouble.lattice import (
 )
 from qdouble.operators import (COMPOSE_TERM_LIMIT, DimensionCapError, ProductOp, QuantumDouble,
                                ScaledOp, SumOp, Term, TermOp)
-from qdouble.spectral import ground_space, sector_dimensions
+from qdouble.spectral import ground_space
 from qdouble.sparse import SparseState, sparse_apply, stack
 from qdouble.states import (
     StateFunctional,
@@ -62,7 +62,7 @@ def test_seed_vector_structure(model33, omega33):
 def test_seed_vector_matches_dense_projection(model33, omega33):
     space = model33.space
     dense = space.basis_vector([0] * space.num_edges)
-    for p in model33.ground_projector_factors():
+    for p in ref.ground_projector_factors(model33):
         dense = p.apply(dense)
     dense /= np.linalg.norm(dense)
     assert np.linalg.norm(omega33.vector.to_dense(space) - dense) < 1e-13
@@ -98,7 +98,7 @@ def test_uniform_mixture_against_dense_trace():
 def _projector_product(model, digits):
     """The oracle: every star average and plaquette projector applied in turn."""
     state = SparseState.basis_state(model.group, model.region.num_edges, digits)
-    for p in model.ground_projector_factors():
+    for p in ref.ground_projector_factors(model):
         state = sparse_apply(p, state)
     return state.normalized()
 
@@ -249,6 +249,21 @@ def test_single_excitation_is_boundary_ground_z3():
     assert vec.apply(h_bnd).norm() < 1e-12
 
 
+def test_single_excitation_reads_numpy_and_group_labels():
+    model = QuantumDouble(Z3, Region.free(3, 3))
+    site = model.region.site((1, 1), (1, 1))
+    plain = single_excitation_state(model, site, 2, 1)
+    labels = [(np.int64(2), np.int64(1)), (Z3.character_from_index(2), Z3.element_from_index(1))]
+    for chi, c in labels:
+        state = single_excitation_state(model, site, chi, c)
+        assert (state.info["chi"], state.info["c"]) == (2, 1)
+        assert np.array_equal(state.stack.digits, plain.stack.digits)
+        assert np.array_equal(state.stack.amps, plain.stack.amps)
+    for chi, c in [(np.int64(3), 0), (0, np.int64(3)), (-1, 0)]:
+        with pytest.raises(GroupError, match="out of range"):
+            single_excitation_state(model, site, chi, c)
+
+
 def test_ribbon_path_independence_on_ground(model33, omega33):
     # equal endpoints, different L-route: identical action on the ground state
     region = model33.region
@@ -351,14 +366,11 @@ def test_sector_weights_refuse_before_matching(monkeypatch, model33):
         sector_weights(state)
 
 
-def test_sector_weights_json(model33, omega33):
+def test_sector_weights_record_their_instance(model33, omega33):
     w = sector_weights(omega33)
-    d = w.to_json_dict(model33.group)
-    assert d["group"] == "Z2"
-    assert d["region"] == "free:3x3"
-    assert len(d["weights"]) == 4
-    assert d["weights"][0]["chi"] == [0]
-    assert d["weights"][0]["lambda"] == pytest.approx(1.0)
+    assert (w.group_spec, w.region_spec) == ("Z2", "free:3x3")
+    assert list(w.as_dict()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert w[(0, 0)] == pytest.approx(1.0)
 
 
 def test_conditional_state_recovers_component(model33, omega33):
@@ -509,7 +521,7 @@ def test_a_term_free_flux_projector_serves_every_consumer():
     assert model.total_flux_form() == ()
     assert [(t.coeff, t.key) for t in model.total_flux_projector(0).terms] == [(1.0, ((), (), ()))]
     assert all(len(model.total_flux_projector(c)) == 0 for c in (1, 2))
-    dims = sector_dimensions(model, ground_space(model).vectors)
+    dims = ref.sector_dimensions(model, ground_space(model).vectors)
     assert dims == {(chi, c): 9 * (chi == c == 0) for chi in range(3) for c in range(3)}
     mixture = frustration_free_state(model, "uniform-mixture")
     weights = sector_weights(mixture).as_dict()

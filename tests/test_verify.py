@@ -13,7 +13,6 @@ from qdouble.operators import DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operato
 from qdouble.sparse import (grow, row_keys, sparse_apply, squared_norms, stack_labels, stack_rank,
                             take_parts, to_columns)
 from qdouble.states import spanning_family
-from qdouble.spectral import sector_dimensions
 from qdouble.verify import (
     TOL_ALGEBRAIC,
     CheckError,
@@ -217,18 +216,20 @@ def test_suite_deterministic_residuals():
         assert ra.passed == rb.passed
 
 
-def test_threshold_override_fails_check():
-    rep = run_suite(Z2, Region.torus(2, 2), seed=7,
-                    threshold_overrides={"weights.ground-state": 1e-30})
+def test_a_tighter_registered_tolerance_fails_its_check(monkeypatch):
+    statement, _, fn = verify_mod._REGISTRY["weights.ground-state"]
+    monkeypatch.setitem(verify_mod._REGISTRY, "weights.ground-state", (statement, 1e-30, fn))
+    rep = run_suite(Z2, Region.torus(2, 2), seed=7)
     by_id = {r.check_id: r for r in rep.results}
     assert by_id["weights.ground-state"].passed is False
+    assert by_id["weights.ground-state"].threshold == 1e-30
     assert not rep.ok
     assert rep.counts[1] == 1
-    assert rep.config["threshold_overrides"] == {"weights.ground-state": 1e-30}
+    assert rep.config == {"group": "Z2", "region": "torus:2x2", "seed": 7}
 
 
 def test_report_json_round_trip(torus_report):
-    blob = json.loads(torus_report.to_json())
+    blob = json.loads(json.dumps(torus_report.to_json_dict()))
     assert blob["group"] == "Z2"
     assert blob["region"] == "torus:2x2"
     assert blob["seed"] == 7
@@ -280,7 +281,7 @@ def test_suite_builds_uniform_mixture_once(monkeypatch):
     builds = _count_calls(monkeypatch, states_mod, "_flat_orbit_representatives")
     ctx = verify_mod._Ctx(QuantumDouble(Z3, Region.free(3, 3)))
     for cid in ("boundary-hamiltonian.ground-zero", "boundary-hamiltonian.kernel-span"):
-        assert verify_mod._run_one(cid, ctx, None).passed is True
+        assert verify_mod._run_one(cid, ctx).passed is True
     assert len(builds) == 1
 
 
@@ -291,7 +292,7 @@ def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
     ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)))
     for cid in ("boundary-hamiltonian.positive", "boundary-hamiltonian.kernel-span",
                 "sectors.direct-sum"):
-        result = verify_mod._run_one(cid, ctx, None)
+        result = verify_mod._run_one(cid, ctx)
         assert result.passed is True and result.residual == 0.0, cid
     assert densified == []
 
@@ -308,9 +309,9 @@ def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_kernel_family", no_flux)
     ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)))
-    span = verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx, None)
+    span = verify_mod._run_one("boundary-hamiltonian.kernel-span", ctx)
     assert span.passed is False and span.residual == 1280 - 256
-    direct = verify_mod._run_one("sectors.direct-sum", ctx, None)
+    direct = verify_mod._run_one("sectors.direct-sum", ctx)
     assert direct.passed is False and direct.residual == 512
 
 
@@ -341,7 +342,7 @@ def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundar
         cols = to_columns(part, model.space, len(labels), np.complex128)
         ranks[(chi, c)] = ref._rank(cols, verify_mod.TOL_KERNEL)
     assert ranks == {(0, 0): 128, (0, 1): 512, (1, 0): 128, (1, 1): 512}
-    assert sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
+    assert ref.sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
 
 
 # the checks that decide by a rank of a stack
@@ -400,7 +401,7 @@ def test_rank_checks_pass_on_the_whole_family(monkeypatch, group_spec, region_sp
     ctx = verify_mod._Ctx(QuantumDouble(parse_group_spec(group_spec),
                                         parse_region_spec(region_spec)))
     for cid in RANK_CHECKS:
-        result = verify_mod._run_one(cid, ctx, None)
+        result = verify_mod._run_one(cid, ctx)
         assert result.passed is True and result.residual == 0.0, cid
     assert sizes == [n_parts]
 
@@ -417,7 +418,7 @@ def test_rank_checks_skip_by_rows_before_building(monkeypatch, orders):
     rows = dict(zip(RANK_CHECKS, (11_075_584, 11_075_584, 67_108_864)))
     tracemalloc.start()
     try:
-        results = [verify_mod._run_one(cid, ctx, None) for cid in RANK_CHECKS]
+        results = [verify_mod._run_one(cid, ctx) for cid in RANK_CHECKS]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,7 +469,7 @@ def test_local_checks_stay_off_the_full_space(monkeypatch):
     for name in ("random_vectors", "shift_perm", "form_values", "apply_terms"):
         monkeypatch.setattr(ctx.model.space, name, refuse)
     for cid in LOCAL_PROBE_CHECKS + WIDE_PROBE_CHECKS + ("boundary-hamiltonian.positive",):
-        assert verify_mod._run_one(cid, ctx, None).passed is True, cid
+        assert verify_mod._run_one(cid, ctx).passed is True, cid
 
 
 def test_positive_is_exact_and_seed_free():
@@ -508,7 +509,7 @@ def test_crossing_check_builds_no_space(monkeypatch):
     model = QuantumDouble(Z4, Region.free(3, 3))
     monkeypatch.setattr(operators_mod.HilbertSpace, "__init__", counting_init)
     ctx = verify_mod._Ctx(model)
-    assert verify_mod._run_one("ribbon.crossing-phase", ctx, None).passed is True
+    assert verify_mod._run_one("ribbon.crossing-phase", ctx).passed is True
     assert built == []
 
 
