@@ -335,10 +335,8 @@ def _route_residual(model: QuantumDouble, site, chi: int, c: int) -> float | Non
         rib_b = ribbon_between(region, site, far, order="yx")
     except (RibbonError, ValueError):
         return None
-    omega = frustration_free_state(model).vector
-    a = omega.apply(model.ribbon_char(rib_a, chi, c))
-    b = omega.apply(model.ribbon_char(rib_b, chi, c))
-    return float(a.add(b.scaled(-1.0)).norm())
+    diff = model.ribbon_char(rib_a, chi, c) - model.ribbon_char(rib_b, chi, c)
+    return float(frustration_free_state(model).vector.apply(diff).norm())
 
 
 def cmd_excite(cfg: RunConfig, group: Group, region: Region) -> int:

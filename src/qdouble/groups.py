@@ -68,10 +68,6 @@ class Phase:
     def conjugate(self) -> "Phase":
         return Phase(-self.exponent)
 
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
     def to_complex(self) -> complex:
         """The complex value; exact at quarter turns (1, i, -1, -i)."""
         quarters = 4 * self.exponent
@@ -127,10 +123,6 @@ class _Digits:
 class GroupElement(_Digits):
     """An element of a finite abelian group, stored as one digit per factor."""
 
-    @property
-    def is_identity(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
     def __repr__(self) -> str:
         return f"g{self.digits}"
 
@@ -148,10 +140,6 @@ class Character(_Digits):
 
     def conjugate(self) -> "Character":
         return self.inverse()
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(d == 0 for d in self.digits)
 
     def __repr__(self) -> str:
         return f"chi{self.digits}"

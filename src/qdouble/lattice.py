@@ -624,6 +624,8 @@ def ribbon_to_boundary(region: Region, site: Site, direction=None) -> Ribbon:
         (0, -1): y,
     }
     if direction is not None:
+        if tuple(direction) not in dists:
+            raise RibbonError(f"direction {direction!r} is not one of the steps {list(dists)}")
         candidates = [tuple(direction)]
     else:
         pref = [(1, 0), (0, 1), (-1, 0), (0, -1)]

@@ -29,7 +29,7 @@ from math import lcm
 
 import numpy as np
 
-from .groups import Character, Group, GroupElement, Phase
+from .groups import Character, Group, GroupElement, GroupError, Phase
 from .lattice import Region, Ribbon, boundary_ribbon
 
 __all__ = [
@@ -607,10 +607,21 @@ class QuantumDouble:
     # ---- little helpers ----
 
     def _g_idx(self, g) -> int:
-        return g.index if isinstance(g, GroupElement) else int(g)
+        return self._label(g, GroupElement, "element")
 
     def _chi_idx(self, chi) -> int:
-        return chi.index if isinstance(chi, Character) else int(chi)
+        return self._label(chi, Character, "character")
+
+    def _label(self, x, kind: type, what: str) -> int:
+        """The packed index of an element or character of this group, or of an
+        integer index in [0, |G|); GroupError for anything else."""
+        if isinstance(x, kind):
+            self.group.require_same(x.group)
+            return x.index
+        i = int(x)
+        if not 0 <= i < self.group.size:
+            raise GroupError(f"{what} index {i} out of range for {self.group}")
+        return i
 
     def _chibar_idx(self, chi) -> int:
         """Packed index of the conjugate (inverse) character."""
@@ -656,13 +667,6 @@ class QuantumDouble:
 
     def plaquette(self, face) -> TermOp:
         return self.plaquette_indicator(face, 0)
-
-    def face_flux_phase(self, face, chi) -> TermOp:
-        """The diagonal operator conj(chi)(holonomy of f)."""
-        chibar = self._chibar_idx(chi)
-        if not chibar:
-            return self.identity()
-        return TermOp(self.space, [Term(1.0, (), ((self._face_form(face), chibar),), ())])
 
     # ---- ribbon operators ----
 

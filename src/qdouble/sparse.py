@@ -6,8 +6,10 @@ plaquettes, and ribbon operators map single configurations to a handful of
 configurations, so states like the frustration-free seed vector or a
 ribbon-excited vector keep a support of a few thousand rows even when the
 ambient dimension is astronomically large.  Every operator of the term
-engine can be applied exactly in this representation; amplitudes only pick
-up unit-modulus character values and the term coefficients.
+engine is read as the engine groups it, A = sum_s shift_s D_s
+(`operators.shift_diagonals`), with each D_s summed on the state's own rows:
+`apply_terms` moves those rows once per shift and merges once, and
+`matrix_elements` and `dot` match them once per shift.
 
 A stack holds a family of states in one: each row carries its part's label
 as trailing big-endian bytes after the last edge, a layout only this module
@@ -32,12 +34,10 @@ from .operators import (
     ScaledOp,
     SumOp,
     PHYSICAL_MEMORY_BYTES,
-    Term,
     TermOp,
     holonomy_values,
     refuse_above,
     shift_diagonals,
-    term_factor,
 )
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow",
@@ -106,44 +106,41 @@ class SparseState:
 
     def dot(self, other: "SparseState") -> complex:
         """<self|other> by matching configurations."""
-        _, i, j = np.intersect1d(
-            row_keys(self.digits), row_keys(other.digits), assume_unique=True, return_indices=True
-        )
-        return complex(np.vdot(self.amps[i], other.amps[j]))
+        i, j = shift_matches(self, other, ())
+        return complex(np.vdot(self.amps[j], other.amps[i]))
 
     # ---- operator application ----
 
-    def _apply_term(self, term: Term) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and amplitudes of one term's image: the term's diagonal,
-        as the dense engine takes it, and then its shift; the rows where the
-        diagonal is 0 (an indicator fails; a phase never vanishes) are dropped."""
-        group = self.group
-        diag = term_factor(group, term, lambda form: holonomy_values(
-            group, lambda edge: self.digits[:, edge], self.n_configs, form))
-        if diag is None:
-            digits, amps = self.digits.copy(), term.coeff * self.amps
-        else:
-            keep = diag != 0
-            digits, amps = self.digits[keep], term.coeff * self.amps[keep] * diag[keep]
-        return _shift_rows(group, digits, term.shift), amps
+    def _diagonals(self, terms) -> dict:
+        """`shift_diagonals` of the terms, read on the state's own rows."""
+        group, n = self.group, self.n_configs
+        return shift_diagonals(group, terms, lambda form: holonomy_values(
+            group, lambda edge: self.digits[:, edge], n, form))
 
     def apply_terms(self, terms) -> "SparseState":
+        """A = sum_s shift_s D_s (`_diagonals`): each shift moves the rows
+        where its D_s is nonzero once, and one merge joins the images."""
         terms = [t for t in terms if t.coeff != 0]
-        # every term's image is held at once and then merged; with the merge's
-        # keys, sort and inverse, the peak is 3.4 to 4.2 times the
-        # concatenated bytes (tracemalloc, kernel families of Z3 free:3x3 and
-        # Z2 free:3x4)
+        # every shift's image is held at once, then concatenated and freed with
+        # the last diagonal before the merge; with the merge's keys, sort and
+        # inverse, the peak is 0.1 to 0.9 times this bound, highest for one
+        # term (tracemalloc, kernel families of Z3 free:3x3 and Z2 free:3x4)
         refuse_above(4 * self.n_configs * len(terms) * (self.num_edges + 16),
                      PHYSICAL_MEMORY_BYTES, "sparse apply bytes")
         rows = [np.zeros((0, self.num_edges), dtype=np.uint8)]
         amps = [np.zeros(0, dtype=np.complex128)]
-        for term in terms:
-            d, a = self._apply_term(term)
-            rows.append(d)
-            amps.append(a)
-        return SparseState(
-            self.group, self.num_edges, np.concatenate(rows, axis=0), np.concatenate(amps)
-        )
+        for shift, diag in self._diagonals(terms).items():
+            if np.ndim(diag):
+                keep = diag != 0  # where D_s vanishes, no image
+                rows.append(self.digits[keep])
+                amps.append(diag[keep] * self.amps[keep])
+            else:
+                rows.append(self.digits.copy())
+                amps.append(diag * self.amps)
+            _shift_rows(self.group, rows[-1], shift)
+        rows, amps = np.concatenate(rows, axis=0), np.concatenate(amps)
+        diag = keep = None
+        return SparseState(self.group, self.num_edges, rows, amps)
 
     def apply(self, op: Operator) -> "SparseState":
         return sparse_apply(op, self)
@@ -256,7 +253,7 @@ def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
     as slices, when the bra is the ket and the shift is empty."""
     if not shift and bra is ket:
         return slice(None), slice(None)
-    moved = _shift_rows(ket.group, ket.digits.copy(), shift)
+    moved = _shift_rows(ket.group, ket.digits.copy(), shift) if shift else ket.digits
     _, i, j = np.intersect1d(row_keys(moved), row_keys(bra.digits), assume_unique=True,
                              return_indices=True)
     return i, j
@@ -274,15 +271,14 @@ def matrix_elements(op: Operator, bra: SparseState, ket: SparseState, num_edges:
     with `sparse_apply` and evaluates its outermost factor.
     """
     if isinstance(op, TermOp):
-        group, n = ket.group, ket.n_configs
+        n = ket.n_configs
         n_shifts = len({t.shift for t in op.terms if t.coeff != 0})
         # 16 bytes a row for each diagonal, the accumulator and a term's two
         # factors, and 5 row widths and 16 bytes a row to match one shift
         refuse_above(n * (16 * (n_shifts + 4) + 5 * ket.num_edges), PHYSICAL_MEMORY_BYTES,
                      "matrix element bytes")
         acc = np.zeros(n, dtype=np.complex128)
-        for shift, diag in shift_diagonals(group, op.terms, lambda form: holonomy_values(
-                group, lambda edge: ket.digits[:, edge], n, form)).items():
+        for shift, diag in ket._diagonals(op.terms).items():
             i, j = shift_matches(bra, ket, shift)
             acc[i] += bra.amps[j].conj() * np.broadcast_to(diag, n)[i] * ket.amps[i]
         labels = stack_labels(ket, num_edges)

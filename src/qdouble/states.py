@@ -223,8 +223,8 @@ def single_excitation_state(
     info = {  # the labels' range is checked before any operator is built
         "kind": "single-excitation",
         "site": site,
-        "chi": model.group.character_from_index(model._chi_idx(chi)).index,
-        "c": model.group.element_from_index(model._g_idx(c)).index,
+        "chi": model._chi_idx(chi),
+        "c": model._g_idx(c),
         "ribbon": ribbon,
     }
     omega = _seed_vector(model)
@@ -329,14 +329,9 @@ def one_sided_sector_expectation(state: StateFunctional, chi, c, op: Operator) -
 
 
 def detector_energy_residual(state: StateFunctional) -> float:
-    """|omega(H) - omega(D^eps) - omega(D^mu)| for a sparse state."""
+    """|omega(H - D^eps - D^mu)| for a sparse state, one expectation."""
     model = state.model
-    val = (
-        state.expect(model.hamiltonian())
-        - state.expect(model.detector_eps())
-        - state.expect(model.detector_mu())
-    )
-    return abs(val)
+    return abs(state.expect(model.hamiltonian() - model.detector_eps() - model.detector_mu()))
 
 
 # ---------------------------------------------------------------------------

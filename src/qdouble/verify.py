@@ -261,7 +261,7 @@ class _Ctx:
         for chi, c in self.label_pairs():
             exc = self.omega.apply(self.model.ribbon_char(ribbon, chi, c))
             e_pred = (chi != 0) * n_star + (c != 0) * n_plaq
-            worst = max(worst, exc.apply(h).add(exc.scaled(-float(e_pred))).norm())
+            worst = max(worst, exc.apply(h - e_pred * self.model.identity()).norm())
         return worst
 
 
@@ -494,20 +494,13 @@ def _ribbon_excitation_energy(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _ribbon_closed_trivial(ctx: _Ctx) -> float:
-    model = ctx.model
-    omega = ctx.omega
-    worst = 0.0
-    loop = face_direct_loop(ctx.region, ctx.region.faces()[0])
-    for chi in range(ctx.q):
-        out = omega.apply(model.ribbon_char(loop, chi, 0))
-        worst = max(worst, out.add(omega.scaled(-1.0)).norm())
-    if ctx.region.interior_vertices():
-        v = ctx.region.interior_vertices()[0]
-        dloop = vertex_dual_loop(ctx.region, v)
-        for c in range(ctx.q):
-            out = omega.apply(model.ribbon_char(dloop, 0, c))
-            worst = max(worst, out.add(omega.scaled(-1.0)).norm())
-    return worst
+    model, region = ctx.model, ctx.region
+    loops = [model.ribbon_char(face_direct_loop(region, region.faces()[0]), chi, 0)
+             for chi in range(ctx.q)]
+    if region.interior_vertices():
+        dloop = vertex_dual_loop(region, region.interior_vertices()[0])
+        loops += [model.ribbon_char(dloop, 0, c) for c in range(ctx.q)]
+    return max(ctx.omega.apply(f - model.identity()).norm() for f in loops)
 
 
 @_check(
@@ -582,14 +575,9 @@ def _ribbon_crossing(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _ribbon_path_independence(ctx: _Ctx) -> float:
-    model = ctx.model
-    rib_a, rib_b = _path_independent_pair(ctx)
-    worst = 0.0
-    for chi, c in [(1 % ctx.q, 0), (0, 1 % ctx.q), (1 % ctx.q, ctx.q - 1)]:
-        a = ctx.omega.apply(model.ribbon_char(rib_a, chi, c))
-        b = ctx.omega.apply(model.ribbon_char(rib_b, chi, c))
-        worst = max(worst, a.add(b.scaled(-1.0)).norm())
-    return worst
+    f, (rib_a, rib_b) = ctx.model.ribbon_char, _path_independent_pair(ctx)
+    return max(ctx.omega.apply(f(rib_a, *lab) - f(rib_b, *lab)).norm()
+               for lab in [(1 % ctx.q, 0), (0, 1 % ctx.q), (1 % ctx.q, ctx.q - 1)])
 
 
 # ---- site charge projectors ------------------------------------------------
@@ -602,14 +590,7 @@ def _ribbon_path_independence(ctx: _Ctx) -> float:
     TOL_ALGEBRAIC,
 )
 def _charge_vanish_ground(ctx: _Ctx) -> float:
-    site = ctx.an_interior_site()
-    worst = 0.0
-    for chi, c in ctx.label_pairs():
-        out = ctx.omega.apply(ctx.model.site_charge_projector(site, chi, c))
-        want = ctx.omega if (chi, c) == (0, 0) else None
-        resid = out.add(want.scaled(-1.0)).norm() if want is not None else out.norm()
-        worst = max(worst, resid)
-    return worst
+    return _site_label_residual(ctx, ctx.omega, ctx.an_interior_site(), (0, 0))
 
 
 def _excitation_for_charge(ctx: _Ctx) -> tuple:
@@ -633,13 +614,9 @@ def _charge_ribbon_start(ctx: _Ctx) -> float:
 
 def _site_label_residual(ctx: _Ctx, vec: SparseState, site: Site, label: tuple) -> float:
     """max over every label l of |D_site^l vec - [l = label] vec|."""
-    worst = 0.0
-    for sig, d in ctx.label_pairs():
-        out = vec.apply(ctx.model.site_charge_projector(site, sig, d))
-        if (sig, d) == label:
-            out = out.add(vec.scaled(-1.0))
-        worst = max(worst, out.norm())
-    return worst
+    model, one = ctx.model, ctx.model.identity()
+    return max(vec.apply(model.site_charge_projector(site, *lab) - (lab == label) * one).norm()
+               for lab in ctx.label_pairs())
 
 
 @_check(

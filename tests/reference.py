@@ -33,6 +33,9 @@ of the one they check:
   state's stack and matches the merged image against it, where
   `StateFunctional.expect` reads the operator's diagonals on the stack's
   own rows;
+* `per_term_apply`, the sparse-application oracle, takes each term's
+  diagonal and shift on a sparse state's rows one term at a time, where
+  `SparseState.apply_terms` sums each shift's diagonal first;
 * `per_face_flux_projector` builds the total flux projector from one phase
   per face, where `total_flux_projector` uses the summed holonomy form, and
   `per_projector_sector_weights` takes one `image_expect` per sector
@@ -46,8 +49,9 @@ import numpy as np
 
 from qdouble.operators import (DENSE_MATRIX_LIMIT, HilbertSpace, Operator, ProductOp,
                                QuantumDouble, ScaledOp, SumOp, Term, TermOp, _canon_form,
-                               _merge_phases, refuse_above, sparse_matrix, term_factor)
-from qdouble.sparse import row_keys, sparse_apply, stack_labels
+                               _merge_phases, holonomy_values, refuse_above, sparse_matrix,
+                               term_factor)
+from qdouble.sparse import SparseState, _shift_rows, row_keys, sparse_apply, stack_labels
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -448,6 +452,33 @@ def coo_sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     if isinstance(op, ScaledOp):
         return op.scalar * coo_sparse_matrix(op.op, max_dim)
     raise TypeError(f"no sparse matrix for {type(op).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the sparse image, one term at a time
+
+
+def per_term_apply(state: SparseState, terms) -> SparseState:
+    """The terms applied to a sparse state one at a time: each term's
+    diagonal on the state's rows, the rows where it is 0 dropped (an
+    indicator fails; a phase never vanishes) and the rest moved by the
+    term's shift, every term's image merged at once."""
+    group, n = state.group, state.n_configs
+    rows = [np.zeros((0, state.num_edges), dtype=np.uint8)]
+    amps = [np.zeros(0, dtype=np.complex128)]
+    for term in terms:
+        if term.coeff == 0:
+            continue
+        diag = term_factor(group, term, lambda form: holonomy_values(
+            group, lambda edge: state.digits[:, edge], n, form))
+        if diag is None:
+            digits, amp = state.digits.copy(), term.coeff * state.amps
+        else:
+            keep = diag != 0
+            digits, amp = state.digits[keep], term.coeff * state.amps[keep] * diag[keep]
+        rows.append(_shift_rows(group, digits, term.shift))
+        amps.append(amp)
+    return SparseState(group, state.num_edges, np.concatenate(rows, axis=0), np.concatenate(amps))
 
 
 # ---------------------------------------------------------------------------

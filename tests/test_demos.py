@@ -6,6 +6,13 @@ from pathlib import Path
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+def test_demo_01_model_tour(capsys):
+    runpy.run_path(str(DEMOS / "01_model_tour.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "dense spectrum: min eigenvalue 0.00e+00, kernel dimension 128" in out
+    assert "counting oracle agrees: 2 ** (V - 1 - interior) = 128" in out
+
+
 def test_demo_02_torus_degeneracy(capsys):
     runpy.run_path(str(DEMOS / "02_torus_degeneracy.py"), run_name="__main__")
     out = capsys.readouterr().out
@@ -22,6 +29,19 @@ def test_demo_03_anyons_and_braiding(capsys):
     assert "lambda[1,2] = +1.000e+00 <--" in out
     assert "  (1,1)     0    1/3    2/3    1/3    2/3      0    2/3      0    1/3" in out
     assert "(entries are exponents k/n of exp(2 pi i k/n); 0 means the strips commute)" in out
+
+
+def test_demo_04_boundary_sectors(capsys):
+    runpy.run_path(str(DEMOS / "04_boundary_sectors.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "  kernel dimension 1280 of 4096 (dense eigh)" in out
+    for sector, dim in [("chi=0, c=0", 128), ("chi=0, c=1", 512), ("chi=1, c=0", 128),
+                        ("chi=1, c=1", 512)]:
+        assert f"  sector ({sector}): dimension {dim}" in out
+    assert "  total 1280 == dense kernel 1280" in out
+    gaps = [line for line in out.splitlines() if ": gap " in line]
+    assert len(gaps) == 4
+    assert all(line.endswith("gap 0.00e+00") for line in gaps), gaps
 
 
 def test_demo_05_verification_battery(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import qdouble.lattice as lattice_mod
 from qdouble.lattice import (
     Region,
     RibbonError,
@@ -180,6 +181,18 @@ def test_ribbon_to_boundary_direction_override():
     rib = ribbon_to_boundary(r, r.site((1, 2), (1, 2)), direction=(0, -1))
     assert rib.end.vertex == (1, 0)
     assert not r.face_in_region(rib.end.face)
+
+
+@pytest.mark.parametrize("direction", [(2, 0), (1, 1), "x"])
+def test_ribbon_to_boundary_refuses_a_bad_direction_before_walking(monkeypatch, direction):
+    def no_walk(*args):
+        raise AssertionError("walked before checking the direction")
+
+    monkeypatch.setattr(lattice_mod, "_Walker", no_walk)
+    r = Region.free(3, 3)
+    with pytest.raises(RibbonError, match=r"one of the steps \[\(1, 0\), \(0, 1\), \(-1, 0\), "
+                                          r"\(0, -1\)\]"):
+        ribbon_to_boundary(r, r.site((1, 1), (1, 1)), direction)
 
 
 def test_boundary_ribbon_structure():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdouble.groups import make_group
+from qdouble.groups import GroupError, make_group
 from qdouble.lattice import (
     Region,
     concat_ribbons,
@@ -276,9 +276,11 @@ def test_closed_direct_loop_is_a_flux_phase(rng):
     model = QuantumDouble(group, region)
     loop = face_direct_loop(region, (0, 0))
     chi = group.character((1,))
+    flux = model.ribbon_char(loop, chi, 0)  # conj(chi) of the face's holonomy, no shift
+    assert [(t.shift, t.phases) for t in flux.terms] == [((), ((model._face_form((0, 0)), 2),))]
     for c in group.elements():
         op = model.ribbon_char(loop, chi, c)
-        assert probe_residual(op, model.face_flux_phase((0, 0), chi), rng, k=1) < 1e-13
+        assert probe_residual(op, flux, rng, k=1) < 1e-13
 
 
 def test_crossing_scalar_is_chi_d_xi_c(rng):
@@ -694,7 +696,7 @@ def dense_engine_cases(model):
         "site charge": model.site_charge_projector(a, 1, 1),
         # a shift times a phase of an end face's flux, which the shift moves
         "ribbon after flux": (model.ribbon_char(ribbon_between(region, a, b), 1, 1)
-                              @ model.face_flux_phase(a.face, 1)),
+                              @ model.ribbon_char(face_direct_loop(region, a.face), 1, 0)),
     }
     for k in (0, 1):
         cases[f"total charge {k}"] = model.total_charge_projector(k)
@@ -795,3 +797,55 @@ def test_total_charge_projector_is_exact_where_every_gauge_shift_is_empty(orders
     assert model.total_charge_projector(0).terms == (Term(1.0),)
     for chi in range(1, model.group.size):
         assert model.total_charge_projector(chi).terms == (), chi
+
+
+def label_builders(model):
+    """Every builder that reads a group label, by (name, slot kind), as a
+    function of that one label with the others trivial."""
+    region = model.region
+    site, face = region.site((1, 1), (1, 1)), (0, 0)
+    rib = ribbon_to_boundary(region, site)
+    rho, sigma = crossing_pair(region)
+    return {
+        ("star_shift", "element"): lambda g: model.star_shift((1, 1), g),
+        ("vertex_charge", "character"): lambda chi: model.vertex_charge((1, 1), chi),
+        ("plaquette_indicator", "element"): lambda h: model.plaquette_indicator(face, h),
+        ("ribbon_char chi", "character"): lambda chi: model.ribbon_char(rib, chi, 0),
+        ("ribbon_char c", "element"): lambda c: model.ribbon_char(rib, 0, c),
+        ("ribbon_element g", "element"): lambda g: model.ribbon_element(rib, g, 0),
+        ("ribbon_element c", "element"): lambda c: model.ribbon_element(rib, 0, c),
+        ("crossing_phase chi", "character"): lambda chi: model.crossing_phase(rho, chi, 0,
+                                                                              sigma, 0, 0),
+        ("crossing_phase c", "element"): lambda c: model.crossing_phase(rho, 0, c, sigma, 0, 0),
+        ("crossing_phase xi", "character"): lambda xi: model.crossing_phase(rho, 0, 0,
+                                                                            sigma, xi, 0),
+        ("crossing_phase d", "element"): lambda d: model.crossing_phase(rho, 0, 0, sigma, 0, d),
+        ("gauge_shift", "element"): model.gauge_shift,
+        ("total_charge_projector", "character"): model.total_charge_projector,
+        ("total_flux_projector", "element"): model.total_flux_projector,
+        ("sector_projector chi", "character"): lambda chi: model.sector_projector(chi, 0),
+        ("sector_projector c", "element"): lambda c: model.sector_projector(0, c),
+        ("site_charge_projector chi", "character"): lambda chi: model.site_charge_projector(
+            site, chi, 0),
+        ("site_charge_projector c", "element"): lambda c: model.site_charge_projector(
+            site, 0, c),
+    }
+
+
+LABEL_BUILDERS = list(label_builders(QuantumDouble(make_group([2, 2]), Region.free(3, 3))))
+
+
+@pytest.mark.parametrize("name, kind", LABEL_BUILDERS, ids=[name for name, _ in LABEL_BUILDERS])
+def test_builders_refuse_a_label_outside_the_group(name, kind):
+    # Z2xZ2 free:3x3: an index outside [0, 4) or a label of Z4 is refused; a
+    # label of an equal group and the last index are read
+    group = make_group([2, 2])
+    build = label_builders(QuantumDouble(group, Region.free(3, 3)))[name, kind]
+    twin, z4 = make_group([2, 2]), make_group([4])
+    build(3)
+    build(getattr(twin, kind)((1, 1)))
+    for bad in (4, -1, 7, np.int64(-2)):
+        with pytest.raises(GroupError, match=f"{kind} index {int(bad)} out of range"):
+            build(bad)
+    with pytest.raises(GroupError, match="mixed groups"):
+        build(getattr(z4, kind)((1,)))

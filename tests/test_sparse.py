@@ -8,9 +8,9 @@ from qdouble.groups import make_group
 import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
 import qdouble.verify as verify_mod
-from qdouble.lattice import Region, ribbon_between, ribbon_to_boundary
+from qdouble.lattice import Region, face_direct_loop, ribbon_between, ribbon_to_boundary
 from qdouble.operators import (DimensionCapError, ProductOp, QuantumDouble, ScaledOp, SumOp, Term,
-                               TermOp)
+                               TermOp, shift_diagonals)
 from qdouble.sparse import (
     PRUNE_TOL,
     SparseState,
@@ -90,7 +90,7 @@ def test_sparse_term_apply_matches_dense(rng):
     start, end = region.site((0, 0), (0, 0)), region.site((1, 1), (0, 0))
     rib = ribbon_between(region, start, end)
     mixed = (model.site_charge_projector(end, 1, 2).compose(model.ribbon_char(rib, 1, 1))
-             .compose(model.face_flux_phase((0, 0), 2)))
+             .compose(model.ribbon_char(face_direct_loop(region, (0, 0)), 2, 0)))
     assert any(len(t.phases) >= 2 and t.indicators for t in mixed.terms)
     ops.append(mixed)
     for op in ops:
@@ -98,6 +98,41 @@ def test_sparse_term_apply_matches_dense(rng):
         got = sparse_apply(op, s).to_dense(space)
         want = op.apply(s.to_dense(space))
         assert np.linalg.norm(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("orders, kind", [([2], "free"), ([3], "free"), ([4], "free"),
+                                          ([2, 2], "free"), ([2], "torus")],
+                         ids=["Z2-free", "Z3-free", "Z4-free", "Z2xZ2-free", "Z2-torus"])
+def test_grouped_apply_matches_the_per_term_oracle(monkeypatch, orders, kind):
+    # the uniform mixture of a 3x3 region and its images under an inner strip
+    # and a boundary-routed one, as one stack: rows byte-identical, amplitudes
+    # within 1e-15, and each application groups its terms by shift once
+    region = getattr(Region, kind)(3, 3)
+    model = QuantumDouble(make_group(orders), region)
+    site = region.site((1, 1), (1, 1))
+    rib = ribbon_between(region, region.site((0, 0), (0, 0)), site)
+    strips = [rib] if region.is_torus else [rib, ribbon_to_boundary(region, site)]
+    st = grow(frustration_free_state(model, "uniform-mixture").stack,
+              [model.ribbon_char(r, 1, 1) for r in strips], region.num_edges)
+    h = model.hamiltonian()
+    ops = [h, model.total_charge_projector(1), model.total_flux_projector(1),
+           model.site_charge_projector(site, 1, 1), model.ribbon_char(rib, 1, 1),
+           model.star(site.vertex), h - 2 * model.identity()]
+    if not region.is_torus:
+        ops.append(model.hamiltonian(boundary="eps_mu"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shift_diagonals(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_mod, "shift_diagonals", counted)
+    for op in ops:
+        got, want = st.apply_terms(op.terms), ref.per_term_apply(st, op.terms)
+        assert got.n_configs > 0 or not op.terms  # a torus carries no total charge or flux
+        assert np.array_equal(got.digits, want.digits)
+        assert np.max(np.abs(got.amps - want.amps), initial=0.0) <= 1e-15
+    assert len(calls) == len(ops)
 
 
 def test_sparse_ribbon_apply_matches_dense(rng):

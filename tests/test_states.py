@@ -8,6 +8,7 @@ import qdouble.states as states_mod
 from qdouble.groups import GroupError, make_group
 from qdouble.lattice import (
     Region,
+    RibbonError,
     direct_ribbon,
     dual_ribbon,
     ribbon_between,
@@ -294,6 +295,9 @@ def test_single_excitation_validation(model33):
     torus_model = QuantumDouble(Z2, Region.torus(2, 2))
     with pytest.raises(ValueError):
         single_excitation_state(torus_model, None, 1, 1)
+    site = model33.region.site((1, 1), (1, 1))
+    with pytest.raises(RibbonError, match="is not one of the steps"):
+        single_excitation_state(model33, site, 1, 1, direction=(0, 2))
 
 
 def test_sector_weights_ground(model33, omega33):
@@ -427,6 +431,17 @@ def test_transport_of_ground_equals_excited(model33, omega33):
     for name, op in probe_family(model33, site, (1, 1)):
         transported = omega33.expect(charge_transport(model33, long_rib, 1, 1, op))
         assert transported == pytest.approx(exc.expect(op), abs=1e-10), name
+
+
+def test_detector_energy_residual_reads_one_expectation(monkeypatch, model33):
+    # omega(H - D^eps - D^mu) in one pass reads exactly 0 on the flux
+    # excitation, where three expectations subtracted read 2.2e-16
+    state = single_excitation_state(model33, model33.region.site((1, 1), (1, 1)), 0, 1)
+    calls, expect = [], StateFunctional.expect
+    monkeypatch.setattr(StateFunctional, "expect",
+                        lambda self, op: calls.append(op) or expect(self, op))
+    assert detector_energy_residual(state) == 0.0
+    assert len(calls) == 1
 
 
 def test_detector_energy_expectations(model33, omega33):

@@ -10,7 +10,7 @@ import pytest
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble
-from qdouble.sparse import (grow, row_keys, sparse_apply, squared_norms, stack_labels, stack_rank,
+from qdouble.sparse import (SparseState, grow, row_keys, sparse_apply, squared_norms, stack_labels, stack_rank,
                             take_parts, to_columns)
 from qdouble.states import spanning_family
 from qdouble.verify import (
@@ -20,6 +20,7 @@ from qdouble.verify import (
     run_check,
     run_suite,
 )
+import qdouble.cli as cli_mod
 import qdouble.states as states_mod
 import qdouble.verify as verify_mod
 
@@ -283,6 +284,21 @@ def test_suite_builds_uniform_mixture_once(monkeypatch):
     for cid in ("boundary-hamiltonian.ground-zero", "boundary-hamiltonian.kernel-span"):
         assert verify_mod._run_one(cid, ctx).passed is True
     assert len(builds) == 1
+
+
+def test_residual_checks_apply_one_term_operator(monkeypatch):
+    # each |A v - lambda v| or |F_a v - F_b v| is one application of the term
+    # operator A - lambda I or F_a - F_b: no image is added to another
+    ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(4, 4)))
+    omega = ctx.omega
+    added = _count_calls(monkeypatch, SparseState, "add")
+    for cid in ("ribbon.excitation-energy", "ribbon.closed-trivial", "ribbon.path-independence",
+                "charge.vanish-on-ground", "charge.ribbon-start", "charge.ribbon-end"):
+        result = verify_mod._run_one(cid, ctx)
+        assert result.passed is True and result.residual == 0.0, cid
+    site = ctx.region.site((1, 1), (1, 1))
+    assert cli_mod._route_residual(ctx.model, site, 1, 1) == 0.0
+    assert added == [] and ctx.omega is omega
 
 
 def test_boundary_positive_reuses_kernel_spectrum(monkeypatch):
