@@ -533,17 +533,20 @@ def sparse_matrix(op: Operator, max_dim: int = DENSE_MATRIX_LIMIT):
     if isinstance(op, TermOp):
         n, real = len({t.shift for t in op.terms if t.coeff != 0}), is_real(op)
         dtype = np.dtype(np.float64 if real else np.complex128)
-        # each entry's value twice (its shift's diagonal, then the matrix), its
-        # row and scipy's int32 copy of the rows: 28 bytes real, 44 complex;
-        # and under 64 a column for one term's diagonal or permutation
+        # each entry's value twice (its shift's diagonal, then the matrix) and
+        # 12 bytes for its row, 28 bytes real and 44 complex, and under 64 a
+        # column for one term's diagonal or permutation; rows and indptr are
+        # int32 where they fit and scipy keeps them, so 12 over-counts by 8
         refuse_above(dim * ((2 * dtype.itemsize + 12) * n + 64), PHYSICAL_MEMORY_BYTES,
                      "sparse matrix bytes")
-        vals, rows = np.empty((dim, n), dtype=dtype), np.empty((dim, n), dtype=np.intp)
+        index = np.int32 if dim * n < 2**31 else np.intp
+        vals, rows = np.empty((dim, n), dtype=dtype), np.empty((dim, n), dtype=index)
         diags = shift_diagonals(space.group, op.terms, space.form_values, real)
         for i, (s, diag) in enumerate(diags.items()):
             vals[:, i] = diag
             rows[:, i] = space.shift_perm(s)
-        return csc_matrix((vals.ravel(), rows.ravel(), n * np.arange(dim + 1)), shape=(dim, dim))
+        indptr = n * np.arange(dim + 1, dtype=index)
+        return csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(dim, dim))
     if isinstance(op, SumOp):
         out = sparse_matrix(op.parts[0], max_dim)
         for p in op.parts[1:]:

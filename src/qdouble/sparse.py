@@ -11,15 +11,16 @@ engine is read as the engine groups it, A = sum_s shift_s D_s
 `apply_terms` moves those rows once per shift and merges once, and
 `matrix_elements` and `dot` match them once per shift.
 
-A stack holds a family of states in one: each row carries its part's label
-as trailing big-endian bytes after the last edge, a layout only this module
-reads or writes.  Terms never address those columns, so one application to
-a stack acts on every part at once, and the merge, keyed on whole rows, only
-combines rows of the same part.  `grow` applies each of a list of operators
-once to a whole stack; `take_parts`, `join`, `squared_norms`, `scale_parts`
-and `to_columns` read, select, join or rescale it part by part, and
-`matrix_elements` reads <bra_l|A|ket_l> for every part without building
-A's image.  `stack_rank` takes the rank of the matrix whose columns are the
+A SparseState is a stack of `n_parts` states, a state the stack of one:
+each row carries its part's label as big-endian bytes after the last edge,
+none for one part, a layout only this module reads or writes.  Terms never
+address those bytes, so one application to a stack acts on every part at
+once, and the merge, keyed on whole rows, only combines rows of one part.
+`grow` applies each of a list of operators once to a whole stack, `stack`
+joins stacks, and `labels`, `take_parts`, `squared_norms`, `scale_parts`
+and `to_columns` read, select or rescale a stack part by part.
+`matrix_elements` reads <bra_l|A|ket_l> for every part without building A's
+image, and `stack_rank` takes the rank of the matrix whose columns are the
 parts from the blocks the stack already encodes, with no dense column.
 """
 
@@ -40,20 +41,25 @@ from .operators import (
     shift_diagonals,
 )
 
-__all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "stack_labels", "grow",
-           "take_parts", "join", "shift_matches", "matrix_elements", "squared_norms",
-           "scale_parts", "to_columns", "stack_rank"]
+__all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "grow", "take_parts",
+           "shift_matches", "matrix_elements", "squared_norms", "scale_parts", "to_columns",
+           "stack_rank"]
 
 PRUNE_TOL = 1e-14
 
 
-class SparseState:
-    """A sparse vector over group-valued edge configurations."""
+def _label_width(n_parts: int) -> int:
+    return -(-(n_parts - 1).bit_length() // 8)  # bytes of a part label, none for one part
 
-    def __init__(self, group: Group, num_edges: int, digits, amps, merged=False):
-        self.group = group
-        self.num_edges = num_edges
-        self.digits = np.asarray(digits, dtype=np.uint8).reshape(-1, num_edges)
+
+class SparseState:
+    """A sparse vector over group-valued edge configurations, or a stack of
+    n_parts of them (see the module docstring)."""
+
+    def __init__(self, group: Group, num_edges: int, digits, amps, merged=False, n_parts=1):
+        self.group, self.num_edges, self.n_parts = group, num_edges, n_parts
+        width = num_edges + _label_width(n_parts)
+        self.digits = np.asarray(digits, dtype=np.uint8).reshape(-1, width)
         self.amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
         if self.digits.shape[0] != self.amps.shape[0]:
             raise ValueError("row/amplitude count mismatch")
@@ -82,6 +88,12 @@ class SparseState:
     def n_configs(self) -> int:
         return self.digits.shape[0]
 
+    @property
+    def labels(self) -> np.ndarray:
+        """The part label of every row, read from its label bytes."""
+        tail = self.digits[:, self.num_edges:].astype(np.int64)
+        return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -89,23 +101,25 @@ class SparseState:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero state")
-        return SparseState(self.group, self.num_edges, self.digits, self.amps / n, merged=True)
+        return SparseState(self.group, self.num_edges, self.digits, self.amps / n, True,
+                           self.n_parts)
 
     def scaled(self, a: complex) -> "SparseState":
-        return SparseState(self.group, self.num_edges, self.digits, a * self.amps, merged=True)
+        return SparseState(self.group, self.num_edges, self.digits, a * self.amps, True, self.n_parts)
+
+    def _require_same_space(self, other: "SparseState"):
+        self.group.require_same(other.group)
+        if (other.num_edges, other.n_parts) != (self.num_edges, self.n_parts):
+            raise ValueError("states live on different spaces")
 
     def add(self, other: "SparseState") -> "SparseState":
-        if other.num_edges != self.num_edges or other.group is not self.group:
-            raise ValueError("states live on different spaces")
-        return SparseState(
-            self.group,
-            self.num_edges,
-            np.concatenate([self.digits, other.digits], axis=0),
-            np.concatenate([self.amps, other.amps]),
-        )
+        self._require_same_space(other)
+        return SparseState(self.group, self.num_edges, np.concatenate([self.digits, other.digits]),
+                           np.concatenate([self.amps, other.amps]), n_parts=self.n_parts)
 
     def dot(self, other: "SparseState") -> complex:
         """<self|other> by matching configurations."""
+        self._require_same_space(other)
         i, j = shift_matches(self, other, ())
         return complex(np.vdot(self.amps[j], other.amps[i]))
 
@@ -125,9 +139,9 @@ class SparseState:
         # the last diagonal before the merge; with the merge's keys, sort and
         # inverse, the peak is 0.1 to 0.9 times this bound, highest for one
         # term (tracemalloc, kernel families of Z3 free:3x3 and Z2 free:3x4)
-        refuse_above(4 * self.n_configs * len(terms) * (self.num_edges + 16),
+        refuse_above(4 * self.n_configs * len(terms) * (self.digits.shape[1] + 16),
                      PHYSICAL_MEMORY_BYTES, "sparse apply bytes")
-        rows = [np.zeros((0, self.num_edges), dtype=np.uint8)]
+        rows = [np.zeros((0, self.digits.shape[1]), dtype=np.uint8)]
         amps = [np.zeros(0, dtype=np.complex128)]
         for shift, diag in self._diagonals(terms).items():
             if np.ndim(diag):
@@ -140,7 +154,7 @@ class SparseState:
             _shift_rows(self.group, rows[-1], shift)
         rows, amps = np.concatenate(rows, axis=0), np.concatenate(amps)
         diag = keep = None
-        return SparseState(self.group, self.num_edges, rows, amps)
+        return SparseState(self.group, self.num_edges, rows, amps, n_parts=self.n_parts)
 
     def apply(self, op: Operator) -> "SparseState":
         return sparse_apply(op, self)
@@ -148,6 +162,8 @@ class SparseState:
     # ---- interop ----
 
     def to_dense(self, space) -> np.ndarray:
+        if self.n_parts != 1:
+            raise ValueError(f"a stack of {self.n_parts} parts is not one vector")
         space.require_dense("sparse state densification")
         v = np.zeros(space.dim, dtype=np.complex128)
         v[self.digits @ space.radix] = self.amps  # rows are distinct
@@ -176,8 +192,9 @@ def row_keys(digits: np.ndarray) -> np.ndarray:
     return digits.view(np.dtype((np.void, digits.shape[1]))).reshape(-1)
 
 
-def stack(states) -> SparseState:
-    """The stack whose part j holds the rows of states[j], in their order.
+def stack(stacks) -> SparseState:
+    """The stack of the parts of stacks[0], then those of stacks[1], and so
+    on, rows in stack order within each part; a state is a one-part stack.
 
     sparse_apply on a stack gives the stack of the per-part results, rows in
     the same order within each part.  The stack's merge prunes below
@@ -186,10 +203,13 @@ def stack(states) -> SparseState:
     two agree exactly whenever every amplitude is at most 1 in modulus, as
     in any normalized state and its image under a contraction.
     """
-    states = list(states)
-    labels = np.repeat(np.arange(len(states)), [s.n_configs for s in states])
-    return _labelled(states[0].group, np.concatenate([s.digits for s in states]),
-                     np.concatenate([s.amps for s in states]), labels)
+    stacks = list(stacks)
+    offsets = np.cumsum([0] + [st.n_parts for st in stacks])
+    labels = np.concatenate([st.labels + o for st, o in zip(stacks, offsets)])
+    order = np.argsort(labels, kind="stable")
+    digits = np.concatenate([st.digits[:, :st.num_edges] for st in stacks])[order]
+    amps = np.concatenate([st.amps for st in stacks])[order]
+    return _labelled(stacks[0].group, digits, amps, labels[order], int(offsets[-1]))
 
 
 def stack_rows(group: Group, rows: np.ndarray, amps: np.ndarray) -> SparseState:
@@ -197,54 +217,36 @@ def stack_rows(group: Group, rows: np.ndarray, amps: np.ndarray) -> SparseState:
     (n_parts, n, num_edges) digit array, each part with the amplitudes amps."""
     n_parts, n, n_edges = rows.shape
     return _labelled(group, rows.reshape(-1, n_edges), np.tile(amps, n_parts),
-                     np.repeat(np.arange(n_parts), n))
+                     np.repeat(np.arange(n_parts), n), n_parts)
 
 
-def _labelled(group: Group, digits: np.ndarray, amps: np.ndarray, labels: np.ndarray) -> SparseState:
-    """Rows of distinct (row, label) pairs, each label appended as w
-    big-endian bytes after the last edge, w the fewest that hold them all."""
-    width = max(1, -(-int(labels.max(initial=0)).bit_length() // 8))
+def _labelled(group: Group, digits, amps, labels, n_parts: int) -> SparseState:
+    """The stack of n_parts parts whose rows are the distinct (row, label)
+    pairs, each label appended as big-endian bytes after the last edge."""
+    width = _label_width(n_parts)
     tail = np.asarray(labels, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
-    return SparseState(group, digits.shape[1] + width, np.hstack([digits, tail]), amps, merged=True)
+    return SparseState(group, digits.shape[1], np.hstack([digits, tail]), amps, True, n_parts)
 
 
-def stack_labels(state: SparseState, num_edges: int) -> np.ndarray:
-    """The part label of every row of a stack over num_edges edges, read from
-    its big-endian label bytes."""
-    tail = state.digits[:, num_edges:].astype(np.int64)
-    return tail @ (256 ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64))
-
-
-def grow(st: SparseState, ops, num_edges: int) -> SparseState:
+def grow(st: SparseState, ops) -> SparseState:
     """Part j of the stack becomes parts j*(len(ops)+1) + s: s = 0 keeps it
     and s >= 1 is ops[s-1] applied to it, each op applied once to the whole
     stack."""
     pieces = [st] + [sparse_apply(op, st) for op in ops]
-    labels = [stack_labels(p, num_edges) * len(pieces) + s for s, p in enumerate(pieces)]
-    return _labelled(st.group, np.concatenate([p.digits[:, :num_edges] for p in pieces]),
-                     np.concatenate([p.amps for p in pieces]), np.concatenate(labels))
+    labels = np.concatenate([p.labels * len(pieces) + s for s, p in enumerate(pieces)])
+    return _labelled(st.group, np.concatenate([p.digits[:, :st.num_edges] for p in pieces]),
+                     np.concatenate([p.amps for p in pieces]), labels, st.n_parts * len(pieces))
 
 
-def take_parts(st: SparseState, num_edges: int, labels) -> SparseState:
+def take_parts(st: SparseState, labels) -> SparseState:
     """The stack whose part k holds the rows of part labels[k] of `st`, for
     distinct labels, rows in stack order."""
-    old, labels = stack_labels(st, num_edges), np.asarray(labels, dtype=np.int64)
-    position = np.full(max(old.max(initial=-1), labels.max(initial=-1)) + 1, -1)
-    position[labels] = np.arange(len(labels))
-    new = position[old]
+    position = np.full(st.n_parts, -1)
+    position[np.asarray(labels, dtype=np.int64)] = np.arange(len(labels))
+    new = position[st.labels]
     keep = new >= 0
-    return _labelled(st.group, st.digits[keep, :num_edges], st.amps[keep], new[keep])
-
-
-def join(stacks, num_edges: int, n_parts) -> SparseState:
-    """The stack of the n_parts[0] parts of stacks[0], then the n_parts[1] of
-    stacks[1], and so on, rows in stack order within each part."""
-    offsets = np.cumsum([0, *n_parts[:-1]])
-    labels = np.concatenate([stack_labels(st, num_edges) + o for st, o in zip(stacks, offsets)])
-    order = np.argsort(labels, kind="stable")
-    digits = np.concatenate([st.digits[:, :num_edges] for st in stacks])[order]
-    amps = np.concatenate([st.amps for st in stacks])[order]
-    return _labelled(stacks[0].group, digits, amps, labels[order])
+    return _labelled(st.group, st.digits[keep, :st.num_edges], st.amps[keep], new[keep],
+                     len(labels))
 
 
 def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
@@ -259,9 +261,8 @@ def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
     return i, j
 
 
-def matrix_elements(op: Operator, bra: SparseState, ket: SparseState, num_edges: int,
-                    n_parts: int) -> np.ndarray:
-    """<bra_l|A|ket_l> for every label l < n_parts of two stacks of one width.
+def matrix_elements(op: Operator, bra: SparseState, ket: SparseState) -> np.ndarray:
+    """<bra_l|A|ket_l> for every part l of two stacks of one layout.
 
     A TermOp is A = sum_s shift_s D_s (`shift_diagonals`), so <bra|A|ket> =
     sum_s sum_x conj(bra(x + s)) D_s(x) ket(x) over the ket's rows x: each
@@ -281,43 +282,43 @@ def matrix_elements(op: Operator, bra: SparseState, ket: SparseState, num_edges:
         for shift, diag in ket._diagonals(op.terms).items():
             i, j = shift_matches(bra, ket, shift)
             acc[i] += bra.amps[j].conj() * np.broadcast_to(diag, n)[i] * ket.amps[i]
-        labels = stack_labels(ket, num_edges)
+        labels, n_parts = ket.labels, ket.n_parts
         return np.bincount(labels, acc.real, n_parts) + 1j * np.bincount(labels, acc.imag, n_parts)
     if isinstance(op, SumOp):
-        return sum(matrix_elements(p, bra, ket, num_edges, n_parts) for p in op.parts)
+        return sum(matrix_elements(p, bra, ket) for p in op.parts)
     if isinstance(op, ProductOp):
         for f in reversed(op.factors[1:]):
             ket = sparse_apply(f, ket)
-        return matrix_elements(op.factors[0], bra, ket, num_edges, n_parts)
+        return matrix_elements(op.factors[0], bra, ket)
     if isinstance(op, ScaledOp):
-        return op.scalar * matrix_elements(op.op, bra, ket, num_edges, n_parts)
+        return op.scalar * matrix_elements(op.op, bra, ket)
     raise TypeError(f"no matrix elements for {type(op).__name__}")
 
 
-def squared_norms(st: SparseState, num_edges: int, n_parts: int) -> np.ndarray:
-    """<s_l|s_l> for every label l < n_parts of a stack."""
-    return np.bincount(stack_labels(st, num_edges), np.abs(st.amps) ** 2, n_parts)
+def squared_norms(st: SparseState) -> np.ndarray:
+    """<s_l|s_l> for every part l of a stack."""
+    return np.bincount(st.labels, np.abs(st.amps) ** 2, st.n_parts)
 
 
-def scale_parts(st: SparseState, num_edges: int, factors: np.ndarray) -> SparseState:
+def scale_parts(st: SparseState, factors: np.ndarray) -> SparseState:
     """The stack with part l scaled by factors[l]."""
-    amps = st.amps * factors[stack_labels(st, num_edges)]
-    return SparseState(st.group, st.num_edges, st.digits, amps, merged=True)
+    return SparseState(st.group, st.num_edges, st.digits, st.amps * factors[st.labels], True,
+                       st.n_parts)
 
 
-def to_columns(st: SparseState, space, n_parts: int, dtype) -> np.ndarray:
+def to_columns(st: SparseState, space, dtype) -> np.ndarray:
     """The (dim, n_parts) matrix of `dtype` whose column l is part l; a real
     dtype needs every amplitude real."""
     space.require_dense("stack densification")
-    cols = np.zeros((space.dim, n_parts), dtype=dtype)
+    cols = np.zeros((space.dim, st.n_parts), dtype=dtype)
     if cols.dtype.kind != "c" and np.any(st.amps.imag):
         raise ValueError("a real matrix cannot hold complex amplitudes")
     amps = st.amps if cols.dtype.kind == "c" else st.amps.real
-    cols[st.digits[:, :space.num_edges] @ space.radix, stack_labels(st, space.num_edges)] = amps
+    cols[st.digits[:, :st.num_edges] @ space.radix, st.labels] = amps
     return cols
 
 
-def stack_rank(st: SparseState, num_edges: int, n_parts: int, tol: float) -> int:
+def stack_rank(st: SparseState, tol: float) -> int:
     """Numerical rank of the matrix whose column l is part l of a stack: its
     singular values above tol times the largest.
 
@@ -332,9 +333,9 @@ def stack_rank(st: SparseState, num_edges: int, n_parts: int, tol: float) -> int
 
     if st.n_configs == 0:
         return 0
-    _, row = np.unique(row_keys(st.digits[:, :num_edges]), return_inverse=True)
-    m = int(row.max()) + 1
-    col = m + stack_labels(st, num_edges)  # rows are nodes 0 .. m-1, parts m onwards
+    _, row = np.unique(row_keys(st.digits[:, :st.num_edges]), return_inverse=True)
+    m, n_parts = int(row.max()) + 1, st.n_parts
+    col = m + st.labels  # rows are nodes 0 .. m-1, parts m onwards
     graph = csr_matrix((np.ones(row.size), (row, col)), shape=(m + n_parts, m + n_parts))
     n_blocks, block = connected_components(graph, directed=False)
     n_rows, n_cols = (np.bincount(nodes, minlength=n_blocks) for nodes in (block[:m], block[m:]))

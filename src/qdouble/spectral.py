@@ -146,11 +146,9 @@ def ground_space(model: QuantumDouble) -> EigenBasis:
     space.require_dense("ground space")
     refuse_above(space.dim * ground_dimension_count(model.group, region) * 8,
                  PHYSICAL_MEMORY_BYTES, "ground basis bytes")
-    mixture = frustration_free_state(model, "uniform-mixture")
-    n = len(mixture.weights)
-    hv = sparse_apply(model.hamiltonian(), mixture.stack)
-    return EigenBasis(to_columns(mixture.stack, space, n, np.float64), np.zeros(n),
-                      np.sqrt(squared_norms(hv, region.num_edges, n)), "orbit")
+    st = frustration_free_state(model, "uniform-mixture").stack
+    return EigenBasis(to_columns(st, space, np.float64), np.zeros(st.n_parts),
+                      np.sqrt(squared_norms(sparse_apply(model.hamiltonian(), st))), "orbit")
 
 
 def subspace_iteration(

@@ -20,9 +20,8 @@ import numpy as np
 from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_to_boundary
 from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, Term, TermOp, holonomy_values, is_real, refuse_above)
-from .sparse import (SparseState, grow, join, matrix_elements, row_keys, scale_parts,
-                     shift_matches, sparse_apply, squared_norms, stack, stack_labels,
-                     stack_rows, take_parts, to_columns)
+from .sparse import (SparseState, grow, matrix_elements, row_keys, scale_parts, shift_matches,
+                     sparse_apply, squared_norms, stack, stack_rows, take_parts, to_columns)
 
 __all__ = [
     "StateFunctional",
@@ -33,7 +32,6 @@ __all__ = [
     "single_excitation_state",
     "sector_weights",
     "conditional_sector_state",
-    "one_sided_sector_expectation",
     "charge_transport",
     "detector_energy_residual",
     "eventual_constancy_check",
@@ -58,26 +56,24 @@ class StateFunctional:
 
     @classmethod
     def pure(cls, model: QuantumDouble, state: SparseState, info=None) -> "StateFunctional":
-        return cls(model, stack([state.normalized()]), np.ones(1), info or {})
+        return cls(model, state.normalized(), np.ones(1), info or {})
 
     def expect(self, op: Operator) -> complex:
         """sum_p w_p <s_p|A s_p>, read on the stack's own rows
         (`sparse.matrix_elements`)."""
-        per_part = matrix_elements(op, self.stack, self.stack, self.model.region.num_edges,
-                                   len(self.weights))
-        return complex(np.dot(self.weights, per_part))
+        return complex(np.dot(self.weights, matrix_elements(op, self.stack, self.stack)))
 
     @cached_property
     def parts(self) -> tuple:
         """((weight, state), ...) of the parts of positive weight, rows in
         stack order."""
-        st, n_edges = self.stack, self.model.region.num_edges
-        labels = stack_labels(st, n_edges)
+        st, labels = self.stack, self.stack.labels
         order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], np.arange(1, len(self.weights)))
-        rows, amps = np.split(st.digits[order, :n_edges], bounds), np.split(st.amps[order], bounds)
+        bounds = np.searchsorted(labels[order], np.arange(1, st.n_parts))
+        rows = np.split(st.digits[order, :st.num_edges], bounds)
+        amps = np.split(st.amps[order], bounds)
         del labels, order  # two int64s a row, freed before the states are built
-        return tuple((float(w), SparseState(st.group, n_edges, d, a, merged=True))
+        return tuple((float(w), SparseState(st.group, st.num_edges, d, a, merged=True))
                      for w, d, a in zip(self.weights, rows, amps) if w > 0)
 
     def expect_real(self, op: Operator, tol: float = 1e-9) -> float:
@@ -90,9 +86,7 @@ class StateFunctional:
     def vector(self) -> SparseState:
         if len(self.weights) != 1:
             raise ValueError("mixture has no single state vector")
-        n_edges = self.model.region.num_edges
-        return SparseState(self.model.group, n_edges, self.stack.digits[:, :n_edges],
-                           self.stack.amps, merged=True)  # every row is part 0
+        return self.stack
 
 
 def mix(functionals_and_weights) -> StateFunctional:
@@ -108,9 +102,7 @@ def mix(functionals_and_weights) -> StateFunctional:
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights add to {total}, not 1")
-    n_edges = model.region.num_edges
-    st = join([take_parts(st, n_edges, keep) for st, _, keep in kept], n_edges,
-              [len(keep) for _, _, keep in kept])
+    st = stack([take_parts(st, keep) for st, _, keep in kept])
     return StateFunctional(model, st, weights, {"kind": "mixture"})
 
 
@@ -278,7 +270,7 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
                  "sector weight bytes")
     flux = holonomy_values(group, lambda edge: st.digits[:, edge], st.n_configs,
                            model.total_flux_form())
-    bins = stack_labels(st, model.region.num_edges) * q + flux  # (part, flux) of every row
+    bins = st.labels * q + flux  # (part, flux) of every row
     m = np.zeros((q, q), dtype=np.complex128)
     for g in range(q):
         i, j = shift_matches(st, st, model.gauge_shift(g))
@@ -301,27 +293,16 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
 def conditional_sector_state(state: StateFunctional, chi, c) -> StateFunctional:
     """The state conditioned on global sector (chi, c): omega(D . D)/omega(D),
     one application of D to the whole stack, then each part renormalized."""
-    model, n_edges = state.model, state.model.region.num_edges
+    model = state.model
     proj = sparse_apply(model.sector_projector(chi, c), state.stack)
-    n2 = squared_norms(proj, n_edges, len(state.weights))
+    n2 = squared_norms(proj)
     lam = float(np.dot(state.weights, n2))
     if lam <= 1e-10:
         raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
     # a part D s_l with no rows has n2 = 0 and keeps weight 0
-    proj = scale_parts(proj, n_edges, 1.0 / np.sqrt(np.where(n2 > 0, n2, 1.0)))
+    proj = scale_parts(proj, 1.0 / np.sqrt(np.where(n2 > 0, n2, 1.0)))
     return StateFunctional(model, proj, state.weights * n2 / lam,
                            {"kind": "conditional", "sector": (chi, c), "weight": lam})
-
-
-def one_sided_sector_expectation(state: StateFunctional, chi, c, op: Operator) -> complex:
-    """omega(A D)/omega(D); agrees with the conditional state on interior
-    observables since those cannot change the global charge."""
-    model = state.model
-    d = model.sector_projector(chi, c)
-    lam = state.expect_real(d)
-    if lam <= 1e-10:
-        raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
-    return state.expect(op @ d) / lam
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +428,10 @@ def spanning_family(model: QuantumDouble) -> SparseState:
     the stack has dim times the seed's rows, refused above
     MIXTURE_SUPPORT_LIMIT before it grows.
     """
-    axes, seed = _spanning_axes(model), _seed_vector(model)
-    refuse_above(model.space.dim * seed.n_configs, MIXTURE_SUPPORT_LIMIT, "spanning family rows")
-    st = stack([seed])
+    axes, st = _spanning_axes(model), _seed_vector(model)
+    refuse_above(model.space.dim * st.n_configs, MIXTURE_SUPPORT_LIMIT, "spanning family rows")
     for strips in axes:
-        st = grow(st, strips, model.region.num_edges)
+        st = grow(st, strips)
     return st
 
 
@@ -475,4 +455,4 @@ def spanning_matrix(model: QuantumDouble) -> np.ndarray:
     refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
     if not all(is_real(op) for strips in _spanning_axes(model) for op in strips):
         raise ValueError("the spanning family needs real strips")
-    return to_columns(spanning_family(model), model.space, model.space.dim, np.float64)
+    return to_columns(spanning_family(model), model.space, np.float64)

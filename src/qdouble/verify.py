@@ -186,7 +186,7 @@ class _Ctx:
         strips = len(_boundary_ribbons(self)) * (self.q - 1)
         refuse_above(mixture_rows(self.model) * (1 + strips) ** 2, MIXTURE_SUPPORT_LIMIT,
                      "kernel family rows")
-        return _kernel_family(self, self.mixture.stack, len(self.mixture.weights))
+        return _kernel_family(self, self.mixture.stack)
 
     # ---- gates ----
 
@@ -540,7 +540,7 @@ def _ribbon_concatenate(ctx: _Ctx) -> float:
 def _ribbon_span(ctx: _Ctx) -> float:
     ctx.need_boundary()
     dim = ctx.model.space.dim
-    return float(dim - stack_rank(spanning_family(ctx.model), ctx.region.num_edges, dim, 1e-8))
+    return float(dim - stack_rank(spanning_family(ctx.model), 1e-8))
 
 
 @_check(
@@ -757,8 +757,7 @@ def _boundary_hamiltonian_ground_zero(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     h = ctx.model.hamiltonian(boundary="eps_mu")
     mixture = ctx.mixture  # its first part is the vector seed
-    n2 = squared_norms(sparse_apply(h, mixture.stack), ctx.region.num_edges, len(mixture.weights))
-    return float(np.sqrt(n2.max()))
+    return float(np.sqrt(squared_norms(sparse_apply(h, mixture.stack)).max()))
 
 
 def _boundary_ribbons(ctx: _Ctx) -> list[Ribbon]:
@@ -768,8 +767,8 @@ def _boundary_ribbons(ctx: _Ctx) -> list[Ribbon]:
             for v in region.interior_vertices() for f in region.quadrant_faces(v).values()]
 
 
-def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[SparseState, np.ndarray]:
-    """Each of the n_ground parts of the `ground` stack, then each
+def _kernel_family(ctx: _Ctx, ground: SparseState) -> tuple[SparseState, np.ndarray]:
+    """Each part of the `ground` stack, then each
     boundary-routed charge strip or none, then each flux strip or none: one
     stack, the strips applied once each.  Also returns the (chi, c) sector of
     every part, read from its strips (0 where a part has none): ground
@@ -777,13 +776,13 @@ def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[Spars
     model, ribbons = ctx.model, _boundary_ribbons(ctx)
     charge_ops = [model.ribbon_char(r, chi, 0) for r in ribbons for chi in range(1, ctx.q)]
     flux_ops = [model.ribbon_char(r, 0, c) for r in ribbons for c in range(1, ctx.q)]
-    family = grow(grow(ground, charge_ops, ctx.region.num_edges), flux_ops, ctx.region.num_edges)
+    family = grow(grow(ground, charge_ops), flux_ops)
     # with S strips of each kind, grow numbers part (ground j, charge strip s,
     # flux strip t) as (j * (S + 1) + s) * (S + 1) + t, and strip k >= 1
     # carries the label (k - 1) % (q - 1) + 1
     strip = np.concatenate([[0], np.tile(np.arange(1, ctx.q), len(ribbons))])
     chi, c = np.meshgrid(strip, strip, indexing="ij")
-    sectors = np.tile(np.stack([chi.ravel(), c.ravel()], axis=1), (n_ground, 1))
+    sectors = np.tile(np.stack([chi.ravel(), c.ravel()], axis=1), (ground.n_parts, 1))
     return family, sectors
 
 
@@ -797,12 +796,10 @@ def _kernel_family(ctx: _Ctx, ground: SparseState, n_ground: int) -> tuple[Spars
 def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
     ctx.need_interior_vertex()
-    model, num_edges = ctx.model, ctx.region.num_edges
-    family, sectors = ctx.kernel_family
-    n = len(sectors)
+    model, (family, _) = ctx.model, ctx.kernel_family
     h = model.hamiltonian(boundary="eps_mu")
-    worst = float(np.sqrt(squared_norms(sparse_apply(h, family), num_edges, n).max()))
-    rank = stack_rank(family, num_edges, n, TOL_KERNEL)
+    worst = float(np.sqrt(squared_norms(sparse_apply(h, family)).max()))
+    rank = stack_rank(family, TOL_KERNEL)
     return max(worst, float(abs(spectrum_counts(model, "eps_mu")[0] - rank)))
 
 
@@ -815,9 +812,7 @@ def _boundary_hamiltonian_kernel_span(ctx: _Ctx) -> float:
 )
 def _sectors_direct_sum(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    model, num_edges = ctx.model, ctx.region.num_edges
-    family, sectors = ctx.kernel_family
-    n = len(sectors)
+    model, (family, sectors) = ctx.model, ctx.kernel_family
     worst = 0.0
     # P f - [f carries the label] f for every total charge and total flux
     # projector P and every part f at once; a sector projector is the
@@ -825,12 +820,12 @@ def _sectors_direct_sum(ctx: _Ctx) -> float:
     for axis, projector in enumerate((model.total_charge_projector, model.total_flux_projector)):
         for label in range(ctx.q):
             neg = -(sectors[:, axis] == label).astype(float)
-            moved = sparse_apply(projector(label), family).add(scale_parts(family, num_edges, neg))
-            worst = max(worst, float(np.sqrt(squared_norms(moved, num_edges, n).max())))
+            moved = sparse_apply(projector(label), family).add(scale_parts(family, neg))
+            worst = max(worst, float(np.sqrt(squared_norms(moved).max())))
     counts = sector_counts(ctx.group, ctx.region, "eps_mu")
     for chi, c in ctx.label_pairs():
         labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
-        rank = stack_rank(take_parts(family, num_edges, labels), num_edges, len(labels), TOL_KERNEL)
+        rank = stack_rank(take_parts(family, labels), TOL_KERNEL)
         worst = max(worst, float(abs(rank - counts.get((0, chi, c), 0))))
     return worst
 

@@ -33,6 +33,10 @@ of the one they check:
   state's stack and matches the merged image against it, where
   `StateFunctional.expect` reads the operator's diagonals on the stack's
   own rows;
+* `one_sided_sector_expectation`, the conditional-state oracle, reads
+  omega(A D)/omega(D) as two expectations of the unconditioned state, where
+  `conditional_sector_state` applies D to the stack and renormalizes each
+  part;
 * `per_term_apply`, the sparse-application oracle, takes each term's
   diagonal and shift on a sparse state's rows one term at a time, where
   `SparseState.apply_terms` sums each shift's diagonal first;
@@ -51,7 +55,7 @@ from qdouble.operators import (DENSE_MATRIX_LIMIT, HilbertSpace, Operator, Produ
                                QuantumDouble, ScaledOp, SumOp, Term, TermOp, _canon_form,
                                _merge_phases, holonomy_values, refuse_above, sparse_matrix,
                                term_factor)
-from qdouble.sparse import SparseState, _shift_rows, row_keys, sparse_apply, stack_labels
+from qdouble.sparse import SparseState, _shift_rows, row_keys, sparse_apply
 from qdouble.spectral import EigenBasis, ground_dimension_count
 from qdouble.states import _flat_orbit_representatives
 
@@ -464,7 +468,7 @@ def per_term_apply(state: SparseState, terms) -> SparseState:
     indicator fails; a phase never vanishes) and the rest moved by the
     term's shift, every term's image merged at once."""
     group, n = state.group, state.n_configs
-    rows = [np.zeros((0, state.num_edges), dtype=np.uint8)]
+    rows = [np.zeros((0, state.digits.shape[1]), dtype=np.uint8)]
     amps = [np.zeros(0, dtype=np.complex128)]
     for term in terms:
         if term.coeff == 0:
@@ -478,7 +482,8 @@ def per_term_apply(state: SparseState, terms) -> SparseState:
             digits, amp = state.digits[keep], term.coeff * state.amps[keep] * diag[keep]
         rows.append(_shift_rows(group, digits, term.shift))
         amps.append(amp)
-    return SparseState(group, state.num_edges, np.concatenate(rows, axis=0), np.concatenate(amps))
+    return SparseState(group, state.num_edges, np.concatenate(rows, axis=0), np.concatenate(amps),
+                       n_parts=state.n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +530,23 @@ def image_expect(state, op: Operator) -> complex:
     with `sparse_apply`, which merges the image, and the image matched
     against the stack row by row, where `StateFunctional.expect` reads A's
     diagonals on the stack's own rows."""
-    st, n_edges, n = state.stack, state.model.region.num_edges, len(state.weights)
+    st, n = state.stack, len(state.weights)
     out = sparse_apply(op, st)
     _, i, j = np.intersect1d(row_keys(st.digits), row_keys(out.digits), assume_unique=True,
                              return_indices=True)
-    terms, labels = st.amps[i].conj() * out.amps[j], stack_labels(st, n_edges)[i]
+    terms, labels = st.amps[i].conj() * out.amps[j], st.labels[i]
     per_part = np.bincount(labels, terms.real, n) + 1j * np.bincount(labels, terms.imag, n)
     return complex(np.dot(state.weights, per_part))
+
+
+def one_sided_sector_expectation(state, chi, c, op: Operator) -> complex:
+    """omega(A D)/omega(D); agrees with the conditional state on interior
+    observables since those cannot change the global charge."""
+    d = state.model.sector_projector(chi, c)
+    lam = state.expect_real(d)
+    if lam <= 1e-10:
+        raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
+    return state.expect(op @ d) / lam
 
 
 def per_face_flux_projector(model: QuantumDouble, c) -> TermOp:

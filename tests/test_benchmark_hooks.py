@@ -2,9 +2,12 @@
 the package must fail here rather than break `perfbench/run.py --trace 1`."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from qdouble.sparse import SparseState
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -35,3 +38,11 @@ def test_every_special_counter_names_a_traced_callable(layers):
     assert layers.SPECIAL
     for name in layers.SPECIAL:
         assert name in traced, name
+
+
+def test_sparse_state_init_keeps_the_positions_the_tracer_reads():
+    # the tracer's `_count_sparse_init` reads amps and merged as args[4] and
+    # args[5], self being args[0]; a reorder would miscount sparse.rows_in
+    # without a word
+    params = list(inspect.signature(SparseState.__init__).parameters)
+    assert params[1:6] == ["group", "num_edges", "digits", "amps", "merged"]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdouble.groups import make_group
+from qdouble.groups import make_group, parse_group_spec
 import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
 import qdouble.verify as verify_mod
@@ -17,9 +17,9 @@ from qdouble.sparse import (
     grow,
     matrix_elements,
     sparse_apply,
+    scale_parts,
     squared_norms,
     stack,
-    stack_labels,
     take_parts,
     to_columns,
 )
@@ -57,6 +57,58 @@ def test_basis_state_roundtrip():
     back = SparseState.from_dense(model.space, dense)
     assert back.n_configs == 1
     assert back.dot(s) == pytest.approx(1.0)
+
+
+def test_dot_and_add_refuse_states_of_other_spaces():
+    z2, z3 = make_group([2]), make_group([3])
+    s = SparseState.basis_state(z2, 3)
+    for other in (SparseState.basis_state(z3, 3), SparseState.basis_state(z2, 4),
+                  stack([s, s])):
+        with pytest.raises(ValueError):
+            s.dot(other)
+        with pytest.raises(ValueError):
+            s.add(other)
+    # equal groups built separately are one space
+    twin = SparseState.basis_state(parse_group_spec("Z2"), 3)
+    assert s.dot(twin) == 1.0
+    assert s.add(twin).amps.tolist() == [2.0]
+
+
+def test_a_state_is_the_one_part_stack():
+    model = QuantumDouble(make_group([3]), Region.free(3, 3))
+    space, n_edges = model.space, model.space.num_edges
+    rng = np.random.default_rng(5)
+    s = random_sparse(space, rng)
+    for one in (s, SparseState.basis_state(model.group, n_edges), s.normalized(), s.scaled(2j),
+                SparseState.from_dense(space, s.to_dense(space)),
+                sparse_apply(model.hamiltonian(), s)):
+        assert one.n_parts == 1 and one.digits.shape == (one.n_configs, n_edges)
+        assert not one.labels.any()
+    pure = StateFunctional.pure(model, s)
+    assert pure.vector is pure.stack
+    assert np.array_equal(pure.vector.digits, s.normalized().digits)
+    assert np.array_equal(pure.vector.amps, s.normalized().amps)
+    # stacking states keeps their rows in order, part j labelled j, as the
+    # stack of one-part states always did
+    parts = [random_sparse(space, rng) for _ in range(3)]
+    st = stack(parts)
+    assert st.n_parts == 3 and st.num_edges == n_edges and st.digits.shape[1] == n_edges + 1
+    assert np.array_equal(st.digits[:, :n_edges], np.concatenate([p.digits for p in parts]))
+    assert np.array_equal(st.amps, np.concatenate([p.amps for p in parts]))
+    assert np.array_equal(st.labels, np.repeat(np.arange(3), [p.n_configs for p in parts]))
+    with pytest.raises(ValueError, match="3 parts"):
+        st.to_dense(space)
+    # every operation that returns a stack says how many parts it holds
+    shift = model.star_shift((1, 1), 1)
+    grown = grow(st, [shift, model.hamiltonian()])
+    both = stack([st, grown])
+    assert [x.n_parts for x in (grown, take_parts(grown, [8, 0]), both)] == [9, 2, 12]
+    assert np.array_equal(both.labels, np.concatenate([st.labels, 3 + np.sort(grown.labels)]))
+    for x in (grown, both):
+        assert scale_parts(x, np.arange(x.n_parts)).n_parts == x.n_parts
+        assert sparse_apply(shift, x).n_parts == x.n_parts
+        assert x.add(sparse_apply(shift, x)).n_parts == x.n_parts
+    assert StateFunctional(model, grown, np.full(9, 1 / 9)).parts[8][1].n_parts == 1
 
 
 def test_merge_and_prune():
@@ -113,7 +165,7 @@ def test_grouped_apply_matches_the_per_term_oracle(monkeypatch, orders, kind):
     rib = ribbon_between(region, region.site((0, 0), (0, 0)), site)
     strips = [rib] if region.is_torus else [rib, ribbon_to_boundary(region, site)]
     st = grow(frustration_free_state(model, "uniform-mixture").stack,
-              [model.ribbon_char(r, 1, 1) for r in strips], region.num_edges)
+              [model.ribbon_char(r, 1, 1) for r in strips])
     h = model.hamiltonian()
     ops = [h, model.total_charge_projector(1), model.total_flux_projector(1),
            model.site_charge_projector(site, 1, 1), model.ribbon_char(rib, 1, 1),
@@ -327,8 +379,8 @@ def test_stack_applies_to_every_part_at_once(orders):
     space, n_edges = model.space, model.space.num_edges
     parts = stack_parts(space, np.random.default_rng(9))
     st = stack(parts)
-    assert st.num_edges == n_edges + 2
-    assert np.array_equal(stack_labels(st, n_edges), np.repeat(np.arange(300), [p.n_configs for p in parts]))
+    assert st.digits.shape[1] == n_edges + 2
+    assert np.array_equal(st.labels, np.repeat(np.arange(300), [p.n_configs for p in parts]))
     shift = model.star_shift((1, 1), 1)
     # (I - X)(I + X) = I - X^2 cancels every row exactly on Z2
     cancel = ProductOp(space, [SumOp(space, [model.identity(), ScaledOp(space, -1.0, shift)]),
@@ -338,7 +390,7 @@ def test_stack_applies_to_every_part_at_once(orders):
                                             model.region.site((1, 2), (1, 2))), 1, 1)]
     for op in ops:
         out = sparse_apply(op, st)
-        labels = stack_labels(out, n_edges)
+        labels = out.labels
         for p, part in enumerate(parts):
             alone, mine = sparse_apply(op, part), labels == p
             assert np.array_equal(out.digits[mine, :n_edges], alone.digits)
@@ -397,7 +449,7 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     space, n_edges = model.space, model.space.num_edges
     parts = grow_parts(model, np.random.default_rng(11))
     st = stack(parts)
-    assert st.num_edges == n_edges + 1
+    assert st.digits.shape[1] == n_edges + 1
     for part, alone in zip(split(model, st, 100), parts):
         assert np.array_equal(part.digits, alone.digits) and np.array_equal(part.amps, alone.amps)
     # the indicator keeps edge 0 at 0, so the product cancels every row of part 7
@@ -406,9 +458,9 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     ribbon = model.ribbon_char(ribbon_between(model.region, model.region.site((1, 1), (1, 1)),
                                               model.region.site((1, 2), (1, 2))), 1, 1)
     ops = [kill, ribbon]
-    grown = grow(st, ops, n_edges)
-    assert grown.num_edges == n_edges + 2
-    assert stack_labels(grown, n_edges).max() == 299
+    grown = grow(st, ops)
+    assert grown.digits.shape[1] == n_edges + 2
+    assert grown.labels.max() == 299
     out = split(model, grown, 300)
     for j, part in enumerate(parts):
         for s, want in enumerate([part] + [sparse_apply(op, part) for op in ops]):
@@ -417,18 +469,18 @@ def test_grow_and_split_match_the_per_part_apply(orders):
             assert np.array_equal(got.amps, want.amps)
     assert out[3 * 7 + 1].n_configs == 0 < out[3 * 8 + 1].n_configs
     # taking parts relabels them in the order asked, an empty part included
-    for got, j in zip(split(model, take_parts(grown, n_edges, [299, 22, 4]), 3), [299, 22, 4]):
+    for got, j in zip(split(model, take_parts(grown, [299, 22, 4]), 3), [299, 22, 4]):
         assert np.array_equal(got.digits, out[j].digits) and np.array_equal(got.amps, out[j].amps)
     # per-label matrix elements, on the stack's own rows and against the
     # applied stack, and squared norms
     h = model.hamiltonian()
     want = [p.dot(sparse_apply(h, p)) for p in out]
-    got = matrix_elements(h, grown, grown, n_edges, 300)
+    got = matrix_elements(h, grown, grown)
     assert np.allclose(got, want, rtol=0, atol=1e-13)
-    applied = matrix_elements(model.identity(), grown, sparse_apply(h, grown), n_edges, 300)
+    applied = matrix_elements(model.identity(), grown, sparse_apply(h, grown))
     assert np.allclose(applied, want, rtol=0, atol=1e-13)
     norms = [p.norm() ** 2 for p in out]
-    assert np.allclose(squared_norms(grown, n_edges, 300), norms, rtol=0, atol=1e-13)
+    assert np.allclose(squared_norms(grown), norms, rtol=0, atol=1e-13)
 
 
 def kernel_family_oracle(model):
@@ -452,11 +504,11 @@ def test_kernel_family_matches_the_triple_loop(monkeypatch):
     ctx = verify_mod._Ctx(model)
     mixture = ctx.mixture
     calls = count_applies(monkeypatch, sparse_mod)
-    family, sectors = verify_mod._kernel_family(ctx, mixture.stack, len(mixture.weights))
+    family, sectors = verify_mod._kernel_family(ctx, mixture.stack)
     n = len(sectors)
     assert len(calls) == 4 + 4  # one application per charge and per flux strip
     monkeypatch.undo()
-    cols = to_columns(family, model.space, n, np.complex128)
+    cols = to_columns(family, model.space, np.complex128)
     oracle = kernel_family_oracle(model)
     for k, vec in enumerate(oracle):
         assert np.array_equal(cols[:, k], vec.to_dense(model.space))

@@ -27,7 +27,6 @@ from qdouble.states import (
     detector_energy_residual,
     indistinguishability_check,
     mix,
-    one_sided_sector_expectation,
     probe_family,
     sector_weights,
     single_excitation_state,
@@ -405,7 +404,7 @@ def test_one_sided_equals_sandwiched_for_interior_ops(model33, omega33):
     half = mix([(omega33, 0.5), (exc, 0.5)])
     cond = conditional_sector_state(half, 1, 0)
     for name, op in probe_family(model33, site, (1, 1)):
-        one = one_sided_sector_expectation(half, 1, 0, op)
+        one = ref.one_sided_sector_expectation(half, 1, 0, op)
         assert one == pytest.approx(cond.expect(op), abs=1e-10), name
 
 

@@ -10,7 +10,7 @@ import pytest
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble
-from qdouble.sparse import (SparseState, grow, row_keys, sparse_apply, squared_norms, stack_labels, stack_rank,
+from qdouble.sparse import (SparseState, grow, row_keys, sparse_apply, squared_norms, stack_rank,
                             take_parts, to_columns)
 from qdouble.states import spanning_family
 from qdouble.verify import (
@@ -318,10 +318,10 @@ def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
     # (1, 0), 128 + 128 of the 1280 kernel dimensions
     original = verify_mod._kernel_family
 
-    def no_flux(ctx, ground, n_ground):
-        family, sectors = original(ctx, ground, n_ground)
+    def no_flux(ctx, ground):
+        family, sectors = original(ctx, ground)
         keep = np.flatnonzero(sectors[:, 1] == 0)
-        return take_parts(family, ctx.region.num_edges, keep), sectors[keep]
+        return take_parts(family, keep), sectors[keep]
 
     monkeypatch.setattr(verify_mod, "_kernel_family", no_flux)
     ctx = verify_mod._Ctx(QuantumDouble(Z2, Region.free(3, 3)))
@@ -335,27 +335,27 @@ def test_kernel_checks_fail_without_the_flux_strips(monkeypatch):
 def test_kernel_family_sectors_match_the_sector_projectors(orders):
     model = QuantumDouble(make_group(orders), Region.free(3, 3))
     ctx = verify_mod._Ctx(model)
-    num_edges, q = model.region.num_edges, model.group.size
+    q = model.group.size
     ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
     if model.space.dim > DENSE_MATRIX_LIMIT:  # a sample of ground parts
-        ground, n_ground = take_parts(ground, num_edges, [0, 1, n_ground - 1]), 3
-    family, sectors = verify_mod._kernel_family(ctx, ground, n_ground)
+        ground, n_ground = take_parts(ground, [0, 1, n_ground - 1]), 3
+    family, sectors = verify_mod._kernel_family(ctx, ground)
     assert len({tuple(s) for s in sectors}) == q * q
     for chi, c in itertools.product(range(q), repeat=2):
         kept = sparse_apply(model.sector_projector(chi, c), family)
         inside = (sectors == (chi, c)).all(axis=1)
-        assert np.allclose(squared_norms(kept, num_edges, len(sectors)), inside, rtol=0, atol=1e-12)
+        assert np.allclose(squared_norms(kept), inside, rtol=0, atol=1e-12)
 
 
 def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundary_eigh):
     model, vals, vecs = z2_boundary_eigh
     ctx = verify_mod._Ctx(model)
-    family, sectors = verify_mod._kernel_family(ctx, ctx.mixture.stack, len(ctx.mixture.weights))
+    family, sectors = verify_mod._kernel_family(ctx, ctx.mixture.stack)
     ranks = {}
     for chi, c in itertools.product(range(2), repeat=2):
         labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
-        part = take_parts(family, model.region.num_edges, labels)
-        cols = to_columns(part, model.space, len(labels), np.complex128)
+        part = take_parts(family, labels)
+        cols = to_columns(part, model.space, np.complex128)
         ranks[(chi, c)] = ref._rank(cols, verify_mod.TOL_KERNEL)
     assert ranks == {(0, 0): 128, (0, 1): 512, (1, 0): 128, (1, 1): 512}
     assert ref.sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
@@ -375,10 +375,10 @@ def test_stack_rank_equals_the_dense_rank(group_spec, region_spec):
     ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
     # every odd part is a ground part under a nontrivial total flux
     # projector: it cancels to zero and leaves no row
-    cancelled = grow(ground, [model.total_flux_projector(1)], num_edges)
-    assert np.array_equal(np.unique(stack_labels(cancelled, num_edges)), 2 * np.arange(n_ground))
+    cancelled = grow(ground, [model.total_flux_projector(1)])
+    assert np.array_equal(np.unique(cancelled.labels), 2 * np.arange(n_ground))
     stacks = [(family, len(sectors)), (cancelled, 2 * n_ground),
-              (take_parts(family, num_edges, []), 0)]
+              (take_parts(family, []), 0)]
     span = spanning_family(model)
     if dim <= DENSE_MATRIX_LIMIT:
         stacks.append((span, dim))
@@ -386,18 +386,19 @@ def test_stack_rank_equals_the_dense_rank(group_spec, region_spec):
         # no interior vertex: every part is one configuration, and the dim
         # parts reach every configuration once, so the rank is dim
         assert span.n_configs == len(np.unique(row_keys(span.digits[:, :num_edges]))) == dim
-        assert stack_rank(span, num_edges, dim, 1e-8) == dim
+        assert stack_rank(span, 1e-8) == dim
     for st, n in stacks:
-        got = stack_rank(st, num_edges, n, tol)
-        cols = to_columns(st, model.space, n, np.complex128 if st.amps.imag.any() else np.float64)
+        assert st.n_parts == n
+        got = stack_rank(st, tol)
+        cols = to_columns(st, model.space, np.complex128 if st.amps.imag.any() else np.float64)
         assert got == ref._rank(cols, tol)
         # zero rows leave the rank alone; the one larger matrix, the Z2
         # free:3x3 spanning family, takes its full SVD in criterion 10
         support = cols[np.any(cols != 0, axis=1)]
         if support.size <= 1 << 23:
             assert got == np.linalg.matrix_rank(support)
-    assert stack_rank(cancelled, num_edges, 2 * n_ground, tol) == n_ground
-    assert stack_rank(take_parts(family, num_edges, []), num_edges, 0, tol) == 0
+    assert stack_rank(cancelled, tol) == n_ground
+    assert stack_rank(take_parts(family, []), tol) == 0
 
 
 @pytest.mark.parametrize("group_spec, region_spec, n_parts",
@@ -408,8 +409,8 @@ def test_rank_checks_pass_on_the_whole_family(monkeypatch, group_spec, region_sp
     sizes = []
     original = verify_mod._kernel_family
 
-    def recorded(ctx, ground, n_ground):
-        family, sectors = original(ctx, ground, n_ground)
+    def recorded(ctx, ground):
+        family, sectors = original(ctx, ground)
         sizes.append(len(sectors))
         return family, sectors
 
