@@ -17,8 +17,8 @@ none for one part, a layout only this module reads or writes.  Terms never
 address those bytes, so one application to a stack acts on every part at
 once, and the merge, keyed on whole rows, only combines rows of one part.
 `grow` applies each of a list of operators once to a whole stack, `stack`
-joins stacks, and `labels`, `take_parts`, `squared_norms`, `scale_parts`
-and `to_columns` read, select or rescale a stack part by part.
+joins stacks, and `labels`, `take_parts`, `split_parts`, `squared_norms`,
+`scale_parts` and `to_columns` work on a stack part by part.
 `matrix_elements` reads <bra_l|A|ket_l> for every part without building A's
 image, and `stack_rank` takes the rank of the matrix whose columns are the
 parts from the blocks the stack already encodes, with no dense column.
@@ -42,8 +42,8 @@ from .operators import (
 )
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "grow", "take_parts",
-           "shift_matches", "matrix_elements", "squared_norms", "scale_parts", "to_columns",
-           "stack_rank"]
+           "split_parts", "shift_matches", "matrix_elements", "squared_norms", "scale_parts",
+           "to_columns", "stack_rank"]
 
 PRUNE_TOL = 1e-14
 
@@ -249,6 +249,14 @@ def take_parts(st: SparseState, labels) -> SparseState:
                      len(labels))
 
 
+def split_parts(st: SparseState) -> tuple:
+    """The parts of a stack as states, in label order, rows in stack order."""
+    order = np.argsort(st.labels, kind="stable")
+    cuts = np.cumsum(np.bincount(st.labels, minlength=st.n_parts))[:-1]
+    pieces = zip(np.split(st.digits[order, :st.num_edges], cuts), np.split(st.amps[order], cuts))
+    return tuple(SparseState(st.group, st.num_edges, d, a, True) for d, a in pieces)
+
+
 def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
     """Indices (i, j) of every pair of ket row i and bra row j = ket row i +
     shift, matched on whole rows, label bytes included; all rows of both,
@@ -276,7 +284,7 @@ def matrix_elements(op: Operator, bra: SparseState, ket: SparseState) -> np.ndar
         n_shifts = len({t.shift for t in op.terms if t.coeff != 0})
         # 16 bytes a row for each diagonal, the accumulator and a term's two
         # factors, and 5 row widths and 16 bytes a row to match one shift
-        refuse_above(n * (16 * (n_shifts + 4) + 5 * ket.num_edges), PHYSICAL_MEMORY_BYTES,
+        refuse_above(n * (16 * (n_shifts + 4) + 5 * ket.digits.shape[1]), PHYSICAL_MEMORY_BYTES,
                      "matrix element bytes")
         acc = np.zeros(n, dtype=np.complex128)
         for shift, diag in ket._diagonals(op.terms).items():

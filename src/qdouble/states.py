@@ -21,7 +21,8 @@ from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop,
 from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, Term, TermOp, holonomy_values, is_real, refuse_above)
 from .sparse import (SparseState, grow, matrix_elements, row_keys, scale_parts, shift_matches,
-                     sparse_apply, squared_norms, stack, stack_rows, take_parts, to_columns)
+                     sparse_apply, split_parts, squared_norms, stack, stack_rows, take_parts,
+                     to_columns)
 
 __all__ = [
     "StateFunctional",
@@ -54,6 +55,10 @@ class StateFunctional:
     weights: np.ndarray
     info: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if len(self.weights) != self.stack.n_parts:
+            raise ValueError(f"{len(self.weights)} weights for {self.stack.n_parts} parts")
+
     @classmethod
     def pure(cls, model: QuantumDouble, state: SparseState, info=None) -> "StateFunctional":
         return cls(model, state.normalized(), np.ones(1), info or {})
@@ -65,16 +70,8 @@ class StateFunctional:
 
     @cached_property
     def parts(self) -> tuple:
-        """((weight, state), ...) of the parts of positive weight, rows in
-        stack order."""
-        st, labels = self.stack, self.stack.labels
-        order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], np.arange(1, st.n_parts))
-        rows = np.split(st.digits[order, :st.num_edges], bounds)
-        amps = np.split(st.amps[order], bounds)
-        del labels, order  # two int64s a row, freed before the states are built
-        return tuple((float(w), SparseState(st.group, st.num_edges, d, a, merged=True))
-                     for w, d, a in zip(self.weights, rows, amps) if w > 0)
+        """((weight, state), ...) of the parts of positive weight (`sparse.split_parts`)."""
+        return tuple((float(w), s) for w, s in zip(self.weights, split_parts(self.stack)) if w > 0)
 
     def expect_real(self, op: Operator, tol: float = 1e-9) -> float:
         val = self.expect(op)
@@ -84,7 +81,7 @@ class StateFunctional:
 
     @property
     def vector(self) -> SparseState:
-        if len(self.weights) != 1:
+        if self.stack.n_parts != 1:
             raise ValueError("mixture has no single state vector")
         return self.stack
 
@@ -263,10 +260,10 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
     matching per g, and the flux read once from the summed holonomy form.
     """
     model, group = state.model, state.model.group
-    q, st, n = group.size, state.stack, len(state.weights)
+    q, st, n = group.size, state.stack, state.stack.n_parts
     # per row: its flux, bin and product (25 bytes), and a row matching's
     # moved copy, concatenated keys, sorted copy and sort order
-    refuse_above(st.n_configs * (5 * st.num_edges + 41), PHYSICAL_MEMORY_BYTES,
+    refuse_above(st.n_configs * (5 * st.digits.shape[1] + 41), PHYSICAL_MEMORY_BYTES,
                  "sector weight bytes")
     flux = holonomy_values(group, lambda edge: st.digits[:, edge], st.n_configs,
                            model.total_flux_form())

@@ -18,6 +18,7 @@ from qdouble.sparse import (
     matrix_elements,
     sparse_apply,
     scale_parts,
+    split_parts,
     squared_norms,
     stack,
     take_parts,
@@ -109,6 +110,16 @@ def test_a_state_is_the_one_part_stack():
         assert sparse_apply(shift, x).n_parts == x.n_parts
         assert x.add(sparse_apply(shift, x)).n_parts == x.n_parts
     assert StateFunctional(model, grown, np.full(9, 1 / 9)).parts[8][1].n_parts == 1
+    # the parts of a stack are label-free states: stacking them gives it back
+    pieces = split_parts(grown)
+    assert [p.digits.shape[1] for p in pieces] == [n_edges] * 9
+    again = stack(pieces)
+    assert np.array_equal(again.digits, grown.digits[np.argsort(grown.labels, kind="stable")])
+    # a functional holds one weight per part, and only a one-part stack is a vector
+    with pytest.raises(ValueError, match="1 weights for 3 parts"):
+        StateFunctional.pure(model, st)
+    with pytest.raises(ValueError, match="no single state vector"):
+        StateFunctional(model, st, np.full(3, 1 / 3)).vector
 
 
 def test_merge_and_prune():
@@ -581,7 +592,7 @@ def test_matrix_elements_refuse_before_any_diagonal(monkeypatch):
     model = QuantumDouble(make_group([2]), Region.free(3, 3))
     state, h = frustration_free_state(model, "uniform-mixture"), model.hamiltonian()
     n_shifts = len({t.shift for t in h.terms})
-    need = state.stack.n_configs * (16 * (n_shifts + 4) + 5 * state.stack.num_edges)
+    need = state.stack.n_configs * (16 * (n_shifts + 4) + 5 * state.stack.digits.shape[1])
     monkeypatch.setattr(sparse_mod, "PHYSICAL_MEMORY_BYTES", need)
     assert abs(state.expect(h)) < 1e-12
 

@@ -356,7 +356,7 @@ def test_sector_weights_match_the_per_projector_loop(group):
 def test_sector_weights_refuse_before_matching(monkeypatch, model33):
     # five row widths and 41 bytes a row
     state = frustration_free_state(model33, "uniform-mixture")
-    need = state.stack.n_configs * (5 * state.stack.num_edges + 41)
+    need = state.stack.n_configs * (5 * state.stack.digits.shape[1] + 41)
     monkeypatch.setattr(states_mod, "PHYSICAL_MEMORY_BYTES", need)
     assert sector_weights(state)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 

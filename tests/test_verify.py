@@ -336,9 +336,9 @@ def test_kernel_family_sectors_match_the_sector_projectors(orders):
     model = QuantumDouble(make_group(orders), Region.free(3, 3))
     ctx = verify_mod._Ctx(model)
     q = model.group.size
-    ground, n_ground = ctx.mixture.stack, len(ctx.mixture.weights)
+    ground = ctx.mixture.stack
     if model.space.dim > DENSE_MATRIX_LIMIT:  # a sample of ground parts
-        ground, n_ground = take_parts(ground, [0, 1, n_ground - 1]), 3
+        ground = take_parts(ground, [0, 1, ground.n_parts - 1])
     family, sectors = verify_mod._kernel_family(ctx, ground)
     assert len({tuple(s) for s in sectors}) == q * q
     for chi, c in itertools.product(range(q), repeat=2):
