@@ -288,6 +288,12 @@ class HilbertSpace:
         refuse_above(self.dim, self.cap, f"{what} dimension")
         refuse_above(16 * self.dim, PHYSICAL_MEMORY_BYTES, f"{what} bytes per complex vector")
 
+    def require_acts_on(self, group: Group, num_edges: int):
+        """Refuse a state of another group or edge count than this space's."""
+        group.require_same(self.group)
+        if num_edges != self.num_edges:
+            raise ValueError(f"operator on {self.num_edges} edges, state on {num_edges}")
+
     # ---- configuration indexing ----
 
     @property

@@ -279,7 +279,9 @@ def matrix_elements(op: Operator, bra: SparseState, ket: SparseState) -> np.ndar
     a scalar scales, and a product applies its inner factors to the ket
     with `sparse_apply` and evaluates its outermost factor.
     """
+    bra._require_same_space(ket)
     if isinstance(op, TermOp):
+        op.space.require_acts_on(ket.group, ket.num_edges)
         n = ket.n_configs
         n_shifts = len({t.shift for t in op.terms if t.coeff != 0})
         # 16 bytes a row for each diagonal, the accumulator and a term's two
@@ -369,6 +371,7 @@ def stack_rank(st: SparseState, tol: float) -> int:
 def sparse_apply(op: Operator, state: SparseState) -> SparseState:
     """Apply any operator tree to a sparse state, staying sparse throughout."""
     if isinstance(op, TermOp):
+        op.space.require_acts_on(state.group, state.num_edges)
         return state.apply_terms(op.terms)
     if isinstance(op, SumOp):
         out = sparse_apply(op.parts[0], state)

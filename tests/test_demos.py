@@ -56,3 +56,18 @@ def test_demo_05_verification_battery(capsys):
     for line in selected:  # "<id> residual <r> < <threshold> [<time>]"
         _, _, residual, _, threshold, _ = line.split()
         assert float(residual) < float(threshold)
+
+
+def test_demo_06_weak_star_limit(capsys):
+    runpy.run_path(str(DEMOS / "06_weak_star_limit.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    for spec, q in [("Z2", 2), ("Z3", 3), ("Z2xZ2", 4)]:
+        assert f"{spec}: excitation (chi, c) at site (1, 1), far probes at (2, 2)" in out
+        assert (f"  {q * q} of {q * q} labels read exactly the same on free LxL, "
+                "L = 4, 8, 16, 32") in out
+    same = [line.split()[7:] for line in out.splitlines() if "same at L = 8, 16, 32" in line]
+    assert [len(row) for row in same] == [4, 9, 16]
+    assert all(v == "yes" for row in same for v in row)
+    # on Z3 the loop of character 1 around the site reads the flux c as exp(-2 pi i c / 3)
+    assert ("  encircling-loop-1                 1  -0.5-0.866i  -0.5+0.866i"
+            "            1  -0.5-0.866i  -0.5+0.866i            1  -0.5-0.866i  -0.5+0.866i") in out

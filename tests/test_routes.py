@@ -2,7 +2,8 @@
 
 Every exported name resolves, and the CLI tasks that count, read sparse
 states or compose terms build no vector of the full space: with the dense
-engine patched to raise, they still exit 0.
+engine patched to raise, they still exit 0.  Eventual constancy reads the
+term algebra alone: with every sparse state refused, it still runs.
 """
 
 import importlib
@@ -11,7 +12,10 @@ import pytest
 
 import qdouble
 from qdouble.cli import EXIT_OK, main
+from qdouble.lattice import Region
 from qdouble.operators import HilbertSpace, Operator
+from qdouble.sparse import SparseState
+from qdouble.states import eventual_constancy_check
 
 MODULES = ("groups", "lattice", "operators", "sparse", "spectral", "states", "verify", "cli")
 
@@ -49,3 +53,14 @@ def test_cli_tasks_build_no_dense_vector(no_dense_engine, capsys, task, group, r
     out, err = capsys.readouterr()
     assert code == EXIT_OK, err
     assert out.startswith("{")
+
+
+@pytest.mark.parametrize("group, small, large", [("Z3", 4, 5), ("Z2", 6, 7)])
+def test_eventual_constancy_builds_no_sparse_state(monkeypatch, group, small, large):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SparseState was built")
+    monkeypatch.setattr(SparseState, "__init__", refuse)
+    g = qdouble.parse_group_spec(group)
+    deviation = eventual_constancy_check(g, Region.free(small, small), Region.free(large, large),
+                                         (1, 1), 1, g.size - 1)
+    assert deviation == 0.0

@@ -75,6 +75,29 @@ def test_dot_and_add_refuse_states_of_other_spaces():
     assert s.add(twin).amps.tolist() == [2.0]
 
 
+def test_operators_and_states_of_other_spaces_are_refused():
+    z2, z3 = make_group([2]), make_group([3])
+    m33, m44 = QuantumDouble(z2, Region.free(3, 3)), QuantumDouble(z2, Region.free(4, 4))
+    s12, s24 = (SparseState.basis_state(z2, n) for n in (12, 24))
+    z3_plaquette = QuantumDouble(z3, Region.free(3, 3)).plaquette((0, 0))
+    mismatches = [
+        (m33.hamiltonian(), s24, s24),  # an operator of fewer edges than the state
+        (z3_plaquette, s12, s12),  # an operator of another group
+        (m33.identity(), s12, SparseState.basis_state(z3, 12)),  # bra and ket of two groups
+        (m33.identity(), stack([s12] * 300), s12),  # stacks of two label widths
+    ]
+    for op, bra, ket in mismatches:
+        with pytest.raises(ValueError):
+            matrix_elements(op, bra, ket)
+    for op, state in [(m33.hamiltonian(), s24), (z3_plaquette, s12),
+                      (m44.hamiltonian(), s12), (2.0 * m33.identity(), s24)]:
+        with pytest.raises(ValueError):
+            sparse_apply(op, state)
+    # equal groups built separately are one space
+    assert matrix_elements(m33.identity(), s12, SparseState.basis_state(parse_group_spec("Z2"),
+                                                                        12)).tolist() == [1.0]
+
+
 def test_a_state_is_the_one_part_stack():
     model = QuantumDouble(make_group([3]), Region.free(3, 3))
     space, n_edges = model.space, model.space.num_edges

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qdouble.states import (
     mix,
     probe_family,
     sector_weights,
+    seed_expectation,
     single_excitation_state,
     spanning_matrix,
 )
@@ -472,6 +474,69 @@ def test_eventual_constancy_validation():
         eventual_constancy_check(Z2, Region.free(5, 5), Region.free(4, 4), (1, 1), 1, 1)
     with pytest.raises(ValueError):
         eventual_constancy_check(Z2, Region.free(4, 4), Region.free(5, 5), (0, 0), 1, 1)
+    with pytest.raises(ValueError, match="not interior in free:4x4"):  # the far vertex
+        eventual_constancy_check(Z2, Region.free(4, 4), Region.free(5, 5), (3, 3), 1, 1)
+    with pytest.raises(ValueError, match="boundary ribbons differ"):
+        eventual_constancy_check(Z2, Region.free(4, 4), Region.free(5, 5), (2, 2), 1, 1)
+    with pytest.raises(GroupError):
+        eventual_constancy_check(Z2, Region.free(4, 4), Region.free(5, 5), (1, 1), 2, 1)
+
+
+def _seed_probes(model):
+    """The probe family at site (1, 1), H, both detectors, and a single-edge
+    shift, which breaks the flatness of its faces and so leaves dPhi."""
+    region = model.region
+    site = region.site((1, 1), (1, 1))
+    probes = probe_family(model, site, (region.m - 2, region.n - 2))
+    edge_shift = TermOp(model.space, [Term(1.0, ((region.edge_id(("h", 1, 1)), 1),))])
+    probes += [("H", model.hamiltonian()), ("detector-eps", model.detector_eps()),
+               ("detector-mu", model.detector_mu()), ("edge-shift", edge_shift)]
+    return site, probes
+
+
+SEED_CASES = [(g, Region.free(m, m)) for g in (Z2, Z3, Z4, Z2xZ2) for m in (3, 4)]
+SEED_CASES += [(Z3, Region.free(5, 5))]
+
+
+@pytest.mark.parametrize("group, region", SEED_CASES,
+                         ids=[f"{g.spec}-{r.spec}" for g, r in SEED_CASES])
+def test_seed_expectation_matches_the_stack_route(group, region):
+    model = QuantumDouble(group, region)
+    site, probes = _seed_probes(model)
+    omega = frustration_free_state(model)
+    for name, op in probes:
+        assert abs(seed_expectation(model, op) - omega.expect(op)) < 1e-12, name
+    assert seed_expectation(model, probes[-1][1]) == 0  # no term of the shift meets dPhi
+    ribbon = ribbon_to_boundary(region, site)
+    for chi, c in itertools.product(range(group.size), repeat=2):
+        excited = single_excitation_state(model, site, chi, c)
+        for name, op in probes:
+            got = seed_expectation(model, charge_transport(model, ribbon, chi, c, op))
+            assert abs(got - excited.expect(op)) < 1e-12, (chi, c, name)
+
+
+def test_seed_expectation_refuses_tori_trees_and_other_spaces(model33):
+    op = model33.star((1, 1))
+    with pytest.raises(TypeError):
+        seed_expectation(model33, op @ ProductOp(model33.space, [op, op]))
+    with pytest.raises(TypeError):
+        seed_expectation(model33, SumOp(model33.space, [op, op]))
+    with pytest.raises(ValueError):
+        seed_expectation(QuantumDouble(Z2, Region.torus(2, 2)), model33.identity())
+    with pytest.raises(ValueError, match="operator on 12 edges, state on 24"):
+        seed_expectation(QuantumDouble(Z2, Region.free(4, 4)), op)
+    with pytest.raises(GroupError):
+        seed_expectation(QuantumDouble(Z3, Region.free(3, 3)), op)
+
+
+def test_eventual_constancy_reads_exactly_at_every_size():
+    # the stack route read 3.09e-13 on the first pair and refused the second
+    assert eventual_constancy_check(Z3, Region.free(4, 4), Region.free(5, 5), (1, 1), 1, 2) == 0.0
+    assert eventual_constancy_check(Z3, Region.free(5, 5), Region.free(6, 6), (1, 1), 1, 2) == 0.0
+    t0 = time.perf_counter()
+    deviation = eventual_constancy_check(Z3, Region.free(16, 16), Region.free(32, 32), (1, 1), 1, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert deviation == 0.0
 
 
 def test_vector_seed_vs_mixture_inner_block():
