@@ -56,7 +56,7 @@ BOUNDARY_FLAVORS = ("none", "eps", "mu", "eps_mu")  # boundary charges H may sub
 
 DEFAULT_DIM_CAP = 1 << 26  # dense vectors over |G|^E configurations
 UNSAFE_DIM_CAP = 1 << 60  # the cap under --unsafe-cap
-DENSE_MATRIX_LIMIT = 1 << 12  # to_dense default; spanning_matrix
+DENSE_MATRIX_LIMIT = 1 << 12  # to_dense and sparse_matrix default
 DENSE_EIG_LIMIT = 8192  # dense diagonalization in spectrum_lowest
 MIXTURE_SUPPORT_LIMIT = 1 << 22  # rows of the ground seed, uniform mixture and rank families
 COMPOSE_TERM_LIMIT = 4096  # largest term product `@` expands exactly

@@ -9,7 +9,8 @@ ambient dimension is astronomically large.  Every operator of the term
 engine is read as the engine groups it, A = sum_s shift_s D_s
 (`operators.shift_diagonals`), with each D_s summed on the state's own rows:
 `apply_terms` moves those rows once per shift and merges once, and
-`matrix_elements` and `dot` match them once per shift.
+`matrix_elements` and `dot` look up each shift's moved rows among the bra's,
+sorted once.
 
 A SparseState is a stack of `n_parts` states, a state the stack of one:
 each row carries its part's label as big-endian bytes after the last edge,
@@ -18,10 +19,11 @@ address those bytes, so one application to a stack acts on every part at
 once, and the merge, keyed on whole rows, only combines rows of one part.
 `grow` applies each of a list of operators once to a whole stack, `stack`
 joins stacks, and `labels`, `take_parts`, `split_parts`, `squared_norms`,
-`scale_parts` and `to_columns` work on a stack part by part.
-`matrix_elements` reads <bra_l|A|ket_l> for every part without building A's
-image, and `stack_rank` takes the rank of the matrix whose columns are the
-parts from the blocks the stack already encodes, with no dense column.
+`scale_parts` work on a stack part by part, and `stack_matrix` is the
+scipy sparse matrix whose column l is part l.  `matrix_elements` reads
+<bra_l|A|ket_l> for every part without building A's image, and
+`stack_rank` takes the rank of that matrix from the blocks the stack
+already encodes, with no dense column.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .operators import (
 
 __all__ = ["SparseState", "sparse_apply", "stack", "stack_rows", "grow", "take_parts",
            "split_parts", "shift_matches", "matrix_elements", "squared_norms", "scale_parts",
-           "to_columns", "stack_rank"]
+           "stack_matrix", "stack_rank"]
 
 PRUNE_TOL = 1e-14
 
@@ -257,16 +259,30 @@ def split_parts(st: SparseState) -> tuple:
     return tuple(SparseState(st.group, st.num_edges, d, a, True) for d, a in pieces)
 
 
-def shift_matches(bra: SparseState, ket: SparseState, shift: tuple):
+def sorted_keys(st: SparseState) -> tuple:
+    """The row keys of a state in ascending order and the order that sorts
+    them: the bra side of `shift_matches`, sorted once for many shifts."""
+    keys = row_keys(st.digits)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def shift_matches(bra: SparseState, ket: SparseState, shift: tuple, bra_keys=None):
     """Indices (i, j) of every pair of ket row i and bra row j = ket row i +
-    shift, matched on whole rows, label bytes included; all rows of both,
-    as slices, when the bra is the ket and the shift is empty."""
+    shift, matched on whole rows, label bytes included, in ascending order
+    of the matched row; all rows of both, as slices, when the bra is the ket
+    and the shift is empty.  `bra_keys` is `sorted_keys(bra)`, sorted here
+    when not given: each moved ket key is looked up by bisection."""
     if not shift and bra is ket:
         return slice(None), slice(None)
-    moved = _shift_rows(ket.group, ket.digits.copy(), shift) if shift else ket.digits
-    _, i, j = np.intersect1d(row_keys(moved), row_keys(bra.digits), assume_unique=True,
-                             return_indices=True)
-    return i, j
+    keys, order = sorted_keys(bra) if bra_keys is None else bra_keys
+    moved = row_keys(_shift_rows(ket.group, ket.digits.copy(), shift) if shift else ket.digits)
+    at = np.searchsorted(keys, moved)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == moved[hit]
+    i = np.flatnonzero(hit)
+    i = i[np.argsort(at[i])]
+    return i, order[at[i]]
 
 
 def matrix_elements(op: Operator, bra: SparseState, ket: SparseState) -> np.ndarray:
@@ -289,8 +305,10 @@ def matrix_elements(op: Operator, bra: SparseState, ket: SparseState) -> np.ndar
         refuse_above(n * (16 * (n_shifts + 4) + 5 * ket.digits.shape[1]), PHYSICAL_MEMORY_BYTES,
                      "matrix element bytes")
         acc = np.zeros(n, dtype=np.complex128)
-        for shift, diag in ket._diagonals(op.terms).items():
-            i, j = shift_matches(bra, ket, shift)
+        diagonals = ket._diagonals(op.terms)
+        keys = sorted_keys(bra) if bra is not ket or any(diagonals) else None
+        for shift, diag in diagonals.items():
+            i, j = shift_matches(bra, ket, shift, keys)
             acc[i] += bra.amps[j].conj() * np.broadcast_to(diag, n)[i] * ket.amps[i]
         labels, n_parts = ket.labels, ket.n_parts
         return np.bincount(labels, acc.real, n_parts) + 1j * np.bincount(labels, acc.imag, n_parts)
@@ -316,16 +334,17 @@ def scale_parts(st: SparseState, factors: np.ndarray) -> SparseState:
                        st.n_parts)
 
 
-def to_columns(st: SparseState, space, dtype) -> np.ndarray:
-    """The (dim, n_parts) matrix of `dtype` whose column l is part l; a real
-    dtype needs every amplitude real."""
-    space.require_dense("stack densification")
-    cols = np.zeros((space.dim, st.n_parts), dtype=dtype)
-    if cols.dtype.kind != "c" and np.any(st.amps.imag):
+def stack_matrix(st: SparseState, space, dtype):
+    """The scipy CSC matrix of `dtype`, (dim, n_parts), whose column l is
+    part l; a real dtype needs every amplitude real."""
+    from scipy.sparse import csc_matrix
+
+    real = np.dtype(dtype).kind != "c"
+    if real and np.any(st.amps.imag):
         raise ValueError("a real matrix cannot hold complex amplitudes")
-    amps = st.amps if cols.dtype.kind == "c" else st.amps.real
-    cols[st.digits[:, :st.num_edges] @ space.radix, st.labels] = amps
-    return cols
+    rows = st.digits[:, :st.num_edges] @ space.radix
+    return csc_matrix((st.amps.real if real else st.amps, (rows, st.labels)),
+                      shape=(space.dim, st.n_parts), dtype=dtype)
 
 
 def stack_rank(st: SparseState, tol: float) -> int:

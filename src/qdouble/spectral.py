@@ -33,7 +33,7 @@ from .lattice import boundary_ribbon
 from .operators import (BOUNDARY_FLAVORS, DENSE_EIG_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, TermOp, form_image, generated_subgroup, holonomy_values,
                         is_real, refuse_above, shift_diagonals, sparse_matrix)
-from .sparse import sparse_apply, squared_norms, to_columns
+from .sparse import sparse_apply, squared_norms, stack_matrix
 from .states import frustration_free_state
 
 __all__ = [
@@ -138,16 +138,17 @@ def ground_space(model: QuantumDouble) -> EigenBasis:
 
     Column j is the orbit state of flat sector j, the part j of the uniform
     ground mixture: the orbits are disjoint, so the columns are orthonormal,
-    one per counted ground dimension.  The residuals ||H v|| come from one
-    sparse application of H to all of them.  Refuses before enumerating
-    anything when the columns would not fit in physical memory.
+    one per counted ground dimension.  The columns are the stack's sparse
+    matrix (`sparse.stack_matrix`) made dense.  The residuals ||H v|| come
+    from one sparse application of H to all of them.  Refuses before
+    enumerating anything when the columns would not fit in physical memory.
     """
     space, region = model.space, model.region
     space.require_dense("ground space")
     refuse_above(space.dim * ground_dimension_count(model.group, region) * 8,
                  PHYSICAL_MEMORY_BYTES, "ground basis bytes")
     st = frustration_free_state(model, "uniform-mixture").stack
-    return EigenBasis(to_columns(st, space, np.float64), np.zeros(st.n_parts),
+    return EigenBasis(stack_matrix(st, space, np.float64).toarray(), np.zeros(st.n_parts),
                       np.sqrt(squared_norms(sparse_apply(model.hamiltonian(), st))), "orbit")
 
 

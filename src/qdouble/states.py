@@ -20,12 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Region, Site, direct_ribbon, dual_ribbon, face_direct_loop, ribbon_to_boundary
-from .operators import (DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
-                        QuantumDouble, Term, TermOp, _form_on_shift, holonomy_values, is_real,
-                        refuse_above)
+from .operators import (MIXTURE_SUPPORT_LIMIT, PHYSICAL_MEMORY_BYTES, Operator, QuantumDouble,
+                        Term, TermOp, _form_on_shift, holonomy_values, is_real, refuse_above)
 from .sparse import (SparseState, grow, matrix_elements, row_keys, scale_parts, shift_matches,
-                     sparse_apply, split_parts, squared_norms, stack, stack_rows, take_parts,
-                     to_columns)
+                     sorted_keys, sparse_apply, split_parts, squared_norms, stack, stack_matrix,
+                     stack_rows, take_parts)
 
 __all__ = [
     "StateFunctional",
@@ -316,16 +315,16 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
     """
     model, group = state.model, state.model.group
     q, st, n = group.size, state.stack, state.stack.n_parts
-    # per row: its flux, bin and product (25 bytes), and a row matching's
-    # moved copy, concatenated keys, sorted copy and sort order
+    # per row: its flux, bin and product (25 bytes), and the sorted keys and
+    # sort order of the rows with one row matching's moved copy and indices
     refuse_above(st.n_configs * (5 * st.digits.shape[1] + 41), PHYSICAL_MEMORY_BYTES,
                  "sector weight bytes")
     flux = holonomy_values(group, lambda edge: st.digits[:, edge], st.n_configs,
                            model.total_flux_form())
     bins = st.labels * q + flux  # (part, flux) of every row
-    m = np.zeros((q, q), dtype=np.complex128)
+    m, keys = np.zeros((q, q), dtype=np.complex128), sorted_keys(st)
     for g in range(q):
-        i, j = shift_matches(st, st, model.gauge_shift(g))
+        i, j = shift_matches(st, st, model.gauge_shift(g), keys)
         terms = st.amps[j].conj() * st.amps[i]
         per_part = (np.bincount(bins[i], terms.real, n * q)
                     + 1j * np.bincount(bins[i], terms.imag, n * q)).reshape(n, q)
@@ -495,11 +494,10 @@ def _spanning_axes(model: QuantumDouble) -> list[list[TermOp]]:
                     for s in range(1, q)] for eid in gauge_edges]
 
 
-def spanning_matrix(model: QuantumDouble) -> np.ndarray:
-    """The spanning family as a float64 (dim, dim) matrix, column j its part
-    j, refused unless every strip is real."""
-    model.space.require_dense("spanning matrix")
-    refuse_above(model.space.dim, DENSE_MATRIX_LIMIT, "spanning matrix dimension")
+def spanning_matrix(model: QuantumDouble):
+    """The spanning family as a float64 scipy CSC matrix of shape (dim, dim),
+    column j its part j (`sparse.stack_matrix`), refused unless every strip
+    is real."""
     if not all(is_real(op) for strips in _spanning_axes(model) for op in strips):
         raise ValueError("the spanning family needs real strips")
-    return to_columns(spanning_family(model), model.space, np.float64)
+    return stack_matrix(spanning_family(model), model.space, np.float64)

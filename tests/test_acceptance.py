@@ -449,7 +449,7 @@ def test_criterion_09_eventual_constancy():
 def test_criterion_10_spanning_rank():
     """Ribbon products on the ground vector span the whole space."""
     model = QuantumDouble(Z2, FREE33)
-    cols = spanning_matrix(model)
+    cols = spanning_matrix(model).toarray()
     svals = np.linalg.svd(cols, compute_uv=False)
     rank = int(np.sum(svals > TOL_RANK * svals[0]))
     ok = rank == model.space.dim == 4096

@@ -3,19 +3,23 @@
 Every exported name resolves, and the CLI tasks that count, read sparse
 states or compose terms build no vector of the full space: with the dense
 engine patched to raise, they still exit 0.  Eventual constancy reads the
-term algebra alone: with every sparse state refused, it still runs.
+term algebra alone: with every sparse state refused, it still runs.  The
+spanning matrix is the family's sparse matrix, with no dense (dim, dim)
+array behind it.
 """
 
 import importlib
+import tracemalloc
 
 import pytest
 
 import qdouble
 from qdouble.cli import EXIT_OK, main
 from qdouble.lattice import Region
-from qdouble.operators import HilbertSpace, Operator
+from qdouble.groups import make_group
+from qdouble.operators import HilbertSpace, Operator, QuantumDouble
 from qdouble.sparse import SparseState
-from qdouble.states import eventual_constancy_check
+from qdouble.states import eventual_constancy_check, spanning_matrix
 
 MODULES = ("groups", "lattice", "operators", "sparse", "spectral", "states", "verify", "cli")
 
@@ -64,3 +68,16 @@ def test_eventual_constancy_builds_no_sparse_state(monkeypatch, group, small, la
     deviation = eventual_constancy_check(g, Region.free(small, small), Region.free(large, large),
                                          (1, 1), 1, g.size - 1)
     assert deviation == 0.0
+
+
+def test_spanning_matrix_builds_no_dense_matrix():
+    # Z2 free:3x3: the dense (4096, 4096) float64 matrix alone is 128 MB
+    model = QuantumDouble(make_group([2]), Region.free(3, 3))
+    spanning_matrix(model)  # scipy's import is not the build's
+    tracemalloc.start()
+    try:
+        m = spanning_matrix(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (4096, 4096) and peak < 16 << 20

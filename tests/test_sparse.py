@@ -16,13 +16,16 @@ from qdouble.sparse import (
     SparseState,
     grow,
     matrix_elements,
+    row_keys,
+    shift_matches,
+    sorted_keys,
     sparse_apply,
     scale_parts,
     split_parts,
     squared_norms,
     stack,
+    stack_matrix,
     take_parts,
-    to_columns,
 )
 from qdouble.states import (
     StateFunctional,
@@ -517,6 +520,66 @@ def test_grow_and_split_match_the_per_part_apply(orders):
     assert np.allclose(squared_norms(grown), norms, rtol=0, atol=1e-13)
 
 
+def matches_oracle(bra, ket, shift):
+    """The intersect1d route: the moved ket keys and the bra's, sorted
+    together for every shift."""
+    moved = sparse_mod._shift_rows(ket.group, ket.digits.copy(), shift)
+    _, i, j = np.intersect1d(row_keys(moved), row_keys(bra.digits), assume_unique=True,
+                             return_indices=True)
+    return i, j
+
+
+@pytest.mark.parametrize("orders", [[2], [3]], ids=["Z2", "Z3"])
+def test_shift_matches_equal_the_intersect1d_route(orders):
+    # 300 parts over one pool of rows: two label bytes
+    group = make_group(orders)
+    space, q = QuantumDouble(group, Region.free(3, 3)).space, group.size
+    rng = np.random.default_rng(29)
+    ket = stack(stack_parts(space, rng))
+    assert ket.digits.shape[1] == space.num_edges + 2
+    # the bra holds part of the ket's rows and part of their images under moved
+    moved = ((0, 1), (4, q - 1))
+    rows = np.concatenate([ket.digits, sparse_mod._shift_rows(group, ket.digits.copy(), moved)])
+    keep = rng.random(len(rows)) < 0.6
+    bra = SparseState(group, space.num_edges, rows[keep], rng.standard_normal(keep.sum()),
+                      n_parts=ket.n_parts)
+    # edge 0 at 0 in every row of both: a shift of edge 0 matches no row
+    pinned = ket.digits.copy()
+    pinned[:, 0] = 0
+    flat = SparseState(group, space.num_edges, pinned, rng.standard_normal(len(pinned)),
+                       n_parts=ket.n_parts)
+    empty = SparseState(group, space.num_edges, ket.digits[:0], [], n_parts=ket.n_parts)
+    shifts = [(), moved, ((0, 1),), ((7, 1), (11, q - 1))]
+    pairs = [(bra, ket), (ket, bra), (ket, ket), (flat, flat), (flat, ket), (empty, ket),
+             (ket, empty)]
+    for b, k in pairs:
+        keys = sorted_keys(b)
+        for shift in shifts:
+            if b is k and not shift:
+                assert shift_matches(b, k, shift) == (slice(None), slice(None))
+                continue
+            want = matches_oracle(b, k, shift)
+            for got in (shift_matches(b, k, shift), shift_matches(b, k, shift, keys)):
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert len(matches_oracle(bra, ket, moved)[0]) > 0
+    assert len(matches_oracle(flat, flat, ((0, 1),))[0]) == 0
+
+
+def test_stack_matrix_columns_are_the_parts():
+    model = QuantumDouble(make_group([3]), Region.free(2, 3))
+    space, st = model.space, stack(stack_parts(model.space, np.random.default_rng(31), 40))
+    m = stack_matrix(st, space, np.complex128)
+    assert m.format == "csc" and m.dtype == np.complex128 and m.shape == (space.dim, 40)
+    assert m.nnz == st.n_configs
+    for col, (_, part) in enumerate(StateFunctional(model, st, np.ones(40)).parts):
+        assert np.array_equal(m[:, [col]].toarray().ravel(), part.to_dense(space))
+    with pytest.raises(ValueError, match="complex amplitudes"):
+        stack_matrix(st, space, np.float64)
+    real = stack_matrix(scale_parts(st, np.zeros(40)), space, np.float64)
+    assert real.dtype == np.float64 and real.nnz == st.n_configs
+
+
 def kernel_family_oracle(model):
     """The triple loop: every ground part, then each boundary-routed charge
     strip or none, then each flux strip or none, one vector at a time."""
@@ -542,7 +605,7 @@ def test_kernel_family_matches_the_triple_loop(monkeypatch):
     n = len(sectors)
     assert len(calls) == 4 + 4  # one application per charge and per flux strip
     monkeypatch.undo()
-    cols = to_columns(family, model.space, np.complex128)
+    cols = stack_matrix(family, model.space, np.complex128).toarray()
     oracle = kernel_family_oracle(model)
     for k, vec in enumerate(oracle):
         assert np.array_equal(cols[:, k], vec.to_dense(model.space))

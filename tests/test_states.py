@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import qdouble.sparse as sparse_mod
 import qdouble.states as states_mod
@@ -645,7 +646,7 @@ def test_mix_relabels_the_stacks_as_the_parts_route(group, region):
 
 def test_spanning_matrix_no_interior():
     model = QuantumDouble(Z2, Region.free(2, 3))
-    cols = spanning_matrix(model)
+    cols = spanning_matrix(model).toarray()
     assert cols.shape == (128, 128)
     s = np.linalg.svd(cols, compute_uv=False)
     assert int(np.sum(s > 1e-8 * s[0])) == 128
@@ -684,7 +685,7 @@ def test_spanning_matrix_stays_real(monkeypatch, group, region):
     # the stacked build equals, byte for byte, the per-column loop, whose
     # complex columns have imaginary part exactly 0
     model = QuantumDouble(group, region)
-    cols = spanning_matrix(model)
+    cols = spanning_matrix(model).toarray()
     oracle = spanning_oracle(model)
     assert cols.dtype == np.float64
     assert np.all(oracle.imag == 0)
@@ -700,13 +701,33 @@ def test_spanning_matrix_torus_rejected():
         spanning_matrix(model)
 
 
+@pytest.mark.parametrize("region", [Region.free(3, 3), Region.free(2, 3)],
+                         ids=["free:3x3", "free:2x3"])
+def test_spanning_matrix_is_the_sparse_stack(region):
+    # one stored entry per row of the family: dim parts of q^I rows each
+    model = QuantumDouble(Z2, region)
+    dim, n_interior = model.space.dim, len(region.interior_vertices())
+    m = spanning_matrix(model)
+    assert m.format == "csc" and m.dtype == np.float64 and m.shape == (dim, dim)
+    assert m.nnz == dim * 2 ** n_interior
+
+
+def test_spanning_matrix_beyond_the_dense_limit():
+    # Z2 free:3x4: 131,072 columns of 4 entries 1/2 each, orthonormal exactly
+    model = QuantumDouble(Z2, Region.free(3, 4))
+    m = spanning_matrix(model)
+    assert m.shape == (131072, 131072) and m.nnz == 524288
+    assert (m.T @ m != scipy.sparse.identity(131072, format="csc")).nnz == 0
+
+
 def test_spanning_matrix_refuses_before_allocating(monkeypatch):
-    # Z2 free:2x5 has 13 edges: an 8192 x 8192 complex matrix is 1 GB
-    model = QuantumDouble(Z2, Region.free(2, 5))
+    # Z2 free:2x9 has 25 edges and no interior vertex: 2^25 parts of one row
+    # each are more rows than MIXTURE_SUPPORT_LIMIT
+    model = QuantumDouble(Z2, Region.free(2, 9))
 
-    def zeros(*args, **kwargs):
-        raise AssertionError("spanning_matrix allocated before refusing")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spanning family grew before refusing")
 
-    monkeypatch.setattr(np, "zeros", zeros)
-    with pytest.raises(DimensionCapError):
+    monkeypatch.setattr(states_mod, "grow", refuse)
+    with pytest.raises(DimensionCapError, match="spanning family rows"):
         spanning_matrix(model)

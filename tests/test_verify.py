@@ -10,8 +10,8 @@ import pytest
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
 from qdouble.operators import DENSE_MATRIX_LIMIT, MIXTURE_SUPPORT_LIMIT, Operator, QuantumDouble
-from qdouble.sparse import (SparseState, grow, row_keys, sparse_apply, squared_norms, stack_rank,
-                            take_parts, to_columns)
+from qdouble.sparse import (SparseState, grow, row_keys, sparse_apply, squared_norms,
+                            stack_matrix, stack_rank, take_parts)
 from qdouble.states import spanning_family
 from qdouble.verify import (
     TOL_ALGEBRAIC,
@@ -355,7 +355,7 @@ def test_sector_dimensions_of_the_dense_kernel_equal_the_family_ranks(z2_boundar
     for chi, c in itertools.product(range(2), repeat=2):
         labels = np.flatnonzero((sectors == (chi, c)).all(axis=1))
         part = take_parts(family, labels)
-        cols = to_columns(part, model.space, np.complex128)
+        cols = stack_matrix(part, model.space, np.complex128).toarray()
         ranks[(chi, c)] = ref._rank(cols, verify_mod.TOL_KERNEL)
     assert ranks == {(0, 0): 128, (0, 1): 512, (1, 0): 128, (1, 1): 512}
     assert ref.sector_dimensions(model, vecs[:, vals < 1e-8]) == ranks
@@ -390,7 +390,8 @@ def test_stack_rank_equals_the_dense_rank(group_spec, region_spec):
     for st, n in stacks:
         assert st.n_parts == n
         got = stack_rank(st, tol)
-        cols = to_columns(st, model.space, np.complex128 if st.amps.imag.any() else np.float64)
+        dtype = np.complex128 if st.amps.imag.any() else np.float64
+        cols = stack_matrix(st, model.space, dtype).toarray()
         assert got == ref._rank(cols, tol)
         # zero rows leave the rank alone; the one larger matrix, the Z2
         # free:3x3 spanning family, takes its full SVD in criterion 10
