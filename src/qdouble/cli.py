@@ -5,7 +5,7 @@ Tasks
 verify    run the named check battery and exit 0 iff every check passes
 spectrum  lowest k Hamiltonian eigenvalues as CSV/JSON (index, eigenvalue, residual);
           JSON adds the exact counted levels (energy, multiplicity) and the
-          solver's meta (LOBPCG's iterations and sigma; {} when dense)
+          solver's meta (LOBPCG's iterations, sigma, kernel_columns; {} when dense)
 sectors   (charge, flux) sector dimensions of the charged-boundary kernel,
           counted from charge and flux labels, plus ground-state sector weights
 braid     exact crossing-phase exponents read off two crossing strips in the
@@ -32,6 +32,7 @@ import json
 import sys
 import typing
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -90,6 +91,7 @@ class RunConfig:
 # argument parsing and config-file merging
 
 
+@cache  # built once a process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdouble",

@@ -17,8 +17,10 @@ Vectors come from two routes:
 * the lowest k eigenpairs come from one dense `eigh` per block of the
   Hamiltonian's sparsity graph on small spaces and from scipy's LOBPCG on
   mid-size ones, Jacobi-preconditioned and in float64 when the operator is
-  real; the residuals ||H v - lambda v|| are recomputed and checked
-  against tol * sigma, so unconverged data is never returned.
+  real.  LOBPCG starts from that built ground space, seeded combinations of
+  the orbit states, and searches only beyond it; the residuals
+  ||H v - lambda v|| are recomputed and checked against tol * sigma, so
+  unconverged data is never returned.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .lattice import boundary_ribbon
 from .operators import (BOUNDARY_FLAVORS, DENSE_EIG_LIMIT, PHYSICAL_MEMORY_BYTES, Operator,
                         QuantumDouble, TermOp, form_image, generated_subgroup, holonomy_values,
                         is_real, refuse_above, shift_diagonals, sparse_matrix)
-from .sparse import sparse_apply, squared_norms, stack_matrix
+from .sparse import SparseState, sparse_apply, squared_norms, stack_matrix
 from .states import frustration_free_state
 
 __all__ = [
@@ -158,12 +160,16 @@ def subspace_iteration(
     rng: np.random.Generator,
     tol: float = 1e-9,
     max_iter: int = 2000,
+    kernel: SparseState | None = None,
 ) -> EigenBasis:
     """Lowest k eigenpairs of a nonnegative operator by scipy's LOBPCG.
 
-    LOBPCG starts from k seeded random columns and multiplies by the exact
-    sparse matrix A, built once; both are float64 when `is_real(op)`, as
-    for H and H^{eps,mu}, and complex otherwise.  It is preconditioned by
+    LOBPCG starts from k seeded columns.  Given `kernel`, a stack of
+    orthonormal parts that `op` annihilates, the first g = min(k, n_parts)
+    are random combinations of the parts, exact kernel vectors; the rest
+    are random.  It multiplies by the exact sparse matrix A, built once;
+    both are float64 when `is_real(op)`, as for H and H^{eps,mu}, and
+    complex otherwise.  It is preconditioned by
     Jacobi, M = diag(1 / (diag(A) + 1)): diag(A) >= 0 for a nonnegative
     operator, so M is positive with no tuning.  The residuals
     ||H v - lambda v|| are recomputed with `op.apply` and must all be below
@@ -182,7 +188,11 @@ def subspace_iteration(
     refuse_above(5 * k, space.dim, "LOBPCG rows needed (5 per eigenpair)")
     sigma = 1.0 + float(sum(abs(t.coeff) for t in op.terms))
     real = is_real(op)
-    vecs = space.random_vectors(rng, k, real=real)  # refuses a space too large for one vector
+    g = min(k, kernel.n_parts) if kernel is not None else 0
+    vecs = space.random_vectors(rng, k - g, real=real)  # refuses a space too large for one vector
+    if g:
+        built = stack_matrix(kernel, space, vecs.dtype) @ rng.standard_normal((kernel.n_parts, g))
+        vecs = np.hstack([built / np.linalg.norm(built, axis=0), vecs])
     a = sparse_matrix(op, space.cap)
     jacobi = diags_array(1.0 / (a.diagonal().real + 1.0))
     iterations = 0
@@ -196,8 +206,8 @@ def subspace_iteration(
         iterations += len(history)
         resid = np.linalg.norm(op.apply(vecs) - vecs * vals[None, :], axis=0)
         if np.all(resid < tol * sigma):
-            return EigenBasis(vecs, vals, resid, "iterative",
-                              meta={"iterations": iterations, "sigma": sigma})
+            return EigenBasis(vecs, vals, resid, "iterative", meta={
+                "iterations": iterations, "sigma": sigma, "kernel_columns": g})
         if iterations >= max_iter:
             raise RuntimeError(f"LOBPCG did not converge in {max_iter} iterations; "
                                f"last values {vals}, residuals {resid}")
@@ -297,12 +307,19 @@ def spectrum_lowest(
 ) -> EigenBasis:
     """The k lowest eigenvalues of the Hamiltonian, with residuals: up to
     DENSE_EIG_LIMIT dimensions one `eigh` per block size (`_blocks`), of which
-    only the k lowest eigenvectors are scattered into columns; LOBPCG above."""
+    only the k lowest eigenvectors are scattered into columns; LOBPCG above,
+    started from the uniform mixture's orbit states, ground states of every
+    boundary flavor.  They are built after the dense-vector refusal, which
+    bounds them: rows^3 <= q dim^2 on every region the parser accepts (equal
+    on free 2xn: q^(2n-1) rows, q^(3n-2) dimensions) and q <= dim^(1/4), so
+    their rows stay below MIXTURE_SUPPORT_LIMIT = 2^22 up to dim 2^29."""
     rng = rng if rng is not None else np.random.default_rng(7)
     h = model.hamiltonian(boundary=boundary)
     dim = model.space.dim
     if dim > DENSE_EIG_LIMIT:
-        return subspace_iteration(h, k, rng)
+        model.space.require_dense("LOBPCG column")
+        return subspace_iteration(h, k, rng,
+                                  kernel=frustration_free_state(model, "uniform-mixture").stack)
     k = min(k, dim)
     parts = [(idx, *np.linalg.eigh(blocks)) for idx, blocks in _blocks(h, DENSE_EIG_LIMIT)]
     vals = np.concatenate([w.ravel() for _, w, _ in parts])

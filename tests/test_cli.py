@@ -145,6 +145,37 @@ def test_spectrum_json_reports_the_iterations(capsys):
     assert all(r["residual"] < 1e-9 * blob["meta"]["sigma"] for r in blob["rows"])
 
 
+@pytest.mark.parametrize("region, k, built", [("free:2x6", 2, 2), ("torus:2x4", 6, 4)])
+def test_spectrum_json_reports_the_kernel_columns(capsys, region, k, built):
+    # LOBPCG's first min(k, ground dimension) start columns are built ground states
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "Z2", "--region", region,
+                           "-k", str(k), "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert blob["method"] == "iterative"
+    assert blob["meta"]["kernel_columns"] == built
+    assert len(blob["rows"]) == k
+
+
+def test_one_process_parses_each_call_on_its_own(capsys):
+    # the parser is built once; each call still gets its own flags and defaults
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "Z2", "--region", "free:3x3",
+                           "--boundary", "eps_mu", "--seed", "3", "-k", "2", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["boundary"], blob["seed"], len(blob["rows"])) == ("eps_mu", 3, 2)
+    code, out, _ = run_cli(capsys, "sectors", "--group", "Z2", "--region", "free:3x3", "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["task"], blob["seed"]) == ("sectors", 7)
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "Z2", "--region", "torus:2x2",
+                           "--json")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["region"], blob["boundary"], blob["seed"]) == ("torus:2x2", "none", 7)
+    assert len(blob["rows"]) == 6  # the default k
+
+
 @pytest.mark.parametrize("group, region, boundary", [
     ("Z2", "free:2x3", "none"), ("Z3", "free:2x2", "none"), ("Z2", "torus:2x2", "none"),
 ])

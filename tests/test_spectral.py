@@ -7,8 +7,8 @@ import scipy.sparse.linalg
 
 from qdouble.groups import make_group, parse_group_spec
 from qdouble.lattice import Region, parse_region_spec, ribbon_to_boundary
-from qdouble.operators import (DENSE_EIG_LIMIT, DimensionCapError, HilbertSpace, QuantumDouble,
-                               TermOp, is_real, sparse_matrix)
+from qdouble.operators import (DENSE_EIG_LIMIT, MIXTURE_SUPPORT_LIMIT, DimensionCapError,
+                               HilbertSpace, QuantumDouble, TermOp, is_real, sparse_matrix)
 import qdouble.spectral as spectral_mod
 from qdouble.spectral import (
     form_spectrum,
@@ -19,7 +19,8 @@ from qdouble.spectral import (
     spectrum_lowest,
     subspace_iteration,
 )
-from qdouble.states import frustration_free_state
+from qdouble.sparse import SparseState
+from qdouble.states import frustration_free_state, mixture_rows
 from qdouble.verify import run_check
 
 import reference as ref
@@ -158,13 +159,24 @@ def test_iterative_solvers_apply_the_matrix_and_the_terms_only_for_residuals(mon
                 inside.pop()
         return run
 
+    def spy_sparse(self, terms):
+        events.append("sparse apply")
+        return sparse_apply_terms(self, terms)
+
+    sparse_apply_terms = SparseState.apply_terms
     monkeypatch.setattr(HilbertSpace, "apply_terms", spy_apply)
+    monkeypatch.setattr(SparseState, "apply_terms", spy_sparse)
     for name in ("lobpcg", "eigsh"):
         monkeypatch.setattr(scipy.sparse.linalg, name, spy(getattr(scipy.sparse.linalg, name)))
     model = QuantumDouble(make_group([2]), Region.torus(2, 2))
     # a start whose first solve ends just above the bound, so LOBPCG restarts
     subspace_iteration(model.hamiltonian(), 6, np.random.default_rng(12), tol=1e-10)
     assert events.count("lobpcg") >= 2
+    assert events == ["lobpcg", "apply"] * (len(events) // 2)
+    events.clear()
+    # building the start block from the orbit states applies no term
+    spectrum_lowest(QuantumDouble(make_group([2]), Region.free(2, 6)), 2)
+    assert events[:1] == ["lobpcg"]
     assert events == ["lobpcg", "apply"] * (len(events) // 2)
     events.clear()
     result = run_check("boundary-hamiltonian.positive", make_group([3]), Region.free(3, 3))
@@ -245,6 +257,56 @@ def test_spectrum_lowest_iterative_agrees_with_the_counts():
     assert np.all(np.abs(spec.values) < 1e-8)
     assert np.all(spec.residuals < 1e-9 * spec.meta["sigma"])
     assert spectrum_counts(model, "eps_mu")[0] >= 4
+
+
+@pytest.mark.parametrize("spec, k, boundary", [("free:2x6", 2, "none"), ("free:3x4", 4, "eps_mu")])
+def test_lobpcg_starts_from_the_built_ground_space(spec, k, boundary):
+    model = QuantumDouble(make_group([2]), parse_region_spec(spec))
+    blocks = []
+    for seed in (7, 11):
+        basis = spectrum_lowest(model, k, boundary=boundary, rng=np.random.default_rng(seed))
+        assert basis.method == "iterative" and basis.meta["kernel_columns"] == k
+        assert basis.meta["iterations"] <= 2
+        assert np.all(basis.residuals < 1e-12)
+        assert np.all(np.abs(basis.values) < 1e-12)
+        blocks.append(basis.vectors)
+    # the seed still reaches the columns
+    assert not np.allclose(blocks[0], blocks[1])
+
+
+def test_lobpcg_adds_random_columns_beyond_the_built_ground_space():
+    # 4 built ground states and 2 random columns, which find the level 2
+    model = QuantumDouble(make_group([2]), Region.torus(2, 4))
+    spec = spectrum_lowest(model, 6)
+    assert spec.method == "iterative" and spec.meta["kernel_columns"] == 4
+    counts = spectrum_counts(model)
+    levels = [e for e, n in counts.items() for _ in range(n)][:6]
+    assert levels == [0, 0, 0, 0, 2, 2]
+    assert np.allclose(spec.values, levels, atol=1e-8)
+    assert np.all(spec.residuals < 1e-9 * spec.meta["sigma"])
+
+
+def test_the_mixture_is_below_its_row_limit_wherever_a_vector_fits():
+    # spectrum_lowest builds the mixture after the dense-vector refusal.
+    # With q^r rows in q^E dimensions, 3 r <= 1 + 2 E on every region kind
+    # (equal on free 2xn), so rows^3 <= q dim^2 and every space up to 2^29
+    # dimensions, an 8 GiB complex vector, passes both refusals
+    specs = [f"{kind}:{m}x{n}" for kind in ("free", "torus")
+             for m in range(2, 16) for n in range(m, 16)]
+    specs += [f"lambda:{size}" for size in range(1, 8)]
+    checked = 0
+    for spec in specs:
+        region = parse_region_spec(spec)
+        r = mixture_rows(QuantumDouble(make_group([2]), region)).bit_length() - 1
+        e = region.num_edges
+        assert 3 * r <= 1 + 2 * e
+        assert (3 * r == 1 + 2 * e) == (spec.startswith("free:2x"))
+        q = 2
+        while q**e <= 1 << 29:
+            assert q**r < MIXTURE_SUPPORT_LIMIT
+            checked += 1
+            q += 1
+    assert checked > 200
 
 
 def test_sector_dimensions_ground_and_excited():
