@@ -38,7 +38,7 @@ for chi in range(q):
 
 print("\nsector weights are a point mass at the created label:")
 state = single_excitation_state(model, site, 1, 2)
-for (chi, c), lam in sorted(sector_weights(state).as_dict().items()):
+for (chi, c), lam in sector_weights(state).items():
     mark = " <--" if lam > 0.5 else ""
     print(f"  lambda[{chi},{c}] = {lam:+.3e}{mark}")
 

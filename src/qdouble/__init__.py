@@ -30,7 +30,6 @@ from .spectral import (
     spectrum_lowest,
 )
 from .states import (
-    SectorWeights,
     StateFunctional,
     eventual_constancy_check,
     frustration_free_state,
@@ -67,7 +66,6 @@ __all__ = [
     "sector_counts",
     "spectrum_counts",
     "spectrum_lowest",
-    "SectorWeights",
     "StateFunctional",
     "eventual_constancy_check",
     "frustration_free_state",

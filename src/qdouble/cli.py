@@ -192,6 +192,17 @@ def _digits_str(digits: tuple[int, ...]) -> str:
     return ":".join(str(d) for d in digits)
 
 
+def _weight_rows(group: Group, weights: dict) -> list[dict]:
+    """One {chi_digits, c_digits, weight} row per sector of `sector_weights`."""
+    return [{"chi_digits": _digits_str(group.character_from_index(chi).digits),
+             "c_digits": _digits_str(group.element_from_index(c).digits), "weight": w}
+            for (chi, c), w in weights.items()]
+
+
+def _weight_line(row: dict) -> str:
+    return f"weight[{row['chi_digits']};{row['c_digits']}] = {_fmt_float(row['weight'])}"
+
+
 def _json_payload(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -259,17 +270,10 @@ def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
     except RibbonError as err:
         raise ConfigError(f"sectors needs the boundary loops: {err}") from err
     model = QuantumDouble(group, region, cap=cfg.cap)
-    weights = sector_weights(frustration_free_state(model)).as_dict()
-    rows = []
-    for chi in range(group.size):
-        for c in range(group.size):
-            rows.append({
-                "chi_digits": _digits_str(group.character_from_index(chi).digits),
-                "c_digits": _digits_str(group.element_from_index(c).digits),
-                # the kernel of H^{eps,mu} is its energy-0 class
-                "dim": counts.get((0, chi, c), 0),
-                "weight": float(weights[(chi, c)]),
-            })
+    weights = sector_weights(frustration_free_state(model))
+    rows = _weight_rows(group, weights)
+    for (chi, c), r in zip(weights, rows):
+        r["dim"] = counts.get((0, chi, c), 0)  # the kernel of H^{eps,mu} is its energy-0 class
     if cfg.json:
         payload = {
             "task": "sectors", "group": cfg.group, "region": cfg.region,
@@ -282,8 +286,7 @@ def cmd_sectors(cfg: RunConfig, group: Group, region: Region) -> int:
         lines += [f"{r['chi_digits']},{r['c_digits']},{r['dim']}" for r in rows]
         _emit("\n".join(lines) + "\n", cfg)
         for r in rows:
-            print(f"weight[{r['chi_digits']};{r['c_digits']}] = {_fmt_float(r['weight'])}",
-                  file=sys.stderr)
+            print(_weight_line(r), file=sys.stderr)
     return EXIT_OK
 
 
@@ -357,14 +360,8 @@ def cmd_excite(cfg: RunConfig, group: Group, region: Region) -> int:
     state = single_excitation_state(model, site, cfg.chi, cfg.c)
     energy = state.expect_real(model.hamiltonian())
     boundary_energy = state.expect_real(model.hamiltonian(boundary="eps_mu"))
-    weights = sector_weights(state).as_dict()
+    weight_rows = _weight_rows(group, sector_weights(state))
     route = _route_residual(model, site, cfg.chi, cfg.c)
-    weight_rows = [
-        {"chi_digits": _digits_str(group.character_from_index(chi).digits),
-         "c_digits": _digits_str(group.element_from_index(c).digits),
-         "weight": float(weights[(chi, c)])}
-        for chi in range(group.size) for c in range(group.size)
-    ]
     if cfg.json:
         payload = {
             "task": "excite", "group": cfg.group, "region": cfg.region,
@@ -385,10 +382,7 @@ def cmd_excite(cfg: RunConfig, group: Group, region: Region) -> int:
             "path_independence_residual: "
             + ("n/a" if route is None else _fmt_float(route)),
         ]
-        lines += [
-            f"weight[{r['chi_digits']};{r['c_digits']}] = {_fmt_float(r['weight'])}"
-            for r in weight_rows
-        ]
+        lines += [_weight_line(r) for r in weight_rows]
         _emit("\n".join(lines) + "\n", cfg)
     return EXIT_OK
 

@@ -636,6 +636,22 @@ class QuantumDouble:
         """Packed index of the conjugate (inverse) character."""
         return int(self.group.inv_table()[self._chi_idx(chi)])
 
+    def _signed_shift(self, signed_edges, g) -> tuple:
+        """The shift by g on the +1 edges and g^-1 on the -1 edges of
+        (edge_id, sign) pairs."""
+        gi, inv = self._g_idx(g), self.group.inv_table()
+        return _canon_shift(self.group, [(eid, gi if sign > 0 else int(inv[gi]))
+                                         for eid, sign in signed_edges])
+
+    def _shift_average(self, shifts, chi) -> TermOp:
+        """(1/|G|) sum_g conj(chi)(g) shift_g, shifts[g] the shift of g;
+        exactly [chi = 1] I where every shift is empty."""
+        if not any(shifts):
+            return self.identity() if self._chi_idx(chi) == 0 else TermOp(self.space, [])
+        q, conj = self.group.size, self.group.char_values(self._chibar_idx(chi))
+        return TermOp(self.space, [Term(complex(conj[g]) / q, s)
+                                   for g, s in enumerate(shifts)]).simplify()
+
     def identity(self) -> TermOp:
         return TermOp(self.space, [Term(1.0)])
 
@@ -643,13 +659,8 @@ class QuantumDouble:
 
     def star_shift(self, vertex, g) -> TermOp:
         """A_v^g: multiply outgoing star edges by g and incoming ones by g^-1."""
-        gi = self._g_idx(g)
-        inv = self.group.inv_table()
-        items = [
-            (eid, gi if sign > 0 else int(inv[gi]))
-            for eid, sign in self.region.star_edges(vertex)
-        ]
-        return TermOp(self.space, [Term(1.0, _canon_shift(self.group, items))])
+        shift = self._signed_shift(self.region.star_edges(vertex), g)
+        return TermOp(self.space, [Term(1.0, shift)])
 
     def star(self, vertex) -> TermOp:
         """The gauge average A_v = (1/|G|) sum_g A_v^g, a projector."""
@@ -657,12 +668,9 @@ class QuantumDouble:
 
     def vertex_charge(self, vertex, chi) -> TermOp:
         """Projector onto the sector where A_v^g acts as chi(g)."""
-        q = self.group.size
-        conj = self.group.char_values(self._chibar_idx(chi))
-        terms = []
-        for g in range(q):
-            terms.extend(self.star_shift(vertex, g).scaled(complex(conj[g]) / q).terms)
-        return TermOp(self.space, terms).simplify()
+        star = self.region.star_edges(vertex)
+        shifts = [self._signed_shift(star, g) for g in range(self.group.size)]
+        return self._shift_average(shifts, chi)
 
     # ---- plaquettes ----
 
@@ -680,17 +688,8 @@ class QuantumDouble:
     # ---- ribbon operators ----
 
     def _ribbon_data(self, ribbon: Ribbon, c) -> tuple[tuple, tuple]:
-        ci = self._g_idx(c)
-        inv = self.group.inv_table()
-        shift = _canon_shift(
-            self.group,
-            [
-                (eid, ci if s > 0 else int(inv[ci]))
-                for eid, s in ribbon.dual_part()
-            ],
-        )
-        form = _canon_form(self.group, ribbon.direct_part())
-        return form, shift
+        shift = self._signed_shift(ribbon.dual_part(), c)
+        return _canon_form(self.group, ribbon.direct_part()), shift
 
     def ribbon_char(self, ribbon: Ribbon, chi, c) -> TermOp:
         """F^{chi,c}: conj(chi) of the direct-path holonomy, then shift the
@@ -726,23 +725,14 @@ class QuantumDouble:
     def gauge_shift(self, g) -> tuple:
         """The shift of T_g, the star shift A_v^g at every full-star vertex at
         once."""
-        gi = self._g_idx(g)
-        inv = self.group.inv_table()
-        edges = [e for v in self.region.interior_vertices() for e in self.region.star_edges(v)]
-        return _canon_shift(self.group, [(eid, gi if sign > 0 else int(inv[gi]))
-                                         for eid, sign in edges])
+        return self._signed_shift([e for v in self.region.interior_vertices()
+                                   for e in self.region.star_edges(v)], g)
 
     def total_charge_projector(self, chi) -> TermOp:
         """Projector onto total gauge charge chi over the full-star vertices:
         (1/|G|) sum_g conj(chi)(g) T_g; exactly [chi = 1] I where every T_g
         is the empty shift."""
-        q = self.group.size
-        shifts = [self.gauge_shift(g) for g in range(q)]
-        if not any(shifts):
-            return self.identity() if self._chi_idx(chi) == 0 else TermOp(self.space, [])
-        conj = self.group.char_values(self._chibar_idx(chi))
-        terms = [Term(complex(conj[g]) / q, shifts[g]) for g in range(q)]
-        return TermOp(self.space, terms).simplify()
+        return self._shift_average([self.gauge_shift(g) for g in range(self.group.size)], chi)
 
     def total_flux_form(self) -> tuple:
         """The holonomy form of the total flux, the product of every face's

@@ -6,15 +6,16 @@ amplitude, with no image of the operator built.  Ground states are gauge
 orbits of flat configurations: the frustration-free vector Omega is the
 orbit of the identity configuration, and the uniform ground mixture
 averages one orbit per flat sector.  Excited states attach a ribbon operator
-routed to the boundary.  On a free patch `seed_expectation` reads
-<Omega|A|Omega>, and through `charge_transport` an excitation's, from the
-term algebra with no rows, so `eventual_constancy_check` runs at any size.
+routed to the boundary; `sector_weights` maps each global sector (chi, c)
+to its weight.  On a free patch `seed_expectation` reads <Omega|A|Omega>,
+and through `charge_transport` an excitation's, from the term algebra with
+no rows, so `eventual_constancy_check` runs at any size.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +29,6 @@ from .sparse import (SparseState, grow, matrix_elements, row_keys, scale_parts, 
 
 __all__ = [
     "StateFunctional",
-    "SectorWeights",
     "mix",
     "probe_family",
     "frustration_free_state",
@@ -56,15 +56,14 @@ class StateFunctional:
     model: QuantumDouble
     stack: SparseState
     weights: np.ndarray
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.weights) != self.stack.n_parts:
             raise ValueError(f"{len(self.weights)} weights for {self.stack.n_parts} parts")
 
     @classmethod
-    def pure(cls, model: QuantumDouble, state: SparseState, info=None) -> "StateFunctional":
-        return cls(model, state.normalized(), np.ones(1), info or {})
+    def pure(cls, model: QuantumDouble, state: SparseState) -> "StateFunctional":
+        return cls(model, state.normalized(), np.ones(1))
 
     def expect(self, op: Operator) -> complex:
         """sum_p w_p <s_p|A s_p>, read on the stack's own rows
@@ -93,6 +92,8 @@ def mix(functionals_and_weights) -> StateFunctional:
     """Convex combination of StateFunctionals on the same model: the parts
     of positive weight, in order, relabelled into one stack."""
     items = list(functionals_and_weights)
+    if not items:
+        raise ValueError("cannot mix no states")
     model = items[0][0].model
     if any(func.model is not model for func, _ in items):
         raise ValueError("cannot mix states of different models")
@@ -103,7 +104,7 @@ def mix(functionals_and_weights) -> StateFunctional:
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights add to {total}, not 1")
     st = stack([take_parts(st, keep) for st, _, keep in kept])
-    return StateFunctional(model, st, weights, {"kind": "mixture"})
+    return StateFunctional(model, st, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +181,13 @@ def frustration_free_state(model: QuantumDouble, choice: str = "vector-seed") ->
     configurations (the fully mixed ground functional).
     """
     if choice == "vector-seed":
-        return StateFunctional.pure(model, _seed_vector(model), {"kind": "vector-seed"})
+        return StateFunctional.pure(model, _seed_vector(model))
     if choice != "uniform-mixture":
         raise ValueError(f"unknown ground state choice {choice!r}")
     refuse_above(mixture_rows(model), MIXTURE_SUPPORT_LIMIT, "uniform mixture configurations")
     rows, amps = _orbit_rows(model, _flat_orbit_representatives(model))
     return StateFunctional(model, stack_rows(model.group, rows, amps),
-                           np.full(len(rows), 1.0 / len(rows)), {"kind": "uniform-mixture"})
+                           np.full(len(rows), 1.0 / len(rows)))
 
 
 def mixture_rows(model: QuantumDouble) -> int:
@@ -212,16 +213,8 @@ def single_excitation_state(
     if site.vertex not in region.interior_vertices():
         raise ValueError(f"site vertex {site.vertex} is not interior")
     ribbon = ribbon_to_boundary(region, site, direction)
-    info = {  # the labels' range is checked before any operator is built
-        "kind": "single-excitation",
-        "site": site,
-        "chi": model._chi_idx(chi),
-        "c": model._g_idx(c),
-        "ribbon": ribbon,
-    }
-    omega = _seed_vector(model)
-    excited = sparse_apply(model.ribbon_char(ribbon, chi, c), omega)
-    return StateFunctional.pure(model, excited, info)
+    strip = model.ribbon_char(ribbon, chi, c)  # refuses bad labels before the seed is built
+    return StateFunctional.pure(model, sparse_apply(strip, _seed_vector(model)))
 
 
 def charge_transport(model: QuantumDouble, ribbon, chi, c, op: Operator) -> Operator:
@@ -285,27 +278,9 @@ def _is_gradient(model: QuantumDouble, shift: tuple) -> bool:
 # sector weights and conditional states
 
 
-@dataclass(frozen=True)
-class SectorWeights:
-    """Convex weights of the global (charge, flux) sectors of a state."""
-
-    group_spec: str
-    region_spec: str
-    entries: tuple  # ((chi_index, c_index, value), ...) in packed order
-
-    def __getitem__(self, key) -> float:
-        chi, c = key
-        for ci, gi, v in self.entries:
-            if (ci, gi) == (chi, c):
-                return v
-        raise KeyError(key)
-
-    def as_dict(self) -> dict:
-        return {(ci, gi): v for ci, gi, v in self.entries}
-
-
-def sector_weights(state: StateFunctional) -> SectorWeights:
+def sector_weights(state: StateFunctional) -> dict:
     """lambda_{chi,c} = omega(P_chi P_c), all from one pass; sums to one.
+    Returned as {(chi, c): lambda} over packed indices, in packed order.
 
     P_chi = (1/q) sum_g conj(chi)(g) T_g, T_g the global gauge shift, and
     P_c = [total flux = c] is diagonal and commutes with every T_g.  So
@@ -337,8 +312,7 @@ def sector_weights(state: StateFunctional) -> SectorWeights:
         raise ValueError(f"negative sector weight {lam.min()} at {divmod(int(lam.argmin()), q)}")
     if abs(lam.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError(f"sector weights add to {lam.sum()}, not 1")
-    entries = tuple((chi, c, float(lam[chi, c])) for chi in range(q) for c in range(q))
-    return SectorWeights(model.group.spec, model.region.spec, entries)
+    return {(chi, c): float(lam[chi, c]) for chi in range(q) for c in range(q)}
 
 
 def conditional_sector_state(state: StateFunctional, chi, c) -> StateFunctional:
@@ -352,8 +326,7 @@ def conditional_sector_state(state: StateFunctional, chi, c) -> StateFunctional:
         raise ValueError(f"sector {(chi, c)} has vanishing weight {lam}")
     # a part D s_l with no rows has n2 = 0 and keeps weight 0
     proj = scale_parts(proj, 1.0 / np.sqrt(np.where(n2 > 0, n2, 1.0)))
-    return StateFunctional(model, proj, state.weights * n2 / lam,
-                           {"kind": "conditional", "sector": (chi, c), "weight": lam})
+    return StateFunctional(model, proj, state.weights * n2 / lam)
 
 
 # ---------------------------------------------------------------------------

@@ -872,10 +872,9 @@ def _energy_boundary_pair(ctx: _Ctx) -> float:
 )
 def _ground_energy_boundary_charges(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_interior_vertex()
+    site = ctx.an_interior_site()
     model = ctx.model
     states = [frustration_free_state(model)]
-    site = ctx.an_interior_site()
     for chi, c in [(1 % ctx.q, 0), (0, 1 % ctx.q), (1 % ctx.q, ctx.q - 1)]:
         if (chi, c) != (0, 0):
             states.append(single_excitation_state(model, site, chi, c))
@@ -894,9 +893,8 @@ def _ground_energy_boundary_charges(ctx: _Ctx) -> float:
 )
 def _excitation_boundary_ground(ctx: _Ctx) -> float:
     ctx.need_boundary_ribbon()
-    ctx.need_interior_vertex()
-    h = ctx.model.hamiltonian(boundary="eps_mu")
     site = ctx.an_interior_site()
+    h = ctx.model.hamiltonian(boundary="eps_mu")
     worst = 0.0
     for chi, c in [(1 % ctx.q, 0), (0, 1 % ctx.q), (1 % ctx.q, ctx.q - 1)]:
         state = single_excitation_state(ctx.model, site, chi, c)
@@ -912,9 +910,8 @@ def _excitation_boundary_ground(ctx: _Ctx) -> float:
 )
 def _excitation_bulk_energy(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_interior_vertex()
-    h = ctx.model.hamiltonian()
     site = ctx.an_interior_site()
+    h = ctx.model.hamiltonian()
     worst = 0.0
     for chi, c in ctx.label_pairs():
         state = single_excitation_state(ctx.model, site, chi, c)
@@ -931,15 +928,14 @@ def _excitation_bulk_energy(ctx: _Ctx) -> float:
 )
 def _excitation_path_independence(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_interior_vertex()
-    model = ctx.model
     site = ctx.an_interior_site()
+    model = ctx.model
     chi, c = 1 % ctx.q, ctx.q - 1
     a = single_excitation_state(model, site, chi, c, direction=(1, 0))
     b = single_excitation_state(model, site, chi, c, direction=(0, 1))
     worst = abs(a.expect_real(model.hamiltonian()) - b.expect_real(model.hamiltonian()))
     wa, wb = sector_weights(a), sector_weights(b)
-    for key, val in wa.as_dict().items():
+    for key, val in wa.items():
         worst = max(worst, abs(val - wb[key]))
     probes = [model.star(site.vertex), model.plaquette(site.face)]
     probes.append(model.ribbon_char(face_direct_loop(ctx.region, site.face), 1 % ctx.q, 0))
@@ -960,7 +956,7 @@ def _excitation_path_independence(ctx: _Ctx) -> float:
 def _weights_ground(ctx: _Ctx) -> float:
     w = sector_weights(frustration_free_state(ctx.model))
     worst = abs(w[(0, 0)] - 1.0)
-    for (chi, c), val in w.as_dict().items():
+    for (chi, c), val in w.items():
         if (chi, c) != (0, 0):
             worst = max(worst, abs(val))
     return worst
@@ -974,14 +970,13 @@ def _weights_ground(ctx: _Ctx) -> float:
 )
 def _weights_single_excitation(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_interior_vertex()
     site = ctx.an_interior_site()
     worst = 0.0
     for chi, c in [(1 % ctx.q, 0), (0, ctx.q - 1), (1 % ctx.q, 1 % ctx.q)]:
         if (chi, c) == (0, 0):
             continue
         w = sector_weights(single_excitation_state(ctx.model, site, chi, c))
-        for key, val in w.as_dict().items():
+        for key, val in w.items():
             want = 1.0 if key == (chi, c) else 0.0
             worst = max(worst, abs(val - want))
     return worst
@@ -995,14 +990,13 @@ def _weights_single_excitation(ctx: _Ctx) -> float:
 )
 def _weights_mixture_linear(ctx: _Ctx) -> float:
     ctx.need_boundary()
-    ctx.need_interior_vertex()
     site = ctx.an_interior_site()
     ground = frustration_free_state(ctx.model)
     exc = single_excitation_state(ctx.model, site, 1 % ctx.q, ctx.q - 1)
     blend = mix([(ground, 0.25), (exc, 0.75)])
     w0, w1, wm = sector_weights(ground), sector_weights(exc), sector_weights(blend)
     worst = 0.0
-    for key, val in wm.as_dict().items():
+    for key, val in wm.items():
         worst = max(worst, abs(val - (0.25 * w0[key] + 0.75 * w1[key])))
     return worst
 

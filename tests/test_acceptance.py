@@ -333,14 +333,14 @@ def test_criterion_07_sector_weights():
         q = group.size
         site = FREE33.site((1, 1), (1, 1))
         w = sector_weights(frustration_free_state(model))
-        for key, val in w.as_dict().items():
+        for key, val in w.items():
             worst = max(worst, abs(val - (1.0 if key == (0, 0) else 0.0)))
         for chi in range(q):
             for c in range(q):
                 if (chi, c) == (0, 0):
                     continue
                 w = sector_weights(single_excitation_state(model, site, chi, c))
-                for key, val in w.as_dict().items():
+                for key, val in w.items():
                     worst = max(worst, abs(val - (1.0 if key == (chi, c) else 0.0)))
     ok = worst < TOL_STATE
     _report(7, "sector weights", ok, f"worst deviation {worst:.2e} over all labels, Z2 and Z3")

@@ -32,6 +32,7 @@ from qdouble.states import (
     conditional_sector_state,
     frustration_free_state,
     mix,
+    sector_weights,
     single_excitation_state,
     spanning_matrix,
 )
@@ -665,7 +666,7 @@ def test_conditional_state_matches_the_per_part_loop(monkeypatch, sector):
     cond = conditional_sector_state(state, *sector)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert abs(cond.info["weight"] - lam) < 1e-13
+    assert abs(sector_weights(state)[sector] - lam) < 1e-13
     assert len(cond.parts) == len(want) == (513 if sector == (0, 0) else 1)
     for (w, s), (w0, s0) in zip(cond.parts, want):
         assert abs(w - w0) < 1e-13
